@@ -127,19 +127,27 @@ class BaseStationVault:
     all_individual_keys: dict[int, Key] = field(default_factory=dict)
     all_group_keys: dict[int, Key] = field(default_factory=dict)
     group_key_history: dict[int, list[Key]] = field(default_factory=dict)
+    # fingerprints of every key ever recorded, kept up to date by record_*;
+    # like a superseded group key, a replaced individual key stays held
+    _key_ids: set[str] = field(default_factory=set, init=False,
+                               compare=False, repr=False)
+
+    def __post_init__(self):
+        self._key_ids.update(k.key_id for k in self.all_individual_keys.values())
+        self._key_ids.update(k.key_id for hist in self.group_key_history.values()
+                             for k in hist)
 
     def record_individual(self, node: int, key: Key) -> None:
         self.all_individual_keys[node] = key
+        self._key_ids.add(key.key_id)
 
     def record_group(self, group_id: int, key: Key) -> None:
         self.all_group_keys[group_id] = key
         self.group_key_history.setdefault(group_id, []).append(key)
+        self._key_ids.add(key.key_id)
 
     def holds(self, key_id: str) -> bool:
-        if any(k.key_id == key_id for k in self.all_individual_keys.values()):
-            return True
-        return any(k.key_id == key_id
-                   for hist in self.group_key_history.values() for k in hist)
+        return key_id in self._key_ids
 
 
 @dataclass

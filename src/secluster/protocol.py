@@ -211,8 +211,8 @@ class AttackAttempt:
 class AttackReport:
     profile_mode: str
     attempts: list[AttackAttempt]
-    # one (kind, group, key fingerprint) entry per trace envelope the
-    # adversary could open
+    # one (kind, group, key fingerprint) entry per distinct trace envelope
+    # the adversary could open; flood relays repeat their origin's envelope
     decrypted: list[tuple[str, Optional[int], str]]
 
     @property
@@ -343,10 +343,8 @@ class NetworkState:
         return self.group_key[group_id]
 
     def individual_key(self, node: int) -> Optional[Key]:
-        for g in self.plan.groups:
-            if node in g.individual_keys:
-                return g.individual_keys[node]
-        return None
+        gid = self.plan._node_group.get(node)
+        return None if gid is None else self.plan.groups[gid].individual_keys.get(node)
 
     def _deployed_neighbors(self, node: int) -> list[int]:
         return sorted(self.graph.neighbors(node) & self.deployed)
@@ -356,6 +354,10 @@ class NetworkState:
     def form(self) -> ClusterMap:
         cm = self.cluster_map
         plan = self.plan
+        # deployed does not change during formation, so each node's sorted
+        # deployed neighbourhood is built once and shared by every round
+        nbrs = {v: tuple(sorted(self.graph.neighbors(v) & self.deployed))
+                for v in self.deployed}
 
         deployed_gds = {g.dominator: g for g in plan.groups
                         if g.dominator in self.deployed}
@@ -372,8 +374,8 @@ class NetworkState:
             cm.ranks[s] = Rank.OS
             ind = self.individual_key(s)
             self._send(Kind.JOIN_REQ, s, ind, f"JOIN_REQ|{s}".encode(),
-                       self._deployed_neighbors(s), plan.group_of(s).group_id)
-            for nb in self._deployed_neighbors(s):
+                       nbrs[s], plan.group_of(s).group_id)
+            for nb in nbrs[s]:
                 grec = deployed_gds.get(nb)
                 if grec is not None and s in grec.individual_keys:
                     approvals[grec.group_id].append(s)
@@ -388,11 +390,11 @@ class NetworkState:
             gd = self.group_dominator[gid]
             plaintext = ("JOIN_APRV|" + ",".join(str(v) for v in sorted(approved))).encode()
             self._send(Kind.JOIN_APRV, gd, self.group_key[gid], plaintext,
-                       self._deployed_neighbors(gd), gid)
+                       nbrs[gd], gid)
             for s in sorted(approved):
                 cm.dominator_of[s] = gd
                 self.group_members[gid].add(s)
-            for nb in self._deployed_neighbors(gd):
+            for nb in nbrs[gd]:
                 # an Os that hears an approval it cannot open has found a
                 # foreign dominator in range
                 if (cm.ranks.get(nb) is Rank.OS
@@ -411,10 +413,10 @@ class NetworkState:
             plaintext = ("GD_ERR|" + str(s) + "|"
                          + ",".join(str(g) for g in seen_gds)).encode()
             self._flood(Kind.GD_ERR, s, ind, plaintext,
-                        plan.group_of(s).group_id)
-            if self._deployed_neighbors(s):
+                        plan.group_of(s).group_id, nbrs)
+            if nbrs[s]:
                 bs_orphan_reports[s] = seen_gds
-            for nb in self._deployed_neighbors(s):
+            for nb in nbrs[s]:
                 grec = deployed_gds.get(nb)
                 if grec is not None:
                     self._send(Kind.ORP_ERR, nb, self.group_key[grec.group_id],
@@ -426,7 +428,7 @@ class NetworkState:
         for s in orphans:
             candidates = sorted(set(bs_gd_reports.get(s, []))) if s in bs_orphan_reports else []
             if candidates:
-                gid_of = {self.group_dominator[g]: g for g in self.group_dominator}
+                gid_of = self._gid_of_dominator
                 adopter = min(candidates,
                               key=lambda g: (len(self.group_members[gid_of[g]]), g))
                 gid = gid_of[adopter]
@@ -445,7 +447,7 @@ class NetworkState:
                 cm.dominator_of[s] = adopter
                 self.group_members[gid].add(s)
                 cm.orphan_events.append(OrphanEvent(s, "ADOPTED", adopter))
-            elif self._deployed_neighbors(s):
+            elif nbrs[s]:
                 gid = self._next_group_id
                 self._next_group_id += 1
                 new_key = self.plan.factory.derive(f"group:{gid}")
@@ -469,27 +471,18 @@ class NetworkState:
         return cm
 
     def _flood(self, kind: Kind, origin: int, key: Key, plaintext: bytes,
-               group_id: Optional[int]) -> None:
+               group_id: Optional[int], nbrs: dict[int, tuple[int, ...]]) -> None:
         # BFS flood with duplicate suppression; relayers rebroadcast the
-        # envelope unopened.  Every local broadcast lands in the trace.
-        env_receivers = self._deployed_neighbors(origin)
-        self._send(kind, origin, key, plaintext, env_receivers, group_id)
-        env = self.trace[-1].envelope
-        reached = {origin}
-        queue = list(env_receivers)
-        for r in queue:
-            reached.add(r)
-        idx = 0
-        while idx < len(queue):
-            relay = queue[idx]
-            idx += 1
-            nbrs = self._deployed_neighbors(relay)
-            self.trace.append(TraceEvent(
-                round=self._round, envelope=env,
-                receivers=tuple(nbrs), group_id=group_id,
-                transmitter=relay,
-            ))
-            for nb in nbrs:
+        # envelope unopened.  Every local broadcast lands in the trace, and a
+        # relay's receivers are the relayer's shared neighbourhood tuple.
+        env = self._send(kind, origin, key, plaintext, nbrs[origin], group_id)
+        append, rnd = self.trace.append, self._round
+        reached = {origin, *nbrs[origin]}
+        queue = list(nbrs[origin])
+        for relay in queue:  # the queue grows while it is walked
+            receivers = nbrs[relay]
+            append(TraceEvent(rnd, env, receivers, group_id, relay))
+            for nb in receivers:
                 if nb not in reached:
                     reached.add(nb)
                     queue.append(nb)
@@ -665,21 +658,22 @@ class NetworkState:
                            seed: int) -> AttackReport:
         """Replay the trace through the adversary's keys and try forged joins.
 
-        The adversary observes every envelope sent so far, in order; when it
-        can open a rekey message it learns the carried key, so a compromised
-        member keeps up with its own group's rotations but nothing else.
-        Each forged join claims a random identity the adversary does not
+        The adversary observes every envelope sent so far, in order, and tries
+        each distinct envelope once: a flood relay re-airs its origin's
+        envelope unopened, so it is skipped.  When the adversary can open a
+        rekey message it learns the carried key, so a compromised member
+        keeps up with its own group's rotations but nothing else.  Each
+        forged join claims a random identity the adversary does not
         legitimately control.
         """
         rng = random.Random(seed)
-        held: dict[str, Key] = {}
-        for fp in profile.held_keys:
-            key = self._lookup_key(fp)
-            if key is not None:
-                held[fp] = key
+        known = self._key_index()
+        held = {fp: known[fp] for fp in profile.held_keys if fp in known}
 
         decrypted: list[tuple[str, Optional[int], str]] = []
         for ev in self.trace:
+            if ev.transmitter != ev.envelope.sender:
+                continue
             key = held.get(ev.envelope.key_fingerprint)
             if key is None:
                 continue
@@ -706,16 +700,17 @@ class NetworkState:
         return AttackReport(profile_mode=profile.mode,
                             attempts=attempt_log, decrypted=decrypted)
 
-    def _lookup_key(self, key_id: str) -> Optional[Key]:
+    def _key_index(self) -> dict[str, Key]:
+        # key_id -> Key over every planned individual key and every group
+        # key the vault has recorded; the first occurrence wins
+        index: dict[str, Key] = {}
         for g in self.plan.groups:
             for k in g.individual_keys.values():
-                if k.key_id == key_id:
-                    return k
+                index.setdefault(k.key_id, k)
         for hist in self.plan.vault.group_key_history.values():
             for k in hist:
-                if k.key_id == key_id:
-                    return k
-        return None
+                index.setdefault(k.key_id, k)
+        return index
 
     def _forged_join_admitted(self, claimed: int, target_group: int,
                               held: dict[str, Key], rng: random.Random) -> bool:
@@ -835,14 +830,19 @@ def write_clustermap_csv(cm: ClusterMap, path: Path | str) -> None:
 
 
 def write_trace_csv(events: Iterable[TraceEvent], path: Path | str) -> None:
+    # No field can hold a comma, quote or newline (ints, kind names, hex
+    # fingerprints), so rows are formatted directly, as csv.writer would
+    # write them.  Each distinct receiver tuple is joined once: every relay
+    # by one node carries the same tuple.
+    kind_value = {k: k.value for k in Kind}
+    joined: dict[tuple[int, ...], str] = {}
     with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["round", "sender", "kind", "key_fingerprint", "receivers"])
+        write = f.write
+        write("round,sender,kind,key_fingerprint,receivers\n")
         for ev in events:
-            w.writerow([
-                ev.round,
-                ev.transmitter,
-                ev.envelope.kind.value,
-                ev.envelope.key_fingerprint,
-                ";".join(str(r) for r in ev.receivers),
-            ])
+            receivers = joined.get(ev.receivers)
+            if receivers is None:
+                receivers = joined[ev.receivers] = ";".join(map(str, ev.receivers))
+            env = ev.envelope
+            write(f"{ev.round},{ev.transmitter},{kind_value[env.kind]},"
+                  f"{env.key_fingerprint},{receivers}\n")

@@ -1,7 +1,11 @@
+import csv
+
 import pytest
 
 from secluster import analysis, keying, protocol, udg
+from secluster.keying import DecryptError, decrypt
 from secluster.protocol import (
+    BS_ID,
     AdversaryProfile,
     Kind,
     Placement,
@@ -36,6 +40,38 @@ def join_leave_network():
          Point(10, 0), Point(11, 0), Point(5, 0)], 6.0)
     state = form_network(g, plan, Placement.uniform(), seed=1,
                          deployed=[0, 1, 2, 3, 4])
+    return state
+
+
+def held_back_network(placement, n=80, deg=4, seed=0):
+    """A field of n sensors with every v % 7 == 3 held back from formation."""
+    plan = keying.build_plan(n, 9, 128, seed=seed)
+    radius = udg.radius_for_expected_degree(n, 500, 500, deg)
+    g = protocol.deploy_graph(plan, 500, 500, radius, placement, seed=seed)
+    held = [v for v in range(n) if v % 7 == 3]
+    state = form_network(g, plan, placement, seed=seed,
+                         deployed=set(range(n)) - set(held))
+    return g, state, held
+
+
+def churned_uniform_network():
+    """Uniform formation with promotions and isolated orphans, then churn.
+
+    Each held-back sensor joins the first planned group whose dominator
+    hears it (on or off its access list), and three members leave, so the
+    trace holds every message kind and the plan's groups have rekeyed.
+    """
+    g, state, held = held_back_network(Placement.uniform())
+    plan = state.plan
+    for v in held:
+        for grec in plan.groups:
+            if (v not in state.deployed and state._gid_valid(grec.group_id)
+                    and v in g.neighbors(grec.dominator)):
+                state.join_node(v, grec.group_id)
+    members = [v for v in sorted(state.cluster_map.dominator_of)
+               if state.cluster_map.ranks[v] is Rank.OS]
+    for v in members[:3]:
+        assert state.leave_node(v)
     return state
 
 
@@ -151,6 +187,21 @@ def test_error_flood_is_relayed_without_decryption():
     # the envelope stays the orphan's; relayers never re-encrypt
     assert all(ev.envelope.sender == 3 for ev in floods)
     assert len({ev.envelope.key_fingerprint for ev in floods}) == 1
+
+
+@pytest.mark.parametrize("placement", [
+    Placement.uniform(),
+    Placement.clustered(2 * udg.radius_for_expected_degree(80, 500, 500, 4)),
+], ids=["uniform", "clustered"])
+def test_flood_relays_reach_the_relayers_deployed_neighbours(placement):
+    g, state, held = held_back_network(placement)
+    assert held
+    assert any(ev.transmitter != ev.envelope.sender for ev in state.trace)
+    # local broadcasts of rounds 1-3, flood relays included
+    for ev in state.trace:
+        if ev.envelope.kind in (Kind.JOIN_REQ, Kind.JOIN_APRV, Kind.GD_ERR):
+            assert ev.receivers == tuple(sorted(g.neighbors(ev.transmitter)
+                                                & state.deployed))
 
 
 def test_domination_invariant_on_random_networks():
@@ -439,6 +490,77 @@ def test_compromised_gd_after_revocation_reads_nothing_new():
     assert all(grp == 1 for (_, grp, _) in report.decrypted)
 
 
+def reference_replay(state, profile, relays):
+    """The adversary's trace replay by brute force, relays optionally included.
+
+    Returns the events it opened and every key it ends up holding.
+    """
+    recorded = [k for g in state.plan.groups for k in g.individual_keys.values()]
+    recorded += [k for h in state.plan.vault.group_key_history.values() for k in h]
+    held = {fp: next(k for k in recorded if k.key_id == fp)
+            for fp in profile.held_keys}
+    opened = []
+    for ev in state.trace:
+        key = held.get(ev.envelope.key_fingerprint)
+        if key is None or (not relays and ev.transmitter != ev.envelope.sender):
+            continue
+        try:
+            plaintext = decrypt(key, ev.envelope.payload)
+        except DecryptError:
+            continue
+        opened.append(ev)
+        learned = protocol._parse_key_payload(plaintext)
+        if learned is not None:
+            held[learned.key_id] = learned
+    return opened, held
+
+
+def test_compromised_adopter_opens_each_distinct_envelope_once():
+    state = churned_uniform_network()
+    adopters = [e.adopter for e in state.cluster_map.orphan_events
+                if e.resolution == "ADOPTED"]
+    adopter = min(set(adopters), key=lambda d: (-adopters.count(d), d))
+    profile = AdversaryProfile.compromised_gd(state, state.group_of_node(adopter))
+    report = state.simulate_adversary(profile, 50, seed=7)
+
+    every, held_every = reference_replay(state, profile, relays=True)
+    once, held_once = reference_replay(state, profile, relays=False)
+    # the adopter holds its orphans' individual keys, so it can open their
+    # floods, relayed copies included
+    assert len(every) > len(once)
+    # a relay re-airs its origin's envelope object, so skipping relays
+    # leaves one entry per distinct envelope and learns the same keys
+    assert len({id(ev.envelope) for ev in every}) == len(once)
+    assert report.decrypted == [(ev.envelope.kind.value, ev.group_id,
+                                 ev.envelope.key_fingerprint) for ev in once]
+    assert held_once == held_every
+
+
+def test_indexed_key_lookups_match_a_scan_of_plan_and_vault():
+    state = churned_uniform_network()
+    plan, vault = state.plan, state.plan.vault
+    assert len(state.group_dominator) > len(plan.groups)  # promoted groups
+    assert {e.cause for e in state.cluster_map.rekey_log} == {"join", "leave"}
+
+    for v in range(-2, plan.n + 2):
+        scan = next((g.individual_keys[v] for g in plan.groups
+                     if v in g.individual_keys), None)
+        assert state.individual_key(v) == scan
+    assert all(state.individual_key(g.dominator) is None for g in plan.groups)
+
+    recorded = list(vault.all_individual_keys.values())
+    recorded += [k for h in vault.group_key_history.values() for k in h]
+    plan_keys = [k for g in plan.groups for k in g.individual_keys.values()]
+    plan_keys += [k for h in vault.group_key_history.values() for k in h]
+    index = state._key_index()
+    key_ids = {kid for ring in state.rings.values() for kid in ring}
+    key_ids |= {k.key_id for k in recorded} | {"0" * 16, ""}
+    for kid in key_ids:
+        assert vault.holds(kid) == any(k.key_id == kid for k in recorded)
+        assert index.get(kid) == next((k for k in plan_keys if k.key_id == kid), None)
+    assert set(index) == {k.key_id for k in plan_keys}
+
+
 def test_revoked_member_cannot_rejoin():
     state = join_leave_network()
     state.revoke_group(1)
@@ -480,3 +602,30 @@ def test_trace_csv_schema(tmp_path):
     assert first[0] == "1"
     assert first[2] == "JOIN_REQ"
     assert first[4] == "0;2;3"
+
+
+def reference_trace_csv(events, path):
+    """The trace writer as csv.writer rows, kept to pin the output bytes."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["round", "sender", "kind", "key_fingerprint", "receivers"])
+        for ev in events:
+            w.writerow([
+                ev.round,
+                ev.transmitter,
+                ev.envelope.kind.value,
+                ev.envelope.key_fingerprint,
+                ";".join(str(r) for r in ev.receivers),
+            ])
+
+
+def test_trace_csv_matches_the_csv_writer_byte_for_byte(tmp_path):
+    state = churned_uniform_network()
+    events = state.trace
+    assert {ev.envelope.kind for ev in events} == set(Kind)
+    assert any(ev.receivers == () for ev in events)  # an isolated orphan
+    assert any(ev.transmitter == BS_ID for ev in events)
+    assert any(BS_ID in ev.receivers for ev in events)
+    protocol.write_trace_csv(events, tmp_path / "fast.csv")
+    reference_trace_csv(events, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
