@@ -15,10 +15,27 @@ minimum sizes satisfy |DS| <= |WCDS| <= |CDS|.
 All functions take any graph object with an integer field `n` and a method
 `neighbors(i) -> set of int` (both `udg.UnitDiskGraph` and the fixture
 helper `AdjacencyGraph` below qualify).
+
+The greedy baselines (Guha & Khuller, "Approximation algorithms for
+connected dominating sets", 1998) keep each vertex's gain, the number of
+still-uncovered vertices in its closed neighbourhood, up to date: covering
+u lowers the gain of every vertex in N[u] by one, which costs O(n + m) over
+a whole run on a graph with m edges.  The next vertex comes from a lazy
+max-heap on (-gain, id), as in Minoux's accelerated greedy: gains only
+fall, so a popped entry whose gain is stale is pushed back with its current
+gain, and the first current entry popped is the largest gain with the
+smallest id, the same tie-break as a full scan in id order.  Each stale pop
+follows a gain decrease, so selection makes O(n + m) heap operations of
+O(log n) each instead of rescanning every candidate at every step.  Greedy
+II's second phase picks each joining path from two more lazy heaps over the
+vertices next to its growing base fragment, which gives the path a
+breadth-first search from that fragment would find, without the search:
+O(m log n) for the whole phase instead of a search per path.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -99,7 +116,7 @@ def _covered(g, s: frozenset[int]) -> set[int]:
     return cov
 
 
-def _component_reach(adj: dict[int, set[int]], start: int) -> set[int]:
+def _component_reach(adj, start: int) -> set[int]:
     seen = {start}
     stack = [start]
     while stack:
@@ -203,107 +220,113 @@ def min_set_exhaustive(g, kind: SetKind) -> Optional[VertexSet]:
     return None
 
 
-def _greedy_variant_one(g, nodes: list[int]) -> set[int]:
+def _cover(adj, v: int, covered: set[int], gain: dict[int, int]) -> None:
+    # Cover N[v]; each newly covered u lowers the gain of every vertex in N[u].
+    for u in (v, *adj[v]):
+        if u not in covered:
+            covered.add(u)
+            gain[u] -= 1
+            for w in adj[u]:
+                gain[w] -= 1
+
+
+def _pop_best(heap: list[tuple[int, int]], gain: dict[int, int]) -> int:
+    # Lazy max-heap on (-gain, id): gains only fall, so a popped entry whose
+    # gain is current beats every other entry, and a stale one goes back in.
+    while True:
+        neg, v = heapq.heappop(heap)
+        if -neg == gain[v]:
+            return v
+        heapq.heappush(heap, (-gain[v], v))
+
+
+def _greedy_variant_one(adj, nodes: set[int]) -> set[int]:
     # Grow a connected set from the highest-degree vertex; each step adds the
     # frontier vertex covering the most still-uncovered vertices.
-    node_set = set(nodes)
-    start = max(nodes, key=lambda v: (len(g.neighbors(v) & node_set), -v))
-    chosen = {start}
-    covered = {start} | (g.neighbors(start) & node_set)
-    while covered != node_set:
-        frontier = sorted(
-            v for c in chosen for v in g.neighbors(c)
-            if v in node_set and v not in chosen
-        )
-        best = None
-        best_gain = -1
-        for v in frontier:
-            gain = len((star_of(g, v) & node_set) - covered)
-            if gain > best_gain:
-                best, best_gain = v, gain
-        if best is None or best_gain == 0:
-            # Frontier exhausted with vertices left over can only happen on a
-            # disconnected component passed in error; cover the rest directly.
-            chosen.update(node_set - covered)
-            break
-        chosen.add(best)
-        covered |= star_of(g, best) & node_set
-    return chosen
-
-
-def _greedy_variant_two(g, nodes: list[int]) -> set[int]:
-    # Phase 1: plain greedy dominating set (max uncovered coverage).
-    node_set = set(nodes)
+    gain = {v: len(adj[v]) + 1 for v in nodes}
+    v = max(nodes, key=lambda u: (gain[u], -u))
     chosen: set[int] = set()
     covered: set[int] = set()
-    while covered != node_set:
-        best = None
-        best_gain = -1
-        for v in nodes:
-            if v in chosen:
-                continue
-            gain = len((star_of(g, v) & node_set) - covered)
-            if gain > best_gain:
-                best, best_gain = v, gain
-        chosen.add(best)
-        covered |= star_of(g, best) & node_set
-
-    # Phase 2: stitch the fragments of the induced subgraph together along
-    # shortest paths in g, nearest fragment pair first.
+    heap: list[tuple[int, int]] = []
+    queued = {v}
     while True:
-        fragments = _induced_fragments(g, chosen)
-        if len(fragments) <= 1:
-            break
-        base = fragments[0]
-        path = _shortest_path_to_other_fragment(g, node_set, base, chosen)
-        if not path:
-            break  # only possible if fed a disconnected vertex set
-        chosen.update(path)
-    return chosen
+        chosen.add(v)
+        _cover(adj, v, covered, gain)
+        if len(covered) == len(nodes):
+            return chosen
+        for w in adj[v]:
+            if w not in queued:
+                queued.add(w)
+                heapq.heappush(heap, (-gain[w], w))
+        v = _pop_best(heap, gain)
 
 
-def _induced_fragments(g, chosen: set[int]) -> list[set[int]]:
-    adj = {v: g.neighbors(v) & chosen for v in chosen}
-    remaining = set(chosen)
-    frags = []
-    while remaining:
-        start = min(remaining)
-        comp = _component_reach(adj, start)
-        frags.append(comp)
-        remaining -= comp
-    frags.sort(key=min)
-    return frags
+def _greedy_variant_two(adj, nodes: set[int]) -> set[int]:
+    # Phase 1: plain greedy dominating set (max uncovered coverage).
+    gain = {v: len(adj[v]) + 1 for v in nodes}
+    heap = [(-gain[v], v) for v in nodes]
+    heapq.heapify(heap)
+    chosen: set[int] = set()
+    covered: set[int] = set()
+    while len(covered) < len(nodes):
+        v = _pop_best(heap, gain)
+        chosen.add(v)
+        _cover(adj, v, covered, gain)
 
-
-def _shortest_path_to_other_fragment(g, node_set: set[int], base: set[int],
-                                     chosen: set[int]) -> list[int]:
-    # BFS from the whole base fragment to the nearest vertex of any other
-    # fragment; ties broken by visiting smaller node ids first.
-    parent: dict[int, int | None] = {v: None for v in base}
-    frontier = sorted(base)
-    target = None
-    while frontier and target is None:
-        nxt = []
-        for v in frontier:
-            for w in sorted(g.neighbors(v) & node_set):
-                if w in parent:
+    # Phase 2: join the fragments of the induced subgraph along shortest
+    # paths in g, each time from the base fragment, the one holding
+    # min(chosen), as a breadth-first search from it that visits smaller ids
+    # first would.  Such a search enters another fragment through the first
+    # vertex v next to the base, in order of (smallest base neighbour, id),
+    # that has a chosen neighbour outside the base.  Failing that, since
+    # chosen dominates g, it goes through the first such v with a neighbour
+    # two steps from the base, and the smallest such neighbour x; the path
+    # is [v] or [x, v].  Two lazy heaps in that order find v without the
+    # search: the base and its neighbourhood only grow, so a vertex that
+    # fails either test once fails it for good.
+    lo = min(chosen)
+    base = {lo}
+    grow = [lo]
+    near: dict[int, int] = {}  # vertex next to the base -> its smallest base neighbour
+    one_step: list[tuple[int, int]] = []
+    two_step: list[tuple[int, int]] = []
+    while True:
+        while grow:
+            b = grow.pop()
+            for w in adj[b]:
+                if w in base:
                     continue
-                parent[w] = v
                 if w in chosen:
-                    target = w
-                    break
-                nxt.append(w)
-            if target is not None:
-                break
-        frontier = nxt
-    if target is None:
-        return []  # no other fragment reachable within this component
-    path = []
-    v = parent[target]
-    while v is not None and v not in base:
-        path.append(v)
-        v = parent[v]
-    return path
+                    base.add(w)
+                    grow.append(w)
+                elif w not in near or b < near[w]:
+                    near[w] = b
+                    heapq.heappush(one_step, (b, w))
+                    heapq.heappush(two_step, (b, w))
+        if len(base) == len(chosen):
+            return chosen
+        v = _first_near(one_step, near, base,
+                        lambda v: any(w in chosen and w not in base for w in adj[v]))
+        if v is not None:
+            grow = [v]
+        else:
+            v = _first_near(two_step, near, base,
+                            lambda v: any(w not in base and w not in near for w in adj[v]))
+            grow = [v, min(w for w in adj[v] if w not in base and w not in near)]
+        chosen.update(grow)
+        base.update(grow)
+
+
+def _first_near(heap: list[tuple[int, int]], near: dict[int, int], base: set[int],
+                passes) -> Optional[int]:
+    # The first current entry (near[v], v) with v outside the base that
+    # passes the test; entries that do not are dropped for good.
+    while heap:
+        b, v = heap[0]
+        if v not in base and near[v] == b and passes(v):
+            return v
+        heapq.heappop(heap)
+    return None
 
 
 def greedy_cds_baseline(g, variant: GreedyVariant) -> VertexSet:
@@ -318,14 +341,14 @@ def greedy_cds_baseline(g, variant: GreedyVariant) -> VertexSet:
     union, so is_cds holds on every component.
     """
     builder = _greedy_variant_one if variant is GreedyVariant.I else _greedy_variant_two
-    adj = {v: g.neighbors(v) for v in range(g.n)}
+    adj = [g.neighbors(v) for v in range(g.n)]
     result: set[int] = set()
-    remaining = set(range(g.n))
-    while remaining:
-        start = min(remaining)
-        comp = _component_reach(adj, start)
-        result |= builder(g, sorted(comp))
-        remaining -= comp
+    seen: set[int] = set()
+    for start in range(g.n):
+        if start not in seen:
+            comp = _component_reach(adj, start)
+            seen |= comp
+            result |= builder(adj, comp)
     return frozenset(result)
 
 

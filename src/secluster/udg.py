@@ -5,6 +5,15 @@ neighbors iff their euclidean distance is <= the shared transmission
 radius (closed disk, so a distance of exactly `radius` counts as a link).
 Distances are compared on squared values so that hand-built fixtures with
 axis-aligned spacing stay exact in floating point.
+
+The graph is built on a uniform grid (Clark, Colbourn & Johnson, "Unit disk
+graphs", 1990): nodes are bucketed into square cells slightly wider than the
+radius, so each node is tested only against the nodes of its own cell and
+the eight around it.  The number of tests is the number of pairs in
+neighbouring cells, O(n + m) for m edges when the density is bounded,
+instead of the n(n-1)/2 tests of comparing every pair.  The squared-distance
+test alone still decides each link, so the adjacency is exactly that of the
+all-pairs comparison.
 """
 
 from __future__ import annotations
@@ -66,17 +75,34 @@ class UnitDiskGraph:
 
 
 def _derive_adjacency(positions: Sequence[Point], radius: float) -> tuple[frozenset[int], ...]:
-    n = len(positions)
+    # Bucket the nodes into square cells a little wider than r, so every
+    # linked pair sits in the same or an adjacent cell, and test each pair
+    # once: within a cell, and against the four cells east and north.  The
+    # margin covers the rounding of the link test below, which can accept a
+    # coordinate gap a few ulps over r, and of x / side, which grows with
+    # the coordinates' magnitude.
+    side = radius * (1 + 1e-9) + 2.0 ** -50 * max(
+        (max(abs(p.x), abs(p.y)) for p in positions), default=0.0)
+    xs = [p.x for p in positions]
+    ys = [p.y for p in positions]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i in range(len(positions)):
+        cells.setdefault((math.floor(xs[i] / side), math.floor(ys[i] / side)),
+                         []).append(i)
     r2 = radius * radius
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        xi, yi = positions[i].x, positions[i].y
-        for j in range(i + 1, n):
-            dx = positions[j].x - xi
-            dy = positions[j].y - yi
-            if dx * dx + dy * dy <= r2:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
+    nbrs: list[set[int]] = [set() for _ in positions]
+    for (cx, cy), here in cells.items():
+        near = [j for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
+                              (cx, cy + 1))
+                for j in cells.get(key, ())]
+        for k, i in enumerate(here):
+            xi, yi = xs[i], ys[i]
+            for j in here[k + 1:] + near:
+                dx = xs[j] - xi
+                dy = ys[j] - yi
+                if dx * dx + dy * dy <= r2:
+                    nbrs[i].add(j)
+                    nbrs[j].add(i)
     return tuple(frozenset(s) for s in nbrs)
 
 
@@ -85,6 +111,8 @@ def from_positions(positions: Sequence[Point], radius: float) -> UnitDiskGraph:
     if radius <= 0:
         raise ValueError("radius must be > 0")
     pts = tuple(positions)
+    if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in pts):
+        raise ValueError("positions must be finite")
     return UnitDiskGraph(
         n=len(pts),
         positions=pts,

@@ -1,6 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from secluster import domsets, udg
 from secluster.domsets import (
@@ -18,6 +21,149 @@ from secluster.domsets import (
 P6 = AdjacencyGraph.path(6)
 C6 = AdjacencyGraph.cycle(6)
 K15 = AdjacencyGraph.star(5)
+
+
+# -- reference greedy: a full scan of every candidate at every step -----------
+
+def _reach(adj, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _reference_one(g, nodes):
+    node_set = set(nodes)
+    start = max(nodes, key=lambda v: (len(g.neighbors(v) & node_set), -v))
+    chosen = {start}
+    covered = {start} | (g.neighbors(start) & node_set)
+    while covered != node_set:
+        frontier = sorted(
+            v for c in chosen for v in g.neighbors(c)
+            if v in node_set and v not in chosen
+        )
+        best = None
+        best_gain = -1
+        for v in frontier:
+            gain = len((star_of(g, v) & node_set) - covered)
+            if gain > best_gain:
+                best, best_gain = v, gain
+        if best is None or best_gain == 0:
+            chosen.update(node_set - covered)
+            break
+        chosen.add(best)
+        covered |= star_of(g, best) & node_set
+    return chosen
+
+
+def _reference_fragments(g, chosen):
+    adj = {v: g.neighbors(v) & chosen for v in chosen}
+    remaining = set(chosen)
+    frags = []
+    while remaining:
+        comp = _reach(adj, min(remaining))
+        frags.append(comp)
+        remaining -= comp
+    frags.sort(key=min)
+    return frags
+
+
+def _reference_path(g, node_set, base, chosen):
+    parent = {v: None for v in base}
+    frontier = sorted(base)
+    target = None
+    while frontier and target is None:
+        nxt = []
+        for v in frontier:
+            for w in sorted(g.neighbors(v) & node_set):
+                if w in parent:
+                    continue
+                parent[w] = v
+                if w in chosen:
+                    target = w
+                    break
+                nxt.append(w)
+            if target is not None:
+                break
+        frontier = nxt
+    if target is None:
+        return []
+    path = []
+    v = parent[target]
+    while v is not None and v not in base:
+        path.append(v)
+        v = parent[v]
+    return path
+
+
+def _reference_two(g, nodes):
+    node_set = set(nodes)
+    chosen = set()
+    covered = set()
+    while covered != node_set:
+        best = None
+        best_gain = -1
+        for v in nodes:
+            if v in chosen:
+                continue
+            gain = len((star_of(g, v) & node_set) - covered)
+            if gain > best_gain:
+                best, best_gain = v, gain
+        chosen.add(best)
+        covered |= star_of(g, best) & node_set
+    while True:
+        fragments = _reference_fragments(g, chosen)
+        if len(fragments) <= 1:
+            break
+        path = _reference_path(g, node_set, fragments[0], chosen)
+        if not path:
+            break
+        chosen.update(path)
+    return chosen
+
+
+def reference_greedy(g, variant):
+    """The greedy baselines as first written, kept as the reference."""
+    builder = _reference_one if variant is GreedyVariant.I else _reference_two
+    adj = {v: g.neighbors(v) for v in range(g.n)}
+    result = set()
+    remaining = set(range(g.n))
+    while remaining:
+        comp = _reach(adj, min(remaining))
+        result |= builder(g, sorted(comp))
+        remaining -= comp
+    return frozenset(result)
+
+
+@st.composite
+def random_udgs(draw):
+    """Uniform unit-disk graphs from sparse (many components) to dense."""
+    n = draw(st.integers(1, 80))
+    d_avg = draw(st.floats(1.0, 15.0))
+    return udg.generate_uniform(
+        n, 100, 100, udg.radius_for_expected_degree(max(n, 2), 100, 100, d_avg),
+        draw(st.integers(0, 2 ** 32)))
+
+
+@st.composite
+def random_graphs(draw):
+    """Arbitrary, often disconnected, graphs with isolated vertices."""
+    n = draw(st.integers(1, 30))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return AdjacencyGraph(n, [(u, v) for u, v in draw(st.lists(pairs, max_size=60))
+                              if u != v])
+
+
+def to_networkx(g):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from((v, w) for v in range(g.n) for w in g.neighbors(v))
+    return ref
 
 
 def random_connected_udg(seed, n_max=10):
@@ -200,3 +346,36 @@ def test_greedy_is_deterministic():
                              seed=7)
     for var in GreedyVariant:
         assert greedy_cds_baseline(g, var) == greedy_cds_baseline(g, var)
+
+
+@given(random_udgs())
+def test_greedy_matches_reference_on_random_udgs(g):
+    for var in GreedyVariant:
+        assert greedy_cds_baseline(g, var) == reference_greedy(g, var)
+
+
+@given(random_graphs())
+def test_greedy_matches_reference_on_disconnected_graphs(g):
+    for var in GreedyVariant:
+        assert greedy_cds_baseline(g, var) == reference_greedy(g, var)
+
+
+@given(st.one_of(random_udgs(), random_graphs()))
+def test_greedy_is_a_cds_of_every_component_by_networkx(g):
+    ref = to_networkx(g)
+    for var in GreedyVariant:
+        s = greedy_cds_baseline(g, var)
+        for comp in nx.connected_components(ref):
+            part = s & comp
+            assert nx.is_dominating_set(ref.subgraph(comp), part)
+            assert nx.is_connected(ref.subgraph(part))
+
+
+@given(random_graphs(), st.data())
+def test_verifiers_agree_with_networkx(g, data):
+    ref = to_networkx(g)
+    s = data.draw(st.sets(st.integers(0, g.n - 1)))
+    dominating = nx.is_dominating_set(ref, s)
+    assert is_dominating(g, s) == dominating
+    assert is_cds(g, s) == (dominating and (len(s) <= 1
+                                            or nx.is_connected(ref.subgraph(s))))

@@ -1,10 +1,56 @@
 import math
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from secluster import udg
 from secluster.udg import Point
+
+
+def all_pairs_adjacency(positions, radius):
+    """Reference: test every pair of nodes against the closed disk."""
+    n = len(positions)
+    r2 = radius * radius
+    nbrs = [set() for _ in range(n)]
+    for i in range(n):
+        xi, yi = positions[i].x, positions[i].y
+        for j in range(i + 1, n):
+            dx = positions[j].x - xi
+            dy = positions[j].y - yi
+            if dx * dx + dy * dy <= r2:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+    return tuple(frozenset(s) for s in nbrs)
+
+
+@st.composite
+def scattered_points(draw):
+    """Up to 60 points within a few radii of an origin anywhere in a wide
+    square, plus repeats of some of them."""
+    radius = draw(st.floats(1e-3, 1e3))
+    ox, oy = draw(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))
+    offsets = st.floats(-6.0, 6.0)
+    pts = draw(st.lists(st.builds(lambda a, b: Point(ox + a * radius, oy + b * radius),
+                                  offsets, offsets), min_size=1, max_size=60))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=5))
+    return pts, radius
+
+
+@st.composite
+def lattice_points(draw):
+    """Points on a square lattice whose step divides the radius exactly, so
+    many pairs (axis neighbours, 3-4-5 diagonals) sit at exactly r; the
+    lattice may straddle the origin or be shifted far from it."""
+    radius = draw(st.sampled_from([1.25, 2.5, 5.0, 10.0]))
+    step = radius / draw(st.sampled_from([1, 5]))
+    ox, oy = draw(st.sampled_from([(0.0, 0.0), (-1000.0, 250.0), (2.0 ** 20, -2.0 ** 20)]))
+    ks = st.integers(-12, 12)
+    pts = draw(st.lists(st.builds(lambda i, j: Point(ox + i * step, oy + j * step), ks, ks),
+                        min_size=1, max_size=80))
+    return pts, radius
 
 
 def hexagon(radius=1.1):
@@ -148,3 +194,38 @@ def test_csv_rejects_mismatched_radius(tmp_path):
     udg.write_graph_csv(g, nodes, edges)
     with pytest.raises(ValueError):
         udg.read_graph_csv(nodes, edges, g.radius * 3)
+
+
+@given(scattered_points())
+def test_grid_adjacency_matches_all_pairs_on_scattered_points(case):
+    pts, radius = case
+    assert udg.from_positions(pts, radius).adjacency == all_pairs_adjacency(pts, radius)
+
+
+@given(lattice_points())
+def test_grid_adjacency_matches_all_pairs_on_exact_radius_lattices(case):
+    pts, radius = case
+    assert udg.from_positions(pts, radius).adjacency == all_pairs_adjacency(pts, radius)
+
+
+def test_coincident_points_are_linked():
+    g = udg.from_positions([Point(-1.5, 2.0)] * 3 + [Point(-1.5, 4.0)], 1.0)
+    assert [set(a) for a in g.adjacency] == [{1, 2}, {0, 2}, {0, 1}, set()]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_are_rejected(bad):
+    with pytest.raises(ValueError):
+        udg.from_positions([Point(0.0, 0.0), Point(bad, 1.0)], 1.0)
+
+
+@given(st.integers(1, 60), st.floats(1.0, 12.0), st.integers(0, 2 ** 32))
+def test_connected_components_agree_with_networkx(n, d_avg, seed):
+    g = udg.generate_uniform(n, 100, 100,
+                             udg.radius_for_expected_degree(max(n, 2), 100, 100, d_avg),
+                             seed)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    assert udg.connected_components(g) == sorted(nx.connected_components(ref), key=min)
+    assert udg.is_connected(g) == nx.is_connected(ref)
