@@ -38,12 +38,8 @@ from .protocol import (
     NetworkState,
     Placement,
     deploy_graph,
-    dominator_set,
     form_network,
-    join_node,
-    leave_node,
     run_formation,
-    simulate_adversary,
 )
 from .analysis import (
     ExperimentRow,

@@ -105,10 +105,8 @@ def formation_validity(state: protocol.NetworkState) -> domsets.DomsetReport:
     a mediator.
     """
     cm = state.cluster_map
-    active = sorted((set(cm.ranks) & state.deployed) - cm.unreachable())
-    sub, relabel = domsets.induced_subgraph(state.graph, active)
-    doms = {relabel[d] for d in cm.dominator_set() if d in relabel}
-    return domsets.classify(sub, doms)
+    active = (set(cm.ranks) & state.deployed) - cm.unreachable()
+    return domsets.classify(state.graph, cm.dominator_set() & active, active)
 
 
 def run_experiment_cell(n: int, eta: int, avg_degree: float,

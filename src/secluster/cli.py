@@ -35,7 +35,7 @@ DEFAULTS = {
     },
     "sweep": {
         "n_range6": "20:200:20", "n_range12": "40:200:20", "seeds": 30,
-        "eta": 9, "placement": "clustered", "rho": None, "rho_fraction": None,
+        "eta": 9, "placement": "clustered", "rho": None,
         "key_bits": 128, "width": 500.0, "height": 500.0, "workers": 1,
         "eta_values": "0,3,5,9,12,15", "key_bits_list": "64,128,256",
         "curve_n": "10:2000:10", "p_c": "0.9,0.99,0.999,0.9999",

@@ -14,7 +14,11 @@ minimum sizes satisfy |DS| <= |WCDS| <= |CDS|.
 
 All functions take any graph object with an integer field `n` and a method
 `neighbors(i) -> set of int` (both `udg.UnitDiskGraph` and the fixture
-helper `AdjacencyGraph` below qualify).
+helper `AdjacencyGraph` below qualify).  Like the greedy builders, which
+work on an adjacency plus a vertex set, the verifier `classify` takes a
+graph plus a vertex set V and judges the subgraph induced by V in place,
+without copying or relabelling it; `is_dominating`, `is_cds` and `is_wcds`
+are its three verdicts over the whole graph.
 
 The greedy baselines (Guha & Khuller, "Approximation algorithms for
 connected dominating sets", 1998) keep each vertex's gain, the number of
@@ -109,45 +113,61 @@ def _check_members(g, s: Iterable[int]) -> frozenset[int]:
     return members
 
 
-def _covered(g, s: frozenset[int]) -> set[int]:
-    cov = set(s)
-    for v in s:
-        cov.update(g.neighbors(v))
-    return cov
-
-
-def _component_reach(adj, start: int) -> set[int]:
+def _reach(start: int, step) -> set[int]:
+    # Vertices reachable from start, where step(v) gives v's neighbours.
     seen = {start}
     stack = [start]
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
+        for w in step(stack.pop()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return seen
 
 
+def classify(g, s: Iterable[int], within: Optional[Iterable[int]] = None) -> DomsetReport:
+    """Classify s as a DS, CDS and WCDS of g over the vertex set `within`.
+
+    Only the vertices V of `within` (every vertex of g when None) and the
+    edges between them count, so a subgraph is judged in place.  Members of
+    s must lie in V.  N[s] ∩ V is computed once: s dominates iff it is all
+    of V, an empty V counts as dominated, and a dominating set of at most
+    one vertex is connected in both senses.
+    """
+    members = _check_members(g, s)
+    if within is None:
+        size = g.n
+    else:
+        verts = _check_members(g, within)
+        if not members <= verts:
+            raise ValueError(f"vertices {sorted(members - verts)} lie outside `within`")
+        size = len(verts)
+    covered = set(members)
+    for v in members:
+        covered.update(g.neighbors(v))
+    if within is not None:
+        covered &= verts
+    dom = len(covered) == size
+    if not dom or len(members) <= 1:
+        return DomsetReport(len(members), dom, dom, dom)
+    lo = min(members)
+    # CDS: the subgraph induced by s is connected.
+    cds = len(_reach(lo, lambda v: g.neighbors(v) & members)) == len(members)
+    # WCDS: N[s], here all of V, is connected by the edges that touch s.  A
+    # CDS is one, since every vertex of V hangs off a connected s.
+    wcds = cds or len(_reach(lo, lambda v: g.neighbors(v) & (
+        covered if v in members else members))) == size
+    return DomsetReport(len(members), dom, cds, wcds)
+
+
 def is_dominating(g, s: Iterable[int]) -> bool:
     """True iff every vertex of g is in s or adjacent to a member of s."""
-    members = _check_members(g, s)
-    if g.n == 0:
-        return True
-    if not members:
-        return False
-    return len(_covered(g, members)) == g.n
+    return classify(g, s).is_dominating
 
 
 def is_cds(g, s: Iterable[int]) -> bool:
     """True iff s dominates g and the subgraph induced by s is connected."""
-    members = _check_members(g, s)
-    if not is_dominating(g, members):
-        return False
-    if len(members) <= 1:
-        return True
-    adj = {v: g.neighbors(v) & members for v in members}
-    start = min(members)
-    return len(_component_reach(adj, start)) == len(members)
+    return classify(g, s).is_cds
 
 
 def is_wcds(g, s: Iterable[int]) -> bool:
@@ -156,19 +176,7 @@ def is_wcds(g, s: Iterable[int]) -> bool:
     The weakly induced subgraph has vertex set N[s] (members plus all their
     neighbors) and every edge of g with at least one endpoint in s.
     """
-    members = _check_members(g, s)
-    if not is_dominating(g, members):
-        return False
-    if len(members) <= 1:
-        return True
-    verts = _covered(g, members)
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for v in members:
-        for w in g.neighbors(v):
-            adj[v].add(w)
-            adj[w].add(v)
-    start = min(verts)
-    return len(_component_reach(adj, start)) == len(verts)
+    return classify(g, s).is_wcds
 
 
 def star_of(g, v: int) -> VertexSet:
@@ -176,17 +184,6 @@ def star_of(g, v: int) -> VertexSet:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} not a valid node id (n={g.n})")
     return frozenset(g.neighbors(v)) | {v}
-
-
-def classify(g, s: Iterable[int]) -> DomsetReport:
-    members = _check_members(g, s)
-    dom = is_dominating(g, members)
-    return DomsetReport(
-        set_size=len(members),
-        is_dominating=dom,
-        is_cds=dom and is_cds(g, members),
-        is_wcds=dom and is_wcds(g, members),
-    )
 
 
 _VERIFIERS = {
@@ -346,22 +343,7 @@ def greedy_cds_baseline(g, variant: GreedyVariant) -> VertexSet:
     seen: set[int] = set()
     for start in range(g.n):
         if start not in seen:
-            comp = _component_reach(adj, start)
+            comp = _reach(start, adj.__getitem__)
             seen |= comp
             result |= builder(adj, comp)
     return frozenset(result)
-
-
-def induced_subgraph(g, nodes: Iterable[int]) -> tuple[AdjacencyGraph, dict[int, int]]:
-    """Subgraph induced on `nodes`, relabeled 0..m-1 in sorted-id order.
-
-    Returns the new graph and the old-id -> new-id map.
-    """
-    keep = sorted(_check_members(g, nodes))
-    relabel = {old: new for new, old in enumerate(keep)}
-    edges = []
-    for old in keep:
-        for w in g.neighbors(old):
-            if w in relabel and old < w:
-                edges.append((relabel[old], relabel[w]))
-    return AdjacencyGraph(len(keep), edges), relabel

@@ -21,7 +21,6 @@ import csv
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 SUPPORTED_KEY_BITS = (64, 128, 256)
 
@@ -177,12 +176,6 @@ class DeploymentPlan:
     def group_of(self, node: int) -> GroupRecord:
         return self.groups[self._node_group[node]]
 
-    def rank_of(self, node: int) -> str:
-        return "GD" if self.groups[self._node_group[node]].dominator == node else "Os"
-
-    def iter_nodes(self) -> Iterator[int]:
-        return iter(range(self.n))
-
     def __post_init__(self):
         self._node_group: dict[int, int] = {}
         for g in self.groups:
@@ -256,7 +249,7 @@ def write_plan_csv(plan: DeploymentPlan, path: Path | str) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["node_id", "rank", "group_id", "key_ids"])
-        for node in plan.iter_nodes():
+        for node in range(plan.n):
             group = plan.group_of(node)
             if group.dominator == node:
                 kids = [group.group_key.key_id]

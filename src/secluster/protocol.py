@@ -61,7 +61,6 @@ class Rank(Enum):
     GD = "GD"
     OS = "Os"
     GDOS = "GDos"
-    BS = "BS"
 
 
 class PlacementMode(Enum):
@@ -164,11 +163,6 @@ class ClusterMap:
 
     def active_nodes(self) -> frozenset[int]:
         return frozenset(self.ranks) - self.unreachable()
-
-
-def dominator_set(cm: ClusterMap) -> frozenset[int]:
-    """All nodes holding dominator rank (planned GDs plus promoted GDos)."""
-    return cm.dominator_set()
 
 
 @dataclass(frozen=True)
@@ -793,21 +787,6 @@ def run_formation(g: UnitDiskGraph, plan: DeploymentPlan, placement: Placement,
                   seed: int) -> ClusterMap:
     """Run cluster formation and return just the resulting cluster map."""
     return form_network(g, plan, placement, seed).cluster_map
-
-
-def join_node(state: NetworkState, new_node: int, target_group: int) -> NetworkState:
-    state.join_node(new_node, target_group)
-    return state
-
-
-def leave_node(state: NetworkState, node: int) -> NetworkState:
-    state.leave_node(node)
-    return state
-
-
-def simulate_adversary(state: NetworkState, profile: AdversaryProfile,
-                       attempts: int, seed: int) -> AttackReport:
-    return state.simulate_adversary(profile, attempts, seed)
 
 
 # -- exports ----------------------------------------------------------------

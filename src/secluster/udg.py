@@ -162,17 +162,7 @@ def is_connected(g: UnitDiskGraph) -> bool:
 
     The empty graph counts as connected.
     """
-    if g.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return len(connected_components(g)) <= 1
 
 
 def connected_components(g: UnitDiskGraph) -> list[set[int]]:

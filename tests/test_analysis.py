@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 
+import networkx as nx
 import pytest
 
 from secluster import analysis, domsets, keying, protocol, udg
@@ -192,6 +194,82 @@ def test_uniform_sweep_counts_promotions():
     for r in rows:
         assert r.dominators_ours >= ideal_domset_size(30, 9)
         assert r.placement == "UNIFORM"
+
+
+# -- formation validity ----------------------------------------------------------
+
+def churned_state(seed):
+    """A formed network with held-back nodes, then joins, leaves and a revocation.
+
+    Size, density, eta and placement are drawn from the seed, so across
+    seeds the states include UNREACHABLE orphans, promoted groups, joins on
+    and off a group's access list, leaves and revoked groups.
+    """
+    rng = random.Random(seed)
+    n = rng.randrange(2, 90)
+    eta = rng.randrange(0, 10)
+    radius = udg.radius_for_expected_degree(n, 300, 300, rng.uniform(2.0, 10.0))
+    plan = keying.build_plan(n, eta, 64, seed)
+    if rng.random() < 0.5:
+        placement = protocol.Placement.uniform()
+        g = udg.generate_uniform(n, 300, 300, radius, seed)
+    else:
+        placement = protocol.Placement.clustered(radius * rng.uniform(0.2, 1.0))
+        g = protocol.deploy_graph(plan, 300, 300, radius, placement, seed)
+    held = {v for v in range(n) if rng.random() < 0.2}
+    state = protocol.form_network(g, plan, placement, seed,
+                                  deployed=set(range(n)) - held)
+    for v in sorted(held):
+        groups = [gid for gid in range(len(plan.groups)) if state._gid_valid(gid)
+                  and v in g.neighbors(state.group_dominator[gid])]
+        if groups and rng.random() < 0.7:
+            state.join_node(v, rng.choice(groups))
+    cm = state.cluster_map
+    members = sorted(v for v in cm.dominator_of if cm.ranks[v] is protocol.Rank.OS)
+    for v in rng.sample(members, min(len(members), rng.randrange(0, 4))):
+        state.leave_node(v)
+    live = [gid for gid in range(len(plan.groups)) if state._gid_valid(gid)]
+    if live and rng.random() < 0.4:
+        state.revoke_group(rng.choice(live))
+    return state
+
+
+def reference_validity(state):
+    """formation_validity's report, recomputed with networkx."""
+    cm = state.cluster_map
+    active = (set(cm.ranks) & state.deployed) - cm.unreachable()
+    doms = set(cm.dominator_set()) & active
+    ref = nx.Graph()
+    ref.add_nodes_from(active)
+    ref.add_edges_from((v, w) for v in active for w in state.graph.neighbors(v)
+                       if w in active)
+    weak = nx.Graph()
+    weak.add_nodes_from(doms)
+    weak.add_edges_from((u, v) for u, v in ref.edges() if u in doms or v in doms)
+    dominating = nx.is_dominating_set(ref, doms)
+    return domsets.DomsetReport(
+        set_size=len(doms),
+        is_dominating=dominating,
+        is_cds=dominating and (len(doms) <= 1 or nx.is_connected(ref.subgraph(doms))),
+        is_wcds=dominating and (len(doms) <= 1 or nx.is_connected(weak)),
+    )
+
+
+def test_formation_validity_matches_networkx_on_churned_networks():
+    seen = Counter()
+    for seed in range(80):
+        state = churned_state(seed)
+        report = analysis.formation_validity(state)
+        assert report == reference_validity(state), seed
+        cm = state.cluster_map
+        seen["held back"] += len(cm.ranks) < state.plan.n
+        seen["unreachable"] += bool(cm.unreachable())
+        seen["joined"] += any(e.cause == "join" for e in cm.rekey_log)
+        seen["left"] += bool(state.left)
+        seen["revoked"] += bool(state.revoked_groups)
+        seen["not wcds"] += not report.is_wcds
+        seen["wcds, not cds"] += report.is_wcds and not report.is_cds
+    assert min(seen.values()) > 0, seen
 
 
 # -- CSV writers -----------------------------------------------------------------

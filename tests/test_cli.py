@@ -79,6 +79,21 @@ def test_sweep_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_sweep_accepts_a_config_shared_with_form(tmp_path):
+    # rho_fraction is a form key; sweep has no such flag and must ignore it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rho_fraction": 0.5}))
+    args = ["sweep", "--n-range6", "20:40:20", "--n-range12", "40:40:20",
+            "--seeds", "2", "--curve-n", "50:100:50"]
+    plain, shared = tmp_path / "plain", tmp_path / "shared"
+    assert run_cli(*args, "--out-dir", str(plain)) == 0
+    assert run_cli(*args, "--config", str(cfg), "--out-dir", str(shared)) == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in shared.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (shared / name).read_bytes(), name
+
+
 def test_analyze_emits_connectivity_values(tmp_path):
     assert run_cli("analyze", "--curve-n", "100:100:1",
                    "--p-c", "0.999", "--out-dir", str(tmp_path)) == 0

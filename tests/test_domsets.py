@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from secluster import domsets, udg
+from secluster import udg
 from secluster.domsets import (
     AdjacencyGraph,
+    DomsetReport,
     GreedyVariant,
     SetKind,
+    classify,
     greedy_cds_baseline,
     is_cds,
     is_dominating,
@@ -328,8 +330,7 @@ def test_greedy_on_random_udg_contract():
         assert len(s) <= g.n
         # is_cds must hold per connected component
         for comp in udg.connected_components(g):
-            sub, relabel = domsets.induced_subgraph(g, comp)
-            assert is_cds(sub, {relabel[v] for v in s if v in comp})
+            assert classify(g, s & comp, comp).is_cds
 
 
 def test_greedy_handles_disconnected_graph():
@@ -379,3 +380,57 @@ def test_verifiers_agree_with_networkx(g, data):
     assert is_dominating(g, s) == dominating
     assert is_cds(g, s) == (dominating and (len(s) <= 1
                                             or nx.is_connected(ref.subgraph(s))))
+
+
+def reference_report(g, s, within):
+    """classify's report over the vertex set `within`, recomputed with networkx."""
+    ref = to_networkx(g).subgraph(within)
+    weak = nx.Graph()
+    weak.add_nodes_from(s)
+    weak.add_edges_from((u, v) for u, v in ref.edges() if u in s or v in s)
+    dominating = nx.is_dominating_set(ref, s)
+    return DomsetReport(
+        set_size=len(s),
+        is_dominating=dominating,
+        is_cds=dominating and (len(s) <= 1 or nx.is_connected(ref.subgraph(s))),
+        is_wcds=dominating and (len(s) <= 1 or nx.is_connected(weak)),
+    )
+
+
+@given(random_graphs(), st.data())
+def test_classify_agrees_with_networkx(g, data):
+    s = data.draw(st.sets(st.integers(0, g.n - 1)))
+    expected = reference_report(g, s, range(g.n))
+    assert classify(g, s) == expected
+    assert classify(g, s, range(g.n)) == expected
+    assert is_wcds(g, s) == expected.is_wcds
+
+
+@given(random_graphs(), st.data())
+def test_classify_within_agrees_with_networkx(g, data):
+    within = data.draw(st.sets(st.integers(0, g.n - 1)))
+    s = data.draw(st.sets(st.sampled_from(sorted(within)))) if within else set()
+    assert classify(g, s, within) == reference_report(g, s, within)
+
+
+def test_classify_within_edge_cases():
+    # an empty vertex set is dominated, even by the empty set
+    assert classify(P6, set(), set()) == DomsetReport(0, True, True, True)
+    assert classify(AdjacencyGraph(0, []), set()) == DomsetReport(0, True, True, True)
+    assert classify(P6, set(), {2, 3}) == DomsetReport(0, False, False, False)
+    # P6 restricted to {0, 1, 2} is a path dominated by its middle vertex
+    assert classify(P6, {1}, {0, 1, 2}) == DomsetReport(1, True, True, True)
+    # without vertex 5, {1, 3} is a WCDS of 0-1-2-3-4 (edge 1-2 joins the stars)
+    assert classify(P6, {1, 3}, range(5)) == DomsetReport(2, True, False, True)
+    assert classify(P6, {1, 3}) == DomsetReport(2, False, False, False)
+    # edges leaving `within` do not count: 2 and 4 meet only through 3
+    assert classify(P6, {2, 4}, {1, 2, 4, 5}) == DomsetReport(2, True, False, False)
+
+
+def test_classify_rejects_members_outside_within():
+    with pytest.raises(ValueError):
+        classify(P6, {4}, {0, 1, 2})
+    with pytest.raises(ValueError):
+        classify(P6, {1}, {1, 6})
+    with pytest.raises(ValueError):
+        classify(P6, {6})
