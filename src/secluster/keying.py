@@ -85,9 +85,15 @@ def _keystream(secret: bytes, nonce: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    # one big-integer XOR instead of a per-byte loop; stream is as long as data
+    n = len(data)
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
+
+
 def encrypt(key: Key, nonce: bytes, plaintext: bytes) -> bytes:
     """Seal plaintext under key; stand-in for a fielded AEAD cipher."""
-    ct = bytes(a ^ b for a, b in zip(plaintext, _keystream(key.secret, nonce, len(plaintext))))
+    ct = _xor(plaintext, _keystream(key.secret, nonce, len(plaintext)))
     tag = hashlib.sha256(b"tag|" + key.secret + nonce + ct).digest()[:_TAG_LEN]
     return nonce + ct + tag
 
@@ -100,7 +106,7 @@ def decrypt(key: Key, blob: bytes, nonce_len: int = 8) -> bytes:
     expect = hashlib.sha256(b"tag|" + key.secret + nonce + ct).digest()[:_TAG_LEN]
     if tag != expect:
         raise DecryptError("authentication tag mismatch")
-    return bytes(a ^ b for a, b in zip(ct, _keystream(key.secret, nonce, len(ct))))
+    return _xor(ct, _keystream(key.secret, nonce, len(ct)))
 
 
 @dataclass

@@ -42,19 +42,19 @@ from .keying import (
     decrypt,
     encrypt,
 )
+# write_trace_csv is exported from here, beside write_clustermap_csv
+from .trace import (  # noqa: F401
+    Envelope,
+    FloodEvent,
+    Kind,
+    Trace,
+    TraceEvent,
+    flood_order,
+    write_trace_csv,
+)
 from .udg import UnitDiskGraph, Point, from_positions
 
 BS_ID = -1  # the base station is a logical entity, not a graph node
-
-
-class Kind(Enum):
-    JOIN_REQ = "JOIN_REQ"
-    JOIN_APRV = "JOIN_APRV"
-    GD_ERR = "GD_ERR"
-    ORP_ERR = "ORP_ERR"
-    REKEY_TO_NEW = "REKEY_TO_NEW"
-    REKEY_BCAST = "REKEY_BCAST"
-    LEAVE = "LEAVE"
 
 
 class Rank(Enum):
@@ -98,30 +98,6 @@ class Placement:
 
 
 @dataclass(frozen=True)
-class Envelope:
-    """One encrypted transmission.
-
-    A receiver can open the payload iff it holds the key whose fingerprint
-    is `key_fingerprint`; with any other key, authenticated decryption
-    fails detectably.
-    """
-
-    sender: int
-    kind: Kind
-    key_fingerprint: str
-    payload: bytes
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    round: int
-    envelope: Envelope
-    receivers: tuple[int, ...]
-    group_id: Optional[int]  # group context of the encrypting key
-    transmitter: int = BS_ID  # who put it on the air (relays differ from sender)
-
-
-@dataclass(frozen=True)
 class OrphanEvent:
     node: int
     resolution: str  # ADOPTED | PROMOTED | UNREACHABLE
@@ -160,9 +136,6 @@ class ClusterMap:
     def unreachable(self) -> frozenset[int]:
         return frozenset(e.node for e in self.orphan_events
                          if e.resolution == "UNREACHABLE")
-
-    def active_nodes(self) -> frozenset[int]:
-        return frozenset(self.ranks) - self.unreachable()
 
 
 @dataclass(frozen=True)
@@ -265,7 +238,7 @@ class NetworkState:
         self._rekey_counter: dict[int, int] = {}
         self._next_group_id = len(plan.groups)
 
-        self.trace: list[TraceEvent] = []
+        self.trace = Trace()
         self.audit_log: list[str] = []
         self._round = 0
         self._nonce_counter = 0
@@ -303,12 +276,13 @@ class NetworkState:
             self.group_key[g.group_id] = g.group_key
             self._rekey_counter[g.group_id] = 0
 
+    def _seal(self, kind: Kind, sender: int, key: Key, plaintext: bytes) -> Envelope:
+        return Envelope(sender=sender, kind=kind, key_fingerprint=key.key_id,
+                        payload=encrypt(key, self._nonce(), plaintext))
+
     def _send(self, kind: Kind, sender: int, key: Key, plaintext: bytes,
               receivers: Iterable[int], group_id: Optional[int]) -> Envelope:
-        env = Envelope(
-            sender=sender, kind=kind, key_fingerprint=key.key_id,
-            payload=encrypt(key, self._nonce(), plaintext),
-        )
+        env = self._seal(kind, sender, key, plaintext)
         self.trace.append(TraceEvent(
             round=self._round, envelope=env,
             receivers=tuple(sorted(receivers)), group_id=group_id,
@@ -401,13 +375,14 @@ class NetworkState:
                          if cm.ranks.get(s) is Rank.OS and s not in cm.dominator_of)
         bs_orphan_reports: dict[int, list[int]] = {}
         bs_gd_reports: dict[int, list[int]] = {}
+        reach: dict[int, int] = {}  # node -> size of its component in nbrs
         for s in orphans:
             ind = self.individual_key(s)
             seen_gds = sorted(neighbor_dominators.get(s, []))
             plaintext = ("GD_ERR|" + str(s) + "|"
                          + ",".join(str(g) for g in seen_gds)).encode()
             self._flood(Kind.GD_ERR, s, ind, plaintext,
-                        plan.group_of(s).group_id, nbrs)
+                        plan.group_of(s).group_id, nbrs, reach)
             if nbrs[s]:
                 bs_orphan_reports[s] = seen_gds
             for nb in nbrs[s]:
@@ -465,21 +440,17 @@ class NetworkState:
         return cm
 
     def _flood(self, kind: Kind, origin: int, key: Key, plaintext: bytes,
-               group_id: Optional[int], nbrs: dict[int, tuple[int, ...]]) -> None:
+               group_id: Optional[int], nbrs: dict[int, tuple[int, ...]],
+               reach: dict[int, int]) -> None:
         # BFS flood with duplicate suppression; relayers rebroadcast the
-        # envelope unopened.  Every local broadcast lands in the trace, and a
-        # relay's receivers are the relayer's shared neighbourhood tuple.
-        env = self._send(kind, origin, key, plaintext, nbrs[origin], group_id)
-        append, rnd = self.trace.append, self._round
-        reached = {origin, *nbrs[origin]}
-        queue = list(nbrs[origin])
-        for relay in queue:  # the queue grows while it is walked
-            receivers = nbrs[relay]
-            append(TraceEvent(rnd, env, receivers, group_id, relay))
-            for nb in receivers:
-                if nb not in reached:
-                    reached.add(nb)
-                    queue.append(nb)
+        # envelope unopened.  It is stored as one record, and its relays are
+        # expanded from nbrs when read.  `reach` caches component sizes, so
+        # each component that holds an orphan is walked once per formation.
+        if origin not in reach:
+            component = flood_order(nbrs, origin)
+            reach.update(dict.fromkeys(component, len(component)))
+        env = self._seal(kind, origin, key, plaintext)
+        self.trace.append(FloodEvent(self._round, env, group_id, reach[origin], nbrs))
 
     def _record_mediators(self) -> None:
         # A mediator is a dominated node that additionally hears at least one
@@ -653,30 +624,29 @@ class NetworkState:
         """Replay the trace through the adversary's keys and try forged joins.
 
         The adversary observes every envelope sent so far, in order, and tries
-        each distinct envelope once: a flood relay re-airs its origin's
-        envelope unopened, so it is skipped.  When the adversary can open a
-        rekey message it learns the carried key, so a compromised member
-        keeps up with its own group's rotations but nothing else.  Each
-        forged join claims a random identity the adversary does not
-        legitimately control.
+        each distinct envelope once: a flood's relays re-air its origin's
+        envelope unopened, so the trace's records are its envelopes.  When
+        the adversary can open a rekey message it learns the carried key, so
+        a compromised member keeps up with its own group's rotations but
+        nothing else.  Each forged join claims a random identity the
+        adversary does not legitimately control, and a group that is not
+        operational admits no join at all.
         """
         rng = random.Random(seed)
         known = self._key_index()
         held = {fp: known[fp] for fp in profile.held_keys if fp in known}
 
         decrypted: list[tuple[str, Optional[int], str]] = []
-        for ev in self.trace:
-            if ev.transmitter != ev.envelope.sender:
-                continue
-            key = held.get(ev.envelope.key_fingerprint)
+        for rec in self.trace.records:
+            key = held.get(rec.envelope.key_fingerprint)
             if key is None:
                 continue
             try:
-                plaintext = decrypt(key, ev.envelope.payload)
+                plaintext = decrypt(key, rec.envelope.payload)
             except DecryptError:
                 continue
-            decrypted.append((ev.envelope.kind.value, ev.group_id,
-                              ev.envelope.key_fingerprint))
+            decrypted.append((rec.envelope.kind.value, rec.group_id,
+                              rec.envelope.key_fingerprint))
             learned = _parse_key_payload(plaintext)
             if learned is not None:
                 held[learned.key_id] = learned
@@ -727,7 +697,9 @@ class NetworkState:
         env = Envelope(sender=claimed, kind=Kind.JOIN_REQ,
                        key_fingerprint=spoofed_fp, payload=payload)
 
-        # dominator-side validation
+        # dominator-side validation; a group that is not operational admits no one
+        if not self._gid_valid(target_group):
+            return False
         grec = self.plan.groups[target_group] if target_group < len(self.plan.groups) else None
         if grec is None or claimed not in grec.individual_keys:
             return False
@@ -806,22 +778,3 @@ def write_clustermap_csv(cm: ClusterMap, path: Path | str) -> None:
                 "true" if node in cm.mediators else "false",
                 resolution.get(node, ""),
             ])
-
-
-def write_trace_csv(events: Iterable[TraceEvent], path: Path | str) -> None:
-    # No field can hold a comma, quote or newline (ints, kind names, hex
-    # fingerprints), so rows are formatted directly, as csv.writer would
-    # write them.  Each distinct receiver tuple is joined once: every relay
-    # by one node carries the same tuple.
-    kind_value = {k: k.value for k in Kind}
-    joined: dict[tuple[int, ...], str] = {}
-    with open(path, "w", newline="") as f:
-        write = f.write
-        write("round,sender,kind,key_fingerprint,receivers\n")
-        for ev in events:
-            receivers = joined.get(ev.receivers)
-            if receivers is None:
-                receivers = joined[ev.receivers] = ";".join(map(str, ev.receivers))
-            env = ev.envelope
-            write(f"{ev.round},{ev.transmitter},{kind_value[env.kind]},"
-                  f"{env.key_fingerprint},{receivers}\n")

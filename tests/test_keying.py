@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from secluster import keying
 from secluster.keying import (
@@ -168,6 +171,30 @@ def test_tampered_payload_fails():
     blob[10] ^= 0xFF
     with pytest.raises(DecryptError):
         decrypt(key, bytes(blob))
+
+
+def per_byte_encrypt(key, nonce, plaintext):
+    """The cipher as first written, XOR one byte at a time; pins the output."""
+    stream = keying._keystream(key.secret, nonce, len(plaintext))
+    ct = bytes(a ^ b for a, b in zip(plaintext, stream))
+    tag = hashlib.sha256(b"tag|" + key.secret + nonce + ct).digest()[:16]
+    return nonce + ct + tag
+
+
+def per_byte_decrypt(key, blob):
+    nonce, ct = blob[:8], blob[8:-16]
+    return bytes(a ^ b for a, b in zip(ct, keying._keystream(key.secret, nonce, len(ct))))
+
+
+@given(bits=st.sampled_from(keying.SUPPORTED_KEY_BITS), label=st.text(max_size=8),
+       nonce=st.binary(min_size=8, max_size=8), plaintext=st.binary(max_size=200))
+@example(bits=64, label="", nonce=bytes(8), plaintext=b"")
+@example(bits=256, label="g", nonce=bytes(range(8)), plaintext=bytes(range(200)))
+def test_cipher_matches_the_per_byte_xor(bits, label, nonce, plaintext):
+    key = keying.KeyFactory(seed=5, key_bits=bits).derive(label)
+    blob = encrypt(key, nonce, plaintext)
+    assert blob == per_byte_encrypt(key, nonce, plaintext)
+    assert decrypt(key, blob) == per_byte_decrypt(key, blob) == plaintext
 
 
 # -- export ------------------------------------------------------------------

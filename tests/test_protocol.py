@@ -567,6 +567,23 @@ def test_revoked_member_cannot_rejoin():
     assert not state.join_node(4, 0)  # node 4's key material is revoked
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_no_forged_join_is_admitted_into_a_revoked_group(seed):
+    # with every group revoked the forged joins still target group 0,
+    # which must refuse them all, even for the dominator's own members
+    plan = keying.build_plan(30, 4, 128, seed=seed)
+    radius = udg.radius_for_expected_degree(30, 100, 100, 8)
+    placement = Placement.clustered(radius / 4)
+    g = protocol.deploy_graph(plan, 100, 100, radius, placement, seed=seed)
+    state = form_network(g, plan, placement, seed=seed)
+    profile = AdversaryProfile.compromised_gd(state, 0)
+    for gid in sorted(state.group_dominator):
+        state.revoke_group(gid)
+    report = state.simulate_adversary(profile, 200, seed=seed)
+    assert {a.target_group for a in report.attempts} == {0}
+    assert report.admissions == 0
+
+
 def test_attack_report_is_deterministic():
     def run():
         state = join_leave_network()
