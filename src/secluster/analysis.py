@@ -116,12 +116,8 @@ def run_experiment_cell(n: int, eta: int, avg_degree: float,
     """Generate, form, verify, and account one (n, seed) sweep cell."""
     radius = udg.radius_for_expected_degree(n, width, height, avg_degree)
     plan = keying.build_plan(n, eta, key_bits, derive_seed("plan", seed, n))
-    if placement.mode is protocol.PlacementMode.UNIFORM:
-        graph = udg.generate_uniform(n, width, height, radius,
-                                     derive_seed("graph", seed, n))
-    else:
-        graph = protocol.deploy_graph(plan, width, height, radius, placement,
-                                      derive_seed("graph", seed, n))
+    graph = protocol.deploy_graph(plan, width, height, radius, placement,
+                                  derive_seed("graph", seed, n))
     state = protocol.form_network(graph, plan, placement,
                                   derive_seed("form", seed, n))
     report = formation_validity(state)

@@ -10,116 +10,86 @@ Subcommands:
 
 Every command takes --seed and --out-dir and is reproducible: the same
 invocation writes byte-identical CSVs (and SVGs, which embed no
-timestamps).  An optional --config JSON file supplies defaults;
-command-line flags always win.
+timestamps).  Each option is declared and checked once, in its
+`add_argument` call.  An optional --config JSON object supplies option
+values, parsed exactly like flags (`null` means the default, keys a
+command lacks are ignored); flags win.  Bad input exits 2 before any work.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import analysis, keying, protocol, svgplot, udg
 
-DEFAULTS = {
-    "generate": {
-        "n": 100, "width": 500.0, "height": 500.0, "avg_degree": 6.0,
-        "radius": None, "seed": 0, "out_dir": "out",
-    },
-    "form": {
-        "n": 100, "eta": 9, "key_bits": 128, "placement": "clustered",
-        "rho": None, "rho_fraction": 0.25, "width": 500.0, "height": 500.0,
-        "avg_degree": 6.0, "radius": None, "seed": 0, "out_dir": "out",
-    },
-    "sweep": {
-        "n_range6": "20:200:20", "n_range12": "40:200:20", "seeds": 30,
-        "eta": 9, "placement": "clustered", "rho": None,
-        "key_bits": 128, "width": 500.0, "height": 500.0, "workers": 1,
-        "eta_values": "0,3,5,9,12,15", "key_bits_list": "64,128,256",
-        "curve_n": "10:2000:10", "p_c": "0.9,0.99,0.999,0.9999",
-        "seed": 0, "out_dir": "out",
-    },
-    "analyze": {
-        "n_range": "20:200:20", "eta": 9, "eta_values": "0,3,5,9,12,15",
-        "key_bits": 128, "key_bits_list": "64,128,256",
-        "curve_n": "10:2000:10", "p_c": "0.9,0.99,0.999,0.9999",
-        "seed": 0, "out_dir": "out",
-    },
-}
+# Option types raise ArgumentTypeError, reported as "argument --flag: ..." (exit 2)
 
 
-def _parse_range(text: str, flag: str, parser: argparse.ArgumentParser) -> list[int]:
-    try:
-        parts = [int(x) for x in text.split(":")]
-        start, stop, step = parts
-    except ValueError:
-        parser.error(f"{flag} must look like start:stop:step, got {text!r}")
-    if step <= 0 or stop < start:
-        parser.error(f"{flag} must have step > 0 and stop >= start")
-    return list(range(start, stop + 1, step))
-
-
-def _parse_list(text: str, flag: str, parser: argparse.ArgumentParser,
-                cast=float) -> list:
-    try:
-        return [cast(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        parser.error(f"{flag} must be a comma-separated list, got {text!r}")
-
-
-def _resolve(args: argparse.Namespace, command: str,
-             parser: argparse.ArgumentParser) -> dict:
-    """Merge flag values over config-file values over built-in defaults."""
-    merged = dict(DEFAULTS[command])
-    if args.config is not None:
+def _checked(cast, ok, rule: str):
+    """Converter: cast the text and require ok(value); rule names the demand."""
+    def convert(text: str):
         try:
-            loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"--config: cannot read {args.config}: {exc}")
-        for key, value in loaded.items():
-            if key in merged:
-                merged[key] = value
-    for key in merged:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return convert
 
 
-def _radius_from(cfg: dict, parser: argparse.ArgumentParser) -> float:
-    if cfg.get("radius") is not None:
-        if cfg["radius"] <= 0:
-            parser.error("--radius must be > 0")
-        return cfg["radius"]
-    return udg.radius_for_expected_degree(
-        cfg["n"], cfg["width"], cfg["height"], cfg["avg_degree"])
+def _int_at_least(low: int):
+    return _checked(int, lambda v: v >= low, f">= {low}")
 
 
-def _check_positive(parser, cfg, *keys):
-    for key in keys:
-        if cfg[key] is None:
-            continue
-        if cfg[key] <= 0:
-            parser.error(f"--{key.replace('_', '-')} must be > 0")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_probability = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out_dir"])
+def _n_range(low: int):
+    def parse(text: str) -> list[int]:
+        start, stop, step = (int(x) for x in text.split(":"))
+        return list(range(start, stop + 1, step)) if step > 0 else []
+    return _checked(parse, lambda v: v and v[0] >= low,
+                    f"start:stop:step with step > 0 and {low} <= start <= stop")
+
+
+def _comma_list(item):
+    """Items are converted by item, whose own errors name the bad value."""
+    return _checked(lambda text: [item(x) for x in text.split(",") if x != ""],
+                    bool, "a non-empty comma-separated list")
+
+
+def _radius(args, parser: argparse.ArgumentParser) -> float:
+    if args.radius is not None:
+        return args.radius
+    if args.n < 2:
+        parser.error("argument --n: must be >= 2 unless --radius is given")
+    return udg.radius_for_expected_degree(args.n, args.width, args.height,
+                                          args.avg_degree)
+
+
+def _placement(args, rho: float | None = None) -> protocol.Placement:
+    """--placement, with --rho overriding the command's own dispersion."""
+    if args.placement == "uniform":
+        return protocol.Placement.uniform()
+    return protocol.Placement.clustered(rho if args.rho is None else args.rho)
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_generate(args, parser) -> int:
-    cfg = _resolve(args, "generate", parser)
-    if cfg["n"] < 1:
-        parser.error("--n must be >= 1")
-    _check_positive(parser, cfg, "width", "height", "avg_degree")
-    radius = _radius_from(cfg, parser)
-    g = udg.generate_uniform(cfg["n"], cfg["width"], cfg["height"], radius,
-                             cfg["seed"])
-    out = _out_dir(cfg)
+    radius = _radius(args, parser)
+    g = udg.generate_uniform(args.n, args.width, args.height, radius, args.seed)
+    out = _out_dir(args)
     udg.write_graph_csv(g, out / "nodes.csv", out / "edges.csv")
     print(f"generate: n={g.n} edges={g.edge_count()} radius={radius:.3f} "
           f"avg_degree={g.average_degree():.3f} connected={udg.is_connected(g)}")
@@ -127,49 +97,19 @@ def cmd_generate(args, parser) -> int:
     return 0
 
 
-def _placement_from(cfg: dict, radius: float,
-                    parser: argparse.ArgumentParser) -> protocol.Placement:
-    if cfg["placement"] == "uniform":
-        return protocol.Placement.uniform()
-    if cfg["placement"] != "clustered":
-        parser.error("--placement must be uniform or clustered")
-    if cfg.get("rho") is not None:
-        if cfg["rho"] <= 0:
-            parser.error("--rho must be > 0")
-        return protocol.Placement.clustered(cfg["rho"])
-    if cfg.get("rho_fraction") is not None:
-        if cfg["rho_fraction"] <= 0:
-            parser.error("--rho-fraction must be > 0")
-        return protocol.Placement.clustered(radius * cfg["rho_fraction"])
-    return protocol.Placement.clustered()
-
-
 def cmd_form(args, parser) -> int:
-    cfg = _resolve(args, "form", parser)
-    if cfg["n"] < 1:
-        parser.error("--n must be >= 1")
-    if cfg["eta"] < 0:
-        parser.error("--eta must be >= 0")
-    if cfg["key_bits"] not in keying.SUPPORTED_KEY_BITS:
-        parser.error(f"--key-bits must be one of {keying.SUPPORTED_KEY_BITS}")
-    _check_positive(parser, cfg, "width", "height", "avg_degree")
-    radius = _radius_from(cfg, parser)
-    placement = _placement_from(cfg, radius, parser)
-
-    plan = keying.build_plan(cfg["n"], cfg["eta"], cfg["key_bits"],
-                             analysis.derive_seed("plan", cfg["seed"]))
-    if placement.mode is protocol.PlacementMode.UNIFORM:
-        g = udg.generate_uniform(cfg["n"], cfg["width"], cfg["height"], radius,
-                                 analysis.derive_seed("graph", cfg["seed"]))
-    else:
-        g = protocol.deploy_graph(plan, cfg["width"], cfg["height"], radius,
-                                  placement, analysis.derive_seed("graph", cfg["seed"]))
+    radius = _radius(args, parser)
+    placement = _placement(args, radius * args.rho_fraction)
+    plan = keying.build_plan(args.n, args.eta, args.key_bits,
+                             analysis.derive_seed("plan", args.seed))
+    g = protocol.deploy_graph(plan, args.width, args.height, radius, placement,
+                              analysis.derive_seed("graph", args.seed))
     state = protocol.form_network(g, plan, placement,
-                                  analysis.derive_seed("form", cfg["seed"]))
+                                  analysis.derive_seed("form", args.seed))
     cm = state.cluster_map
     report = analysis.formation_validity(state)
 
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     keying.write_plan_csv(plan, out / "plan.csv")
     protocol.write_clustermap_csv(cm, out / "clustermap.csv")
     protocol.write_trace_csv(state.trace, out / "trace.csv")
@@ -177,7 +117,7 @@ def cmd_form(args, parser) -> int:
     by_resolution = {"ADOPTED": 0, "PROMOTED": 0, "UNREACHABLE": 0}
     for ev in cm.orphan_events:
         by_resolution[ev.resolution] += 1
-    print(f"form: n={cfg['n']} eta={cfg['eta']} placement={placement.describe()} "
+    print(f"form: n={args.n} eta={args.eta} placement={placement.describe()} "
           f"radius={radius:.3f}")
     print(f"dominators={len(cm.dominator_set())} "
           f"wcds_valid={report.is_wcds} "
@@ -189,28 +129,23 @@ def cmd_form(args, parser) -> int:
     return 0
 
 
-def _fig9_fig10(cfg, parser, out: Path) -> None:
-    n_values = _parse_range(cfg.get("n_range", cfg.get("n_range6")),
-                            "--n-range", parser)
-    eta_values = _parse_list(cfg["eta_values"], "--eta-values", parser, int)
-    bits_list = _parse_list(cfg["key_bits_list"], "--key-bits-list", parser, int)
-    eta = cfg["eta"]
-
-    key_rows = analysis.storage_curves(n_values, [eta], cfg["key_bits"])
+def _closed_form_figures(args, n_values: list[int], out: Path) -> None:
+    """fig9 (key count over n_values), fig10 (storage) and fig12 (connectivity)."""
+    key_rows = analysis.storage_curves(n_values, [args.eta], args.key_bits)
     analysis.write_storage_csv(key_rows, out / "fig9.csv")
     svgplot.line_chart(
-        [svgplot.Series.of(f"eta={eta}", [r.n for r in key_rows],
+        [svgplot.Series.of(f"eta={args.eta}", [r.n for r in key_rows],
                            [r.distinct_keys for r in key_rows])],
         "Distinct keys required vs network size",
         "number of sensors", "distinct keys", out / "fig9.svg")
 
     storage_rows = []
-    for bits in bits_list:
+    for bits in args.key_bits_list:
         storage_rows.extend(analysis.storage_curves([max(n_values)],
-                                                    eta_values, bits))
+                                                    args.eta_values, bits))
     analysis.write_storage_csv(storage_rows, out / "fig10.csv")
     series = []
-    for bits in bits_list:
+    for bits in args.key_bits_list:
         rows = [r for r in storage_rows if r.key_bits == bits]
         series.append(svgplot.Series.of(f"k={bits} bits",
                                         [r.eta for r in rows],
@@ -219,17 +154,10 @@ def _fig9_fig10(cfg, parser, out: Path) -> None:
                        "ordinary sensors per group", "storage (bits)",
                        out / "fig10.svg")
 
-
-def _fig12(cfg, parser, out: Path) -> None:
-    curve_n = _parse_range(cfg["curve_n"], "--curve-n", parser)
-    p_c_values = _parse_list(cfg["p_c"], "--p-c", parser, float)
-    for p_c in p_c_values:
-        if not 0.0 < p_c < 1.0:
-            parser.error("--p-c values must be in (0, 1)")
-    rows = analysis.connectivity_curves(curve_n, p_c_values)
+    rows = analysis.connectivity_curves(args.curve_n, args.p_c)
     analysis.write_connectivity_csv(rows, out / "fig12.csv")
     series = []
-    for p_c in p_c_values:
+    for p_c in args.p_c:
         sel = [r for r in rows if r.p_c == p_c]
         series.append(svgplot.Series.of(f"Pc={p_c:g}",
                                         [r.n for r in sel],
@@ -240,27 +168,15 @@ def _fig12(cfg, parser, out: Path) -> None:
 
 
 def cmd_sweep(args, parser) -> int:
-    cfg = _resolve(args, "sweep", parser)
-    if cfg["seeds"] < 1:
-        parser.error("--seeds must be >= 1")
-    if cfg["eta"] < 0:
-        parser.error("--eta must be >= 0")
-    if cfg["workers"] < 1:
-        parser.error("--workers must be >= 1")
-    out = _out_dir(cfg)
-
+    out = _out_dir(args)
     panels = []
     all_rows = []
-    # sweep has no --rho-fraction flag: rho is either explicit meters or one
-    # transmission range per cell
-    placement = _placement_from(cfg, 0.0, parser)
-    for avg_degree, range_key in ((6.0, "n_range6"), (12.0, "n_range12")):
-        n_values = _parse_range(cfg[range_key],
-                                f"--{range_key.replace('_', '-')}", parser)
+    placement = _placement(args)  # rho defaults to one radius per cell
+    for avg_degree, n_values in ((6.0, args.n_range6), (12.0, args.n_range12)):
         rows = analysis.sweep_domset_sizes(
-            n_values, avg_degree, cfg["eta"], placement, cfg["seeds"],
-            width=cfg["width"], height=cfg["height"], key_bits=cfg["key_bits"],
-            base_seed=cfg["seed"], workers=cfg["workers"])
+            n_values, avg_degree, args.eta, placement, args.seeds,
+            width=args.width, height=args.height, key_bits=args.key_bits,
+            base_seed=args.seed, workers=args.workers)
         all_rows.extend(rows)
 
         means: dict[str, list[tuple[float, float]]] = {"ours": [], "greedy I": [],
@@ -279,29 +195,77 @@ def cmd_sweep(args, parser) -> int:
 
     analysis.write_experiment_csv(all_rows, out / "sweep.csv")
     svgplot.write_chart(panels, out / "fig11.svg")
-    _fig9_fig10(cfg, parser, out)
-    _fig12(cfg, parser, out)
+    _closed_form_figures(args, args.n_range6, out)
     print(f"sweep: {len(all_rows)} experiment rows")
     print(f"wrote sweep.csv, fig9/fig10/fig12 CSVs and fig9-fig12 SVGs under {out}")
     return 0
 
 
 def cmd_analyze(args, parser) -> int:
-    cfg = _resolve(args, "analyze", parser)
-    if cfg["eta"] < 0:
-        parser.error("--eta must be >= 0")
-    out = _out_dir(cfg)
-    _fig9_fig10(cfg, parser, out)
-    _fig12(cfg, parser, out)
+    out = _out_dir(args)
+    _closed_form_figures(args, args.n_range, out)
     print(f"analyze: wrote fig9.csv, fig10.csv, fig12.csv and SVGs under {out}")
     return 0
 
 
+# Each option shared between commands is declared by one helper
+
+
+def _add_sensors(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_int_at_least(1), default=100,
+                   help="number of sensors (default: %(default)s)")
+    p.add_argument("--radius", type=_positive,
+                   help="transmission radius in m (default: derived from --avg-degree)")
+    p.add_argument("--avg-degree", type=_positive, default=6.0,
+                   help="target average degree that sets the radius (default: %(default)s)")
+
+
+def _add_field(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--width", type=_positive, default=500.0,
+                   help="field width in m (default: %(default)s)")
+    p.add_argument("--height", type=_positive, default=500.0,
+                   help="field height in m (default: %(default)s)")
+
+
+def _add_group_keys(p: argparse.ArgumentParser, formulas_only: bool = False) -> None:
+    # keys that are built must have a supported length; the storage
+    # formulas take any positive one
+    bits = ({"type": _int_at_least(1)} if formulas_only
+            else {"type": int, "choices": keying.SUPPORTED_KEY_BITS})
+    p.add_argument("--eta", type=_int_at_least(0), default=9,
+                   help="ordinary sensors per group (default: %(default)s)")
+    p.add_argument("--key-bits", default=128, **bits,
+                   help="symmetric key length (default: %(default)s)")
+
+
+def _add_placement(p: argparse.ArgumentParser, rho_default: str) -> None:
+    p.add_argument("--placement", choices=["uniform", "clustered"],
+                   default="clustered", help="deployment model (default: %(default)s)")
+    p.add_argument("--rho", type=_positive,
+                   help=f"clustered landing dispersion in m (default: {rho_default})")
+
+
+def _add_figures(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eta-values", type=_comma_list(_int_at_least(0)),
+                   default="0,3,5,9,12,15",
+                   help="eta list for the storage figure (default: %(default)s)")
+    p.add_argument("--key-bits-list", type=_comma_list(_int_at_least(1)),
+                   default="64,128,256",
+                   help="key lengths for the storage figure (default: %(default)s)")
+    p.add_argument("--curve-n", type=_n_range(2), default="10:2000:10",
+                   help="n values for the connectivity curves (default: %(default)s)")
+    p.add_argument("--p-c", type=_comma_list(_probability),
+                   default="0.9,0.99,0.999,0.9999",
+                   help="connectivity targets, each in (0, 1) (default: %(default)s)")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, help="base RNG seed (default: 0)")
-    p.add_argument("--out-dir", dest="out_dir",
-                   help="output directory (default: out)")
-    p.add_argument("--config", help="JSON file with defaults; flags override")
+    p.add_argument("--seed", type=int, default=0,
+                   help="base RNG seed (default: %(default)s)")
+    p.add_argument("--out-dir", default="out",
+                   help="output directory (default: %(default)s)")
+    p.add_argument("--config",
+                   help="JSON object of option values, e.g. {\"n\": 50}; flags override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,95 +277,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a unit-disk graph",
                        description="Place sensors uniformly at random and "
-                                   "export nodes.csv/edges.csv. Defaults: "
-                                   "n=100, 500x500 field, avg degree 6.")
-    g.add_argument("--n", type=int, help="number of sensors (default: 100)")
-    g.add_argument("--width", type=float, help="field width in m (default: 500)")
-    g.add_argument("--height", type=float, help="field height in m (default: 500)")
-    g.add_argument("--radius", type=float,
-                   help="transmission radius in m (default: derived from --avg-degree)")
-    g.add_argument("--avg-degree", dest="avg_degree", type=float,
-                   help="target average degree used to derive the radius (default: 6)")
+                                   "export nodes.csv/edges.csv.")
+    _add_sensors(g)
+    _add_field(g)
     _add_common(g)
 
     f = sub.add_parser("form", help="run secure cluster formation",
-                       description="Build a deployment plan, drop it on the "
-                                   "field, run formation, and export "
-                                   "plan.csv/clustermap.csv/trace.csv. "
-                                   "Defaults: n=100, eta=9, clustered "
-                                   "placement with rho = radius/4.")
-    f.add_argument("--n", type=int, help="number of sensors (default: 100)")
-    f.add_argument("--eta", type=int,
-                   help="ordinary sensors per group (default: 9)")
-    f.add_argument("--key-bits", dest="key_bits", type=int,
-                   help="symmetric key length (default: 128)")
-    f.add_argument("--placement", choices=["uniform", "clustered"],
-                   help="deployment model (default: clustered)")
-    f.add_argument("--rho", type=float,
-                   help="clustered landing dispersion in m (default: radius/4)")
-    f.add_argument("--rho-fraction", dest="rho_fraction", type=float,
+                       description="Build a deployment plan, drop it on the field, "
+                                   "run formation, and export "
+                                   "plan.csv/clustermap.csv/trace.csv.")
+    _add_sensors(f)
+    _add_group_keys(f)
+    _add_placement(f, "--rho-fraction of the radius")
+    f.add_argument("--rho-fraction", type=_positive, default=0.25,
                    help="landing dispersion as a fraction of the radius "
-                        "(default: 0.25)")
-    f.add_argument("--width", type=float, help="field width in m (default: 500)")
-    f.add_argument("--height", type=float, help="field height in m (default: 500)")
-    f.add_argument("--radius", type=float,
-                   help="transmission radius in m (default: derived)")
-    f.add_argument("--avg-degree", dest="avg_degree", type=float,
-                   help="target average degree (default: 6)")
+                        "(default: %(default)s)")
+    _add_field(f)
     _add_common(f)
 
     s = sub.add_parser("sweep", help="run the full experiment grid",
-                       description="Dominator-count sweep against greedy "
-                                   "baselines (avg degree 6 and 12 panels) "
-                                   "plus key-count, storage, and "
-                                   "connectivity datasets and SVG figures. "
-                                   "Defaults: n=20..200 step 20 (degree 6), "
-                                   "40..200 (degree 12), 30 seeds, eta=9, "
-                                   "clustered placement with rho = radius.")
-    s.add_argument("--n-range6", dest="n_range6",
+                       description="Dominator-count sweep against greedy baselines "
+                                   "(avg degree 6 and 12 panels) plus key-count, "
+                                   "storage, and connectivity datasets and SVG figures.")
+    s.add_argument("--n-range6", type=_n_range(2), default="20:200:20",
                    help="degree-6 panel n values as start:stop:step "
-                        "(default: 20:200:20)")
-    s.add_argument("--n-range12", dest="n_range12",
-                   help="degree-12 panel n values (default: 40:200:20)")
-    s.add_argument("--seeds", type=int, help="seeds per n (default: 30)")
-    s.add_argument("--eta", type=int, help="ordinary sensors per group (default: 9)")
-    s.add_argument("--placement", choices=["uniform", "clustered"],
-                   help="deployment model (default: clustered)")
-    s.add_argument("--rho", type=float,
-                   help="clustered dispersion in m (default: one radius)")
-    s.add_argument("--key-bits", dest="key_bits", type=int,
-                   help="symmetric key length (default: 128)")
-    s.add_argument("--width", type=float, help="field width in m (default: 500)")
-    s.add_argument("--height", type=float, help="field height in m (default: 500)")
-    s.add_argument("--workers", type=int,
-                   help="parallel worker processes (default: 1)")
-    s.add_argument("--eta-values", dest="eta_values",
-                   help="eta list for the storage figure (default: 0,3,5,9,12,15)")
-    s.add_argument("--key-bits-list", dest="key_bits_list",
-                   help="key lengths for the storage figure (default: 64,128,256)")
-    s.add_argument("--curve-n", dest="curve_n",
-                   help="n values for the connectivity curves (default: 10:2000:10)")
-    s.add_argument("--p-c", dest="p_c",
-                   help="connectivity targets (default: 0.9,0.99,0.999,0.9999)")
+                        "(default: %(default)s)")
+    s.add_argument("--n-range12", type=_n_range(2), default="40:200:20",
+                   help="degree-12 panel n values (default: %(default)s)")
+    s.add_argument("--seeds", type=_int_at_least(1), default=30,
+                   help="seeds per n (default: %(default)s)")
+    _add_group_keys(s)
+    _add_placement(s, "one radius")
+    _add_field(s)
+    s.add_argument("--workers", type=_int_at_least(1), default=1,
+                   help="parallel worker processes (default: %(default)s)")
+    _add_figures(s)
     _add_common(s)
 
     a = sub.add_parser("analyze", help="closed-form datasets only",
-                       description="Key-count, storage, and connectivity "
-                                   "datasets and figures without running "
-                                   "any simulation.")
-    a.add_argument("--n-range", dest="n_range",
-                   help="n values for the key-count curve (default: 20:200:20)")
-    a.add_argument("--eta", type=int, help="eta for the key-count curve (default: 9)")
-    a.add_argument("--eta-values", dest="eta_values",
-                   help="eta list for the storage figure (default: 0,3,5,9,12,15)")
-    a.add_argument("--key-bits", dest="key_bits", type=int,
-                   help="key length for the key-count curve (default: 128)")
-    a.add_argument("--key-bits-list", dest="key_bits_list",
-                   help="key lengths for the storage figure (default: 64,128,256)")
-    a.add_argument("--curve-n", dest="curve_n",
-                   help="n values for the connectivity curves (default: 10:2000:10)")
-    a.add_argument("--p-c", dest="p_c",
-                   help="connectivity targets (default: 0.9,0.99,0.999,0.9999)")
+                       description="Key-count, storage, and connectivity datasets "
+                                   "and figures without running any simulation.")
+    a.add_argument("--n-range", type=_n_range(1), default="20:200:20",
+                   help="n values for the key-count curve (default: %(default)s)")
+    _add_group_keys(a, formulas_only=True)
+    _add_figures(a)
     _add_common(a)
     return parser
 
@@ -414,9 +333,35 @@ COMMANDS = {
 }
 
 
+def _config_flags(args, parser: argparse.ArgumentParser) -> list[str]:
+    """The --config file's values as `--flag=value` arguments of args.command."""
+    try:
+        loaded = json.loads(Path(args.config).read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"argument --config: cannot read {args.config}: {exc}")
+    if not isinstance(loaded, dict):
+        parser.error(f"argument --config: {args.config} must hold a JSON object")
+    known = vars(args).keys() - {"command", "config"}
+    flags = []
+    for key, value in loaded.items():
+        if key not in known or value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            parser.error(f"argument --config: {key} must be a string or a number, "
+                         f"got {json.dumps(value)}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if args.config is not None:
+        # parse again with the config's values before the user's own flags:
+        # argparse keeps the last value given, so the flags win
+        i = argv.index(args.command) + 1
+        args = parser.parse_args([*argv[:i], *_config_flags(args, parser), *argv[i:]])
     try:
         return COMMANDS[args.command](args, parser)
     except (ValueError, OSError) as exc:

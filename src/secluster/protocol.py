@@ -52,7 +52,7 @@ from .trace import (  # noqa: F401
     flood_order,
     write_trace_csv,
 )
-from .udg import UnitDiskGraph, Point, from_positions
+from .udg import UnitDiskGraph, Point, from_positions, generate_uniform
 
 BS_ID = -1  # the base station is a logical entity, not a graph node
 
@@ -186,10 +186,6 @@ class AttackReport:
     def admissions(self) -> int:
         return sum(1 for a in self.attempts if a.admitted)
 
-    @property
-    def decryption_count(self) -> int:
-        return len(self.decrypted)
-
 
 def _key_payload(key: Key, note: str) -> bytes:
     return b"KEY|" + key.key_id.encode() + b"|" + key.secret.hex().encode() + b"|" + note.encode()
@@ -222,7 +218,6 @@ class NetworkState:
         for v in self.deployed:
             if not 0 <= v < graph.n:
                 raise ValueError(f"deployed node {v} not in graph")
-        self.left: set[int] = set()
 
         # key rings: node -> {fingerprint: Key}; mutated only through _grant
         self.rings: dict[int, dict[str, Key]] = {}
@@ -290,25 +285,12 @@ class NetworkState:
         ))
         return env
 
-    def can_decrypt(self, node: int, env: Envelope) -> bool:
-        key = self.rings.get(node, {}).get(env.key_fingerprint)
-        if key is None:
-            return False
-        try:
-            decrypt(key, env.payload)
-            return True
-        except DecryptError:
-            return False
-
     def group_of_node(self, node: int) -> Optional[int]:
         """Group the node currently belongs to (dominators map to their own)."""
         dom = self.cluster_map.dominator_of.get(node)
         if dom is None:
             return None
         return self._gid_of_dominator.get(dom)
-
-    def current_group_key(self, group_id: int) -> Key:
-        return self.group_key[group_id]
 
     def individual_key(self, node: int) -> Optional[Key]:
         gid = self.plan._node_group.get(node)
@@ -499,7 +481,6 @@ class NetworkState:
             return False
 
         self.deployed.add(new_node)
-        self.left.discard(new_node)
         self._send(Kind.JOIN_REQ, new_node, ind,
                    f"JOIN_REQ|{new_node}".encode(),
                    self._deployed_neighbors(new_node), target_group)
@@ -569,7 +550,6 @@ class NetworkState:
         self.group_members[gid].discard(node)
         del cm.dominator_of[node]
         self.deployed.discard(node)
-        self.left.add(node)
 
         old_key = self.group_key[gid]
         new_key = self._mint_group_key(gid)
@@ -726,12 +706,10 @@ def deploy_graph(plan: DeploymentPlan, width: float, height: float,
     clamped to the field (clamping only shrinks distances, so members stay
     within rho of their dominator).
     """
-    rng = random.Random(seed)
     if placement.mode is PlacementMode.UNIFORM:
-        pts = [Point(rng.uniform(0.0, width), rng.uniform(0.0, height))
-               for _ in range(plan.n)]
-        return from_positions(pts, radius)
+        return generate_uniform(plan.n, width, height, radius, seed)
 
+    rng = random.Random(seed)
     rho = placement.rho if placement.rho is not None else radius
     positions: list[Optional[Point]] = [None] * plan.n
     for g in plan.groups:

@@ -265,7 +265,7 @@ def test_formation_validity_matches_networkx_on_churned_networks():
         seen["held back"] += len(cm.ranks) < state.plan.n
         seen["unreachable"] += bool(cm.unreachable())
         seen["joined"] += any(e.cause == "join" for e in cm.rekey_log)
-        seen["left"] += bool(state.left)
+        seen["left"] += any(e.cause == "leave" for e in cm.rekey_log)
         seen["revoked"] += bool(state.revoked_groups)
         seen["not wcds"] += not report.is_wcds
         seen["wcds, not cds"] += report.is_wcds and not report.is_cds

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -143,3 +144,150 @@ def test_unwritable_out_dir_fails_cleanly(tmp_path, capsys):
     rc = run_cli("generate", "--n", "10", "--out-dir", str(blocker / "sub"))
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# -- every input is parsed and checked by argparse before any work ----------------
+
+SMALL_SWEEP = ["sweep", "--n-range6", "20:40:20", "--n-range12", "40:40:20",
+               "--seeds", "2", "--curve-n", "50:100:50"]
+
+
+def read_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--p-c", "1.5"],
+    ["--eta-values", "x"],
+    ["--n-range12", "5:1:1"],
+    ["--width", "-5"],
+    ["--key-bits", "100"],
+    ["--n-range6", "1:10:1"],
+])
+def test_bad_sweep_flag_exits_2_before_any_file(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", *flags, "--out-dir", str(out))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_radius_derivation_needs_two_sensors(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("generate", "--n", "1", "--out-dir", str(tmp_path / "a"))
+    assert exc.value.code == 2
+    assert "--radius" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    assert run_cli("generate", "--n", "1", "--radius", "10",
+                   "--out-dir", str(tmp_path / "b")) == 0
+
+
+def test_config_strings_parse_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "50", "avg_degree": "8"}))
+    assert run_cli("form", "--config", str(cfg), "--out-dir", str(tmp_path / "a")) == 0
+    assert run_cli("form", "--n", "50", "--avg-degree", "8",
+                   "--out-dir", str(tmp_path / "b")) == 0
+    assert read_files(tmp_path / "a") == read_files(tmp_path / "b")
+
+
+def test_config_null_means_the_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eta": None, "rho": None, "n": 40}))
+    assert run_cli("form", "--config", str(cfg), "--out-dir", str(tmp_path / "a")) == 0
+    assert run_cli("form", "--n", "40", "--out-dir", str(tmp_path / "b")) == 0
+    assert read_files(tmp_path / "a") == read_files(tmp_path / "b")
+
+
+def test_flags_win_over_config_values(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eta": 4, "p_c": "0.5", "out_dir": str(tmp_path / "cfg")}))
+    args = ["--curve-n", "50:100:50", "--eta", "6", "--p-c", "0.9"]
+    assert run_cli("analyze", "--config", str(cfg), *args,
+                   "--out-dir", str(tmp_path / "a")) == 0
+    assert run_cli("analyze", *args, "--out-dir", str(tmp_path / "b")) == 0
+    assert not (tmp_path / "cfg").exists()
+    assert read_files(tmp_path / "a") == read_files(tmp_path / "b")
+
+
+@pytest.mark.parametrize("content", [
+    {"seeds": "x"},
+    {"eta": -1},
+    {"placement": "grid"},
+    {"key_bits": 100},
+    {"workers": 0},
+    {"p_c": [0.9]},
+    {"seed": True},
+    {"out_dir": ["x"]},
+    [1, 2],
+])
+def test_bad_config_value_exits_2_before_any_file(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*SMALL_SWEEP, "--config", str(cfg), "--out-dir", str(out))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_analyze_takes_any_positive_key_length(tmp_path):
+    assert run_cli("analyze", "--key-bits", "512", "--key-bits-list", "64,1024",
+                   "--curve-n", "50:100:50", "--out-dir", str(tmp_path)) == 0
+    header, first = (tmp_path / "fig9.csv").read_text().splitlines()[:2]
+    assert dict(zip(header.split(","), first.split(",")))["key_bits"] == "512"
+    bits = {line.split(",")[2] for line in
+            (tmp_path / "fig10.csv").read_text().splitlines()[1:]}
+    assert bits == {"64", "1024"}
+
+
+# -- the CLI surface: option strings as of the parser's last redesign, with the
+#    default each option's help must show (None: no default to show)
+
+COMMON = {"--seed": "0", "--out-dir": "out", "--config": None, "-h": None, "--help": None}
+FIELD = {"--width": "500.0", "--height": "500.0"}
+SENSORS = {"--n": "100", "--radius": None, "--avg-degree": "6.0"}
+FIGURES = {"--eta-values": "0,3,5,9,12,15", "--key-bits-list": "64,128,256",
+           "--curve-n": "10:2000:10", "--p-c": "0.9,0.99,0.999,0.9999"}
+SURFACE = {
+    "generate": {**SENSORS, **FIELD, **COMMON},
+    "form": {**SENSORS, **FIELD, **COMMON, "--eta": "9", "--key-bits": "128",
+             "--placement": "clustered", "--rho": None, "--rho-fraction": "0.25"},
+    "sweep": {**FIELD, **FIGURES, **COMMON, "--n-range6": "20:200:20",
+              "--n-range12": "40:200:20", "--seeds": "30", "--eta": "9",
+              "--placement": "clustered", "--rho": None, "--key-bits": "128",
+              "--workers": "1"},
+    "analyze": {**FIGURES, **COMMON, "--n-range": "20:200:20", "--eta": "9",
+                "--key-bits": "128"},
+}
+
+
+def help_blocks(text):
+    """Option string -> its whitespace-normalised help entry."""
+    blocks, current = {}, None
+    for line in text.split("options:", 1)[1].splitlines():
+        head = re.match(r"  (-\S.*?)(?:\s{2,}|$)", line)
+        if head:
+            current = re.findall(r"(?<!\S)(--?[a-z][\w-]*)", head.group(1))
+            for opt in current:
+                blocks[opt] = ""
+        for opt in current or ():
+            blocks[opt] = " ".join((blocks[opt] + " " + line).split())
+    return blocks
+
+
+@pytest.mark.parametrize("command", list(SURFACE))
+def test_help_pins_the_options_and_shows_every_default(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    blocks = help_blocks(capsys.readouterr().out)
+    assert set(blocks) == set(SURFACE[command])
+    for opt, default in SURFACE[command].items():
+        if default is not None:
+            assert f"(default: {default})" in blocks[opt], (opt, blocks[opt])

@@ -9,6 +9,7 @@ updates them and says why.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -59,3 +60,21 @@ def test_form_writes_the_golden_files(tmp_path, placement, seed):
 def test_sweep_writes_the_golden_sweep_csv(tmp_path):
     run("sweep", "--seeds", "3", "--seed", "5", "--out-dir", str(tmp_path))
     assert sha256(tmp_path / "sweep.csv") == SWEEP_CSV_DIGEST
+
+
+@pytest.mark.parametrize(("placement", "seed"), list(FORM_DIGESTS))
+def test_form_writes_the_golden_files_from_a_config(tmp_path, placement, seed):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({"n": 300, "placement": placement, "seed": seed,
+                               "out_dir": str(out)}))
+    run("form", "--config", str(cfg))
+    digests = FORM_DIGESTS[placement, seed]
+    assert {name: sha256(out / name) for name in digests} == digests
+
+
+def test_sweep_writes_the_golden_sweep_csv_from_a_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": 3, "seed": 5}))
+    run("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert sha256(tmp_path / "out" / "sweep.csv") == SWEEP_CSV_DIGEST
