@@ -39,7 +39,6 @@ from .protocol import (
     Placement,
     deploy_graph,
     form_network,
-    run_formation,
 )
 from .analysis import (
     ExperimentRow,

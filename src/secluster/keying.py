@@ -24,6 +24,7 @@ from pathlib import Path
 
 SUPPORTED_KEY_BITS = (64, 128, 256)
 
+NONCE_BYTES = 8
 _TAG_LEN = 16
 
 
@@ -92,17 +93,23 @@ def _xor(data: bytes, stream: bytes) -> bytes:
 
 
 def encrypt(key: Key, nonce: bytes, plaintext: bytes) -> bytes:
-    """Seal plaintext under key; stand-in for a fielded AEAD cipher."""
+    """Seal plaintext under key; stand-in for a fielded AEAD cipher.
+
+    The nonce must be NONCE_BYTES long: `decrypt` splits it off at that
+    length, so any other length would open to garbage under a valid tag.
+    """
+    if len(nonce) != NONCE_BYTES:
+        raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
     ct = _xor(plaintext, _keystream(key.secret, nonce, len(plaintext)))
     tag = hashlib.sha256(b"tag|" + key.secret + nonce + ct).digest()[:_TAG_LEN]
     return nonce + ct + tag
 
 
-def decrypt(key: Key, blob: bytes, nonce_len: int = 8) -> bytes:
+def decrypt(key: Key, blob: bytes) -> bytes:
     """Open a sealed blob; raises DecryptError unless key and tag match."""
-    if len(blob) < nonce_len + _TAG_LEN:
+    if len(blob) < NONCE_BYTES + _TAG_LEN:
         raise DecryptError("ciphertext too short")
-    nonce, ct, tag = (blob[:nonce_len], blob[nonce_len:-_TAG_LEN], blob[-_TAG_LEN:])
+    nonce, ct, tag = (blob[:NONCE_BYTES], blob[NONCE_BYTES:-_TAG_LEN], blob[-_TAG_LEN:])
     expect = hashlib.sha256(b"tag|" + key.secret + nonce + ct).digest()[:_TAG_LEN]
     if tag != expect:
         raise DecryptError("authentication tag mismatch")
@@ -124,35 +131,35 @@ class GroupRecord:
 class BaseStationVault:
     """Complete key material held by the (trusted, attack-free) base station.
 
-    `all_group_keys` maps each group to its current key; superseded group
-    keys stay in `group_key_history` so the vault remains a superset of
-    every key ring in the network, stale copies included.
+    `group_key_history[g]` lists every key group g has had, the current
+    one last; superseded keys stay so the vault remains a superset of
+    every key ring in the network, stale copies included.  `by_id` indexes
+    every key ever recorded by fingerprint, kept up to date by record_*;
+    like a superseded group key, a replaced individual key stays in it.
     """
 
     all_individual_keys: dict[int, Key] = field(default_factory=dict)
-    all_group_keys: dict[int, Key] = field(default_factory=dict)
     group_key_history: dict[int, list[Key]] = field(default_factory=dict)
-    # fingerprints of every key ever recorded, kept up to date by record_*;
-    # like a superseded group key, a replaced individual key stays held
-    _key_ids: set[str] = field(default_factory=set, init=False,
-                               compare=False, repr=False)
+    by_id: dict[str, Key] = field(default_factory=dict, init=False,
+                                  compare=False, repr=False)
 
     def __post_init__(self):
-        self._key_ids.update(k.key_id for k in self.all_individual_keys.values())
-        self._key_ids.update(k.key_id for hist in self.group_key_history.values()
-                             for k in hist)
+        for k in self.all_individual_keys.values():
+            self.by_id[k.key_id] = k
+        for hist in self.group_key_history.values():
+            for k in hist:
+                self.by_id[k.key_id] = k
 
     def record_individual(self, node: int, key: Key) -> None:
         self.all_individual_keys[node] = key
-        self._key_ids.add(key.key_id)
+        self.by_id[key.key_id] = key
 
     def record_group(self, group_id: int, key: Key) -> None:
-        self.all_group_keys[group_id] = key
         self.group_key_history.setdefault(group_id, []).append(key)
-        self._key_ids.add(key.key_id)
+        self.by_id[key.key_id] = key
 
     def holds(self, key_id: str) -> bool:
-        return key_id in self._key_ids
+        return key_id in self.by_id
 
 
 @dataclass

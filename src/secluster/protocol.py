@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .keying import (
+    NONCE_BYTES,
     DecryptError,
     DeploymentPlan,
     Key,
@@ -205,14 +206,13 @@ class NetworkState:
     def __init__(self, graph: UnitDiskGraph, plan: DeploymentPlan,
                  placement: Placement, seed: int,
                  deployed: Optional[Iterable[int]] = None):
+        # seed is accepted for callers that pass it, but formation draws no
+        # random numbers, so it has no effect
         if plan.n != graph.n:
             raise ValueError(
                 f"plan covers {plan.n} nodes but graph has {graph.n}")
         self.graph = graph
         self.plan = plan
-        self.placement = placement
-        self.seed = seed
-        self.rng = random.Random(seed)
         self.deployed: set[int] = (set(range(graph.n)) if deployed is None
                                    else set(deployed))
         for v in self.deployed:
@@ -221,7 +221,6 @@ class NetworkState:
 
         # key rings: node -> {fingerprint: Key}; mutated only through _grant
         self.rings: dict[int, dict[str, Key]] = {}
-        self.grant_log: list[tuple[int, str, str]] = []  # (node, key_id, cause)
 
         # current (post-formation) group structure; access lists stay in plan
         self.group_dominator: dict[int, int] = {}
@@ -231,7 +230,6 @@ class NetworkState:
         self.revoked_groups: set[int] = set()
         self.revoked_key_ids: set[str] = set()
         self._rekey_counter: dict[int, int] = {}
-        self._next_group_id = len(plan.groups)
 
         self.trace = Trace()
         self.audit_log: list[str] = []
@@ -247,24 +245,21 @@ class NetworkState:
 
     # -- key plumbing ------------------------------------------------------
 
-    def _grant(self, node: int, key: Key, cause: str) -> None:
-        ring = self.rings.setdefault(node, {})
-        if key.key_id not in ring:
-            ring[key.key_id] = key
-            self.grant_log.append((node, key.key_id, cause))
+    def _grant(self, node: int, key: Key) -> None:
+        self.rings.setdefault(node, {}).setdefault(key.key_id, key)
 
     def _nonce(self) -> bytes:
         self._nonce_counter += 1
-        return self._nonce_counter.to_bytes(8, "big")
+        return self._nonce_counter.to_bytes(NONCE_BYTES, "big")
 
     def _predistribute(self) -> None:
         # Offline phase: every node in the plan gets its keys, deployed or not.
         for g in self.plan.groups:
-            self._grant(g.dominator, g.group_key, "plan")
+            self._grant(g.dominator, g.group_key)
             for m in g.members:
-                self._grant(m, g.individual_keys[m], "plan")
-                self._grant(m, g.group_key, "plan")
-                self._grant(g.dominator, g.individual_keys[m], "plan")
+                self._grant(m, g.individual_keys[m])
+                self._grant(m, g.group_key)
+                self._grant(g.dominator, g.individual_keys[m])
             self.group_dominator[g.group_id] = g.dominator
             self._gid_of_dominator[g.dominator] = g.group_id
             self.group_members[g.group_id] = set()
@@ -355,7 +350,6 @@ class NetworkState:
         self._round = 3
         orphans = sorted(s for s in self.deployed
                          if cm.ranks.get(s) is Rank.OS and s not in cm.dominator_of)
-        bs_orphan_reports: dict[int, list[int]] = {}
         bs_gd_reports: dict[int, list[int]] = {}
         reach: dict[int, int] = {}  # node -> size of its component in nbrs
         for s in orphans:
@@ -365,8 +359,6 @@ class NetworkState:
                          + ",".join(str(g) for g in seen_gds)).encode()
             self._flood(Kind.GD_ERR, s, ind, plaintext,
                         plan.group_of(s).group_id, nbrs, reach)
-            if nbrs[s]:
-                bs_orphan_reports[s] = seen_gds
             for nb in nbrs[s]:
                 grec = deployed_gds.get(nb)
                 if grec is not None:
@@ -377,7 +369,8 @@ class NetworkState:
         # round 4: base-station verdicts
         self._round = 4
         for s in orphans:
-            candidates = sorted(set(bs_gd_reports.get(s, []))) if s in bs_orphan_reports else []
+            # reports were filed in id order, once per dominator neighbour
+            candidates = bs_gd_reports.get(s)
             if candidates:
                 gid_of = self._gid_of_dominator
                 adopter = min(candidates,
@@ -390,17 +383,16 @@ class NetworkState:
                 # provisioned over the protected BS channel (bookkeeping).
                 self._send(Kind.REKEY_TO_NEW, BS_ID, self.group_key[gid],
                            f"ADOPT|{s}".encode(), [adopter], gid)
-                self._grant(adopter, ind, "adoption")
+                self._grant(adopter, ind)
                 self._send(Kind.REKEY_TO_NEW, BS_ID, ind,
                            _key_payload(self.group_key[gid], f"group:{gid}"),
                            [s], gid)
-                self._grant(s, self.group_key[gid], "adoption")
+                self._grant(s, self.group_key[gid])
                 cm.dominator_of[s] = adopter
                 self.group_members[gid].add(s)
                 cm.orphan_events.append(OrphanEvent(s, "ADOPTED", adopter))
             elif nbrs[s]:
-                gid = self._next_group_id
-                self._next_group_id += 1
+                gid = len(self.group_dominator)  # group ids are dense
                 new_key = self.plan.factory.derive(f"group:{gid}")
                 self.plan.vault.record_group(gid, new_key)
                 self.group_dominator[gid] = s
@@ -411,7 +403,7 @@ class NetworkState:
                 ind = self.individual_key(s)
                 self._send(Kind.REKEY_TO_NEW, BS_ID, ind,
                            _key_payload(new_key, f"group:{gid}"), [s], gid)
-                self._grant(s, new_key, "promotion")
+                self._grant(s, new_key)
                 cm.ranks[s] = Rank.GDOS
                 cm.dominator_of[s] = s
                 cm.orphan_events.append(OrphanEvent(s, "PROMOTED"))
@@ -499,7 +491,7 @@ class NetworkState:
                 return False
             self._send(Kind.REKEY_TO_NEW, BS_ID, self.group_key[target_group],
                        f"CONFIRM|{new_node}".encode(), [gd], target_group)
-            self._grant(gd, ind, "bs-supply")
+            self._grant(gd, ind)
         elif ind.key_id in self.revoked_key_ids:
             self.deployed.discard(new_node)
             self._audit(f"join denied: node {new_node} key revoked")
@@ -510,14 +502,14 @@ class NetworkState:
         self._send(Kind.REKEY_TO_NEW, gd, ind,
                    _key_payload(new_key, f"group:{target_group}"),
                    [new_node], target_group)
-        self._grant(new_node, new_key, "join-rekey")
+        self._grant(new_node, new_key)
         members = sorted(self.group_members[target_group])
         self._send(Kind.REKEY_BCAST, gd, old_key,
                    _key_payload(new_key, f"group:{target_group}"),
                    members, target_group)
         for m in members:
-            self._grant(m, new_key, "join-rekey")
-        self._grant(gd, new_key, "join-rekey")
+            self._grant(m, new_key)
+        self._grant(gd, new_key)
 
         self.group_members[target_group].add(new_node)
         cm.ranks[new_node] = Rank.OS
@@ -556,8 +548,8 @@ class NetworkState:
         for m in sorted(self.group_members[gid]):
             self._send(Kind.REKEY_TO_NEW, gd, self.individual_key(m),
                        _key_payload(new_key, f"group:{gid}"), [m], gid)
-            self._grant(m, new_key, "leave-rekey")
-        self._grant(gd, new_key, "leave-rekey")
+            self._grant(m, new_key)
+        self._grant(gd, new_key)
         cm.rekey_log.append(RekeyEvent(gid, old_key.key_id,
                                        new_key.key_id, "leave", self._round))
         return True
@@ -613,7 +605,7 @@ class NetworkState:
         operational admits no join at all.
         """
         rng = random.Random(seed)
-        known = self._key_index()
+        known = self.plan.vault.by_id
         held = {fp: known[fp] for fp in profile.held_keys if fp in known}
 
         decrypted: list[tuple[str, Optional[int], str]] = []
@@ -643,18 +635,6 @@ class NetworkState:
             attempt_log.append(AttackAttempt(claimed, target, admitted))
         return AttackReport(profile_mode=profile.mode,
                             attempts=attempt_log, decrypted=decrypted)
-
-    def _key_index(self) -> dict[str, Key]:
-        # key_id -> Key over every planned individual key and every group
-        # key the vault has recorded; the first occurrence wins
-        index: dict[str, Key] = {}
-        for g in self.plan.groups:
-            for k in g.individual_keys.values():
-                index.setdefault(k.key_id, k)
-        for hist in self.plan.vault.group_key_history.values():
-            for k in hist:
-                index.setdefault(k.key_id, k)
-        return index
 
     def _forged_join_admitted(self, claimed: int, target_group: int,
                               held: dict[str, Key], rng: random.Random) -> bool:
@@ -727,16 +707,14 @@ def deploy_graph(plan: DeploymentPlan, width: float, height: float,
 
 def form_network(g: UnitDiskGraph, plan: DeploymentPlan, placement: Placement,
                  seed: int, deployed: Optional[Iterable[int]] = None) -> NetworkState:
-    """Run cluster formation and return the live network state."""
+    """Run cluster formation and return the live network state.
+
+    Formation draws no random numbers: `placement` only labels the cluster
+    map, and `seed` does not affect the result at all.
+    """
     state = NetworkState(g, plan, placement, seed, deployed)
     state.form()
     return state
-
-
-def run_formation(g: UnitDiskGraph, plan: DeploymentPlan, placement: Placement,
-                  seed: int) -> ClusterMap:
-    """Run cluster formation and return just the resulting cluster map."""
-    return form_network(g, plan, placement, seed).cluster_map
 
 
 # -- exports ----------------------------------------------------------------

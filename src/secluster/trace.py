@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 
 class Kind(Enum):
@@ -96,16 +95,12 @@ class FloodEvent:
 Record = Union[TraceEvent, FloodEvent]
 
 
-def _size(record: Record) -> int:
-    return record.reach if type(record) is FloodEvent else 1
-
-
 class Trace:
-    """The trace read as a sequence of TraceEvents, one per transmission.
+    """An append-only log, read as TraceEvents, one per transmission.
 
-    `records` holds TraceEvents and FloodEvents in order.  Iteration,
-    indexing and slicing expand a flood only when they reach it, and every
-    event of a flood carries the origin's `Envelope` object.
+    `records` holds TraceEvents and FloodEvents in order.  Iteration
+    expands a flood only when it reaches it, and every event of a flood
+    carries the origin's `Envelope` object.
     """
 
     def __init__(self) -> None:
@@ -114,40 +109,20 @@ class Trace:
 
     def append(self, record: Record) -> None:
         self.records.append(record)
-        self._len += _size(record)
+        self._len += record.reach if type(record) is FloodEvent else 1
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return self._events_from(0)
-
-    def _events_from(self, start: int) -> Iterator[TraceEvent]:
-        # records wholly before `start` are skipped without being expanded
         for rec in self.records:
-            if start >= _size(rec):
-                start -= _size(rec)
-            elif type(rec) is FloodEvent:
-                yield from islice(rec.events(), start, None)
-                start = 0
+            if type(rec) is FloodEvent:
+                yield from rec.events()
             else:
                 yield rec
 
-    def __getitem__(self, key: Union[int, slice]):
-        if isinstance(key, slice):
-            picked = range(*key.indices(self._len))
-            if not picked:
-                return []
-            lo = min(picked)
-            window = list(islice(self._events_from(lo), max(picked) - lo + 1))
-            return [window[i - lo] for i in picked]
-        i = key + self._len if key < 0 else key
-        if not 0 <= i < self._len:
-            raise IndexError("trace index out of range")
-        return next(self._events_from(i))
 
-
-def write_trace_csv(events: Union[Trace, Iterable[TraceEvent]], path: Path | str) -> None:
+def write_trace_csv(trace: Trace, path: Path | str) -> None:
     """Write one `round,sender,kind,key_fingerprint,receivers` row per
     transmission; sender is the transmitter, -1 the base station, and
     receivers are joined by `;`."""
@@ -163,7 +138,7 @@ def write_trace_csv(events: Union[Trace, Iterable[TraceEvent]], path: Path | str
     with open(path, "w", newline="") as f:
         write = f.write
         write("round,sender,kind,key_fingerprint,receivers\n")
-        for rec in events.records if isinstance(events, Trace) else events:
+        for rec in trace.records:
             env = rec.envelope
             if type(rec) is FloodEvent:
                 if rec.nbrs is not snapshot:

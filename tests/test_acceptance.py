@@ -63,7 +63,7 @@ def test_c2_ideal_dominator_count():
             plan = keying.build_plan(n, eta, 128, seed=seed)
             placement = Placement.clustered(radius / 4)
             g = protocol.deploy_graph(plan, 500, 500, radius, placement, seed)
-            cm = protocol.run_formation(g, plan, placement, seed)
+            cm = protocol.form_network(g, plan, placement, seed).cluster_map
             assert len(cm.dominator_set()) == expected, (n, eta, seed)
             assert cm.orphan_events == []
 
@@ -181,7 +181,7 @@ def test_c7_security_properties():
         profile = AdversaryProfile.compromised_os(state, target)
         report = state.simulate_adversary(profile, 100, seed=seed)
         assert report.admissions == 0, f"seed {seed}"
-        grants = {kid for (who, kid, _) in state.grant_log if who == target}
+        grants = set(state.rings[target])
         trace_fps = {te.envelope.key_fingerprint for te in state.trace}
         got = {fp for (_, _, fp) in report.decrypted}
         assert got == grants & trace_fps, f"seed {seed}: leak beyond own links"

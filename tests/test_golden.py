@@ -1,7 +1,11 @@
-"""Golden digests of the files `secluster form` and `secluster sweep` write.
+"""Golden digests of every file `secluster form`, `sweep`, `generate` and
+`analyze` write.
 
-The digests were taken from the program as it was before floods were
-stored as single trace records.  A change meant to keep every output
+The `form` digests and the `sweep.csv` digest were taken from the program
+as it was before floods were stored as single trace records.  The figure,
+`generate` and `analyze` digests were taken from the program as it was
+before the base-station vault kept a single key index and the key rings
+became the only custody record.  A change meant to keep every output
 byte-identical must keep them; a change that alters an output on purpose
 updates them and says why.
 """
@@ -38,6 +42,21 @@ FORM_DIGESTS = {
     },
 }
 SWEEP_CSV_DIGEST = "cfb01a386d6bd1ba6a4a3e3981cf439ec7fa5c7adb3d4550de100ef398a7f30d"
+# the closed-form figures; `sweep --seeds 3 --seed 5` and `analyze` at its
+# defaults write the same fig9, fig10 and fig12 files
+FIGURE_DIGESTS = {
+    "fig9.csv": "846fa7104e23b7c7a1975a82609c64b682f5d875d18bd606e9887ace0e715d8c",
+    "fig9.svg": "d850c9c0e979aec73db3162ce8cada7bec5ae6da150b685f2dfa8cfc1ea8eb7c",
+    "fig10.csv": "5085a043a123e26f24a185dc5e9c4e2dbc234caaad7ba291d96f36b48ddf78b2",
+    "fig10.svg": "4fa2133591737f1918e2bc8cd97c309fbfeae63174636eb6159ed79f65ee5bf9",
+    "fig12.csv": "437352716c193f1ec3161e557710713108a3761fcc4efdc3d631ebc59ddebb72",
+    "fig12.svg": "06f465c06f5b33cfa9805af7952ca3b7eb6a7a177b24bd7f57d3c947f58d3ec8",
+}
+SWEEP_FIG11_SVG_DIGEST = "7f8557d1ee92a155250b1b0045399567239349dfd64b0387ed25778efedf54b0"
+GENERATE_DIGESTS = {  # generate --n 500 --seed 3
+    "nodes.csv": "13e610c204775c1771d58c3f7370a83aa2234f9e39b9ad8785586b0c99b91224",
+    "edges.csv": "2e02cad07c2299aed0ed33e72398e0b660051cbe46d8b5ff882f445b1e4b7dc3",
+}
 
 
 def run(*argv):
@@ -57,9 +76,34 @@ def test_form_writes_the_golden_files(tmp_path, placement, seed):
     assert {name: sha256(tmp_path / name) for name in digests} == digests
 
 
-def test_sweep_writes_the_golden_sweep_csv(tmp_path):
-    run("sweep", "--seeds", "3", "--seed", "5", "--out-dir", str(tmp_path))
-    assert sha256(tmp_path / "sweep.csv") == SWEEP_CSV_DIGEST
+def digests_of(out):
+    return {p.name: sha256(p) for p in out.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def sweep_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep")
+    run("sweep", "--seeds", "3", "--seed", "5", "--out-dir", str(out))
+    return out
+
+
+def test_sweep_writes_the_golden_sweep_csv(sweep_out):
+    assert sha256(sweep_out / "sweep.csv") == SWEEP_CSV_DIGEST
+
+
+def test_sweep_writes_the_golden_figures(sweep_out):
+    assert digests_of(sweep_out) == {**FIGURE_DIGESTS, "sweep.csv": SWEEP_CSV_DIGEST,
+                                     "fig11.svg": SWEEP_FIG11_SVG_DIGEST}
+
+
+def test_generate_writes_the_golden_graph(tmp_path):
+    run("generate", "--n", "500", "--seed", "3", "--out-dir", str(tmp_path))
+    assert digests_of(tmp_path) == GENERATE_DIGESTS
+
+
+def test_analyze_writes_the_golden_figures(tmp_path):
+    run("analyze", "--out-dir", str(tmp_path))
+    assert digests_of(tmp_path) == FIGURE_DIGESTS
 
 
 @pytest.mark.parametrize(("placement", "seed"), list(FORM_DIGESTS))

@@ -64,7 +64,7 @@ def test_ring_sizes_match_storage_model():
 def test_vault_covers_everything():
     plan = build_plan(30, 4, 128, seed=3)
     for g in plan.groups:
-        assert plan.vault.all_group_keys[g.group_id] == g.group_key
+        assert plan.vault.group_key_history[g.group_id] == [g.group_key]
         for m, k in g.individual_keys.items():
             assert plan.vault.all_individual_keys[m] == k
             assert plan.vault.holds(k.key_id)
@@ -74,7 +74,6 @@ def test_vault_holds_what_it_was_built_with_and_recorded():
     plan = build_plan(12, 3, 128, seed=4)
     built = keying.BaseStationVault(
         all_individual_keys=dict(plan.vault.all_individual_keys),
-        all_group_keys=dict(plan.vault.all_group_keys),
         group_key_history={g: list(h) for g, h in plan.vault.group_key_history.items()})
     assert built == plan.vault
     fresh = plan.factory.derive("rekey:0:1")
@@ -171,6 +170,17 @@ def test_tampered_payload_fails():
     blob[10] ^= 0xFF
     with pytest.raises(DecryptError):
         decrypt(key, bytes(blob))
+
+
+@pytest.mark.parametrize("length", [0, 4, 7, 9, 16])
+def test_nonce_of_another_length_is_refused(length):
+    # decrypt splits the nonce off at NONCE_BYTES; a 4-byte nonce used to
+    # seal a blob that opened under a valid tag to the wrong plaintext
+    key = build_plan(4, 3, 128, seed=9).groups[0].group_key
+    with pytest.raises(ValueError):
+        encrypt(key, bytes(length), b"hello")
+    blob = encrypt(key, bytes(keying.NONCE_BYTES), b"hello")
+    assert decrypt(key, blob) == b"hello"
 
 
 def per_byte_encrypt(key, nonce, plaintext):

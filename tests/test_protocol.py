@@ -11,7 +11,6 @@ from secluster.protocol import (
     Placement,
     Rank,
     form_network,
-    run_formation,
 )
 from secluster.udg import Point
 
@@ -79,7 +78,7 @@ def churned_uniform_network():
 
 def test_ideal_single_group():
     g, plan = ideal_group()
-    cm = run_formation(g, plan, Placement.uniform(), seed=1)
+    cm = form_network(g, plan, Placement.uniform(), seed=1).cluster_map
     assert cm.dominator_set() == {0}
     assert cm.dominator_of == {0: 0, 1: 0, 2: 0, 3: 0}
     assert cm.orphan_events == []
@@ -92,17 +91,34 @@ def test_formation_message_sequence():
     state = form_network(g, plan, Placement.uniform(), seed=1)
     kinds = [(ev.round, ev.envelope.kind) for ev in state.trace]
     assert kinds == [(1, Kind.JOIN_REQ)] * 3 + [(2, Kind.JOIN_APRV)]
-    aprv = state.trace[-1]
+    aprv = state.trace.records[-1]
     assert aprv.envelope.sender == 0
     assert aprv.envelope.key_fingerprint == plan.groups[0].group_key.key_id
     assert aprv.receivers == (1, 2, 3)
+
+
+@pytest.mark.parametrize("placement", [Placement.uniform(), Placement.clustered()])
+def test_formation_ignores_its_seed(tmp_path, placement):
+    # every orphan outcome occurs, and still the seed changes nothing
+    n = 120
+    plan = keying.build_plan(n, 9, 128, seed=2)
+    radius = udg.radius_for_expected_degree(n, 300, 300, 5.0)
+    g = protocol.deploy_graph(plan, 300, 300, radius, placement, seed=2)
+    a, b = (form_network(g, plan, placement, seed=s) for s in (0, 12345))
+    assert a.cluster_map == b.cluster_map
+    if placement.mode is protocol.PlacementMode.UNIFORM:
+        assert {e.resolution for e in a.cluster_map.orphan_events} == \
+            {"ADOPTED", "PROMOTED", "UNREACHABLE"}
+    for name, state in (("a.csv", a), ("b.csv", b)):
+        protocol.write_trace_csv(state.trace, tmp_path / name)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_plan_graph_size_mismatch_rejected():
     g, _ = ideal_group()
     plan = keying.build_plan(5, 3, 128, seed=7)
     with pytest.raises(ValueError):
-        run_formation(g, plan, Placement.uniform(), seed=1)
+        form_network(g, plan, Placement.uniform(), seed=1).cluster_map
 
 
 def test_orphan_adopted_by_foreign_gd():
@@ -110,7 +126,7 @@ def test_orphan_adopted_by_foreign_gd():
     plan = keying.build_plan(4, 1, 128, seed=9)
     g = udg.from_positions(
         [Point(0, 0), Point(1, 0), Point(100, 0), Point(1.5, 0)], 2.0)
-    cm = run_formation(g, plan, Placement.uniform(), seed=1)
+    cm = form_network(g, plan, Placement.uniform(), seed=1).cluster_map
     assert cm.orphan_events == [protocol.OrphanEvent(3, "ADOPTED", 0)]
     assert cm.dominator_of[3] == 0
     assert cm.ranks[3] is Rank.OS
@@ -122,7 +138,7 @@ def test_adopter_is_least_loaded_neighbor_gd():
     g = udg.from_positions(
         [Point(0, 0), Point(0.5, 0), Point(1.0, 0), Point(100, 0),
          Point(50, 0), Point(0.7, 0)], 1.0)
-    cm = run_formation(g, plan, Placement.uniform(), seed=1)
+    cm = form_network(g, plan, Placement.uniform(), seed=1).cluster_map
     adopted = [e for e in cm.orphan_events if e.node == 5]
     assert adopted == [protocol.OrphanEvent(5, "ADOPTED", 2)]
 
@@ -132,7 +148,7 @@ def test_orphan_promoted_when_no_gd_in_range():
     plan = keying.build_plan(4, 1, 128, seed=9)
     g = udg.from_positions(
         [Point(0, 0), Point(1, 0), Point(100, 0), Point(2.5, 0)], 2.0)
-    cm = run_formation(g, plan, Placement.uniform(), seed=1)
+    cm = form_network(g, plan, Placement.uniform(), seed=1).cluster_map
     assert cm.orphan_events == [protocol.OrphanEvent(3, "PROMOTED")]
     assert cm.ranks[3] is Rank.GDOS
     assert cm.dominator_of[3] == 3
@@ -143,7 +159,7 @@ def test_isolated_orphan_unreachable():
     plan = keying.build_plan(4, 1, 128, seed=9)
     g = udg.from_positions(
         [Point(0, 0), Point(1, 0), Point(100, 0), Point(500, 500)], 2.0)
-    cm = run_formation(g, plan, Placement.uniform(), seed=1)
+    cm = form_network(g, plan, Placement.uniform(), seed=1).cluster_map
     assert cm.orphan_events == [protocol.OrphanEvent(3, "UNREACHABLE")]
     assert 3 not in cm.dominator_of
     assert 3 in cm.unreachable()
@@ -158,12 +174,12 @@ def test_promoted_node_gets_fresh_group_key():
     assert state.group_dominator[new_gid] == 3
     key = state.group_key[new_gid]
     assert key.key_id in state.rings[3]
-    assert state.plan.vault.all_group_keys[new_gid] == key
+    assert state.plan.vault.group_key_history[new_gid][-1] == key
 
 
 def test_mediator_recorded_with_adjacency():
     g, plan = two_groups_linear()
-    cm = run_formation(g, plan, Placement.uniform(), seed=1)
+    cm = form_network(g, plan, Placement.uniform(), seed=1).cluster_map
     # os 1 hears both dominators; os 3 hears only its own
     assert cm.mediators == {1: frozenset({2})}
     for node, foreign in cm.mediators.items():
@@ -265,7 +281,7 @@ def test_clustered_ideal_fill_hits_eq2_count():
         radius = udg.radius_for_expected_degree(n, 500, 500, 6)
         g = protocol.deploy_graph(plan, 500, 500, radius,
                                   Placement.clustered(radius / 4), seed=n)
-        cm = run_formation(g, plan, Placement.clustered(radius / 4), seed=n)
+        cm = form_network(g, plan, Placement.clustered(radius / 4), seed=n).cluster_map
         assert len(cm.dominator_set()) == expect
         assert cm.orphan_events == []
 
@@ -304,7 +320,7 @@ def test_join_off_access_list_needs_bs_confirmation():
     assert state.join_node(5, 0)
     assert state.cluster_map.dominator_of[5] == 0
     assert 5 in state.group_members[0]
-    kinds = [ev.envelope.kind for ev in state.trace[-5:]]
+    kinds = [ev.envelope.kind for ev in list(state.trace)[-5:]]
     assert Kind.ORP_ERR in kinds  # GD escalated the unknown id to the BS
 
 
@@ -385,15 +401,25 @@ def test_dominator_cannot_leave():
     assert len(state.audit_log) == 2
 
 
-def test_key_rings_match_grant_log():
+def test_key_rings_match_the_join_leave_history():
     state = join_leave_network()
-    state.join_node(5, 1)
-    state.leave_node(5)
-    state.join_node(5, 0)
-    state.leave_node(2)
-    for node, ring in state.rings.items():
-        granted = {kid for (who, kid, _) in state.grant_log if who == node}
-        assert set(ring) == granted
+    state.join_node(5, 1)  # group 1 rekeys to g1[1]
+    state.leave_node(5)    # group 1 rekeys to g1[2] without node 5
+    state.join_node(5, 0)  # off group 0's access list: GD 0 gets node 5's key
+    state.leave_node(2)    # group 0 rekeys to g0[2] without node 2
+    g0, g1 = (state.plan.vault.group_key_history[g] for g in (0, 1))
+    ind = {v: state.individual_key(v) for v in (1, 2, 4, 5)}
+    expected = {
+        0: [*g0, ind[1], ind[2], ind[5]],
+        1: [ind[1], *g0],
+        2: [ind[2], g0[0], g0[1]],
+        3: [*g1, ind[4], ind[5]],
+        4: [ind[4], *g1],
+        5: [ind[5], g1[0], g1[1], g0[1], g0[2]],
+    }
+    assert len(g0) == len(g1) == 3
+    assert {v: set(ring) for v, ring in state.rings.items()} == \
+        {v: {k.key_id for k in keys} for v, keys in expected.items()}
     # no Os ring ever contains another sensor's individual key
     individual = {state.individual_key(m).key_id: m
                   for g in state.plan.groups for m in g.members}
@@ -415,7 +441,7 @@ def test_vault_is_superset_of_all_rings_after_rekeys():
         for kid in ring:
             assert vault.holds(kid)
     for gid, key in state.group_key.items():
-        assert vault.all_group_keys[gid] == key
+        assert vault.group_key_history[gid][-1] == key
 
 
 def test_uniform_worst_case_promotes_every_os():
@@ -424,7 +450,7 @@ def test_uniform_worst_case_promotes_every_os():
     plan = keying.build_plan(4, 1, 128, seed=19)
     g = udg.from_positions(
         [Point(100, 0), Point(0, 0), Point(200, 0), Point(1, 0)], 2.0)
-    cm = run_formation(g, plan, Placement.uniform(), seed=1)
+    cm = form_network(g, plan, Placement.uniform(), seed=1).cluster_map
     assert {e.resolution for e in cm.orphan_events} == {"PROMOTED"}
     assert cm.dominator_set() == {0, 1, 2, 3}
 
@@ -447,7 +473,7 @@ def test_compromised_os_reads_exactly_its_own_links():
     profile = AdversaryProfile.compromised_os(state, 1)
     report = state.simulate_adversary(profile, 300, seed=4)
     assert report.admissions == 0
-    grants = {kid for (who, kid, _) in state.grant_log if who == 1}
+    grants = set(state.rings[1])
     trace_fps = {ev.envelope.key_fingerprint for ev in state.trace}
     assert {fp for (_, _, fp) in report.decrypted} == grants & trace_fps
     # every readable envelope sits in node 1's own group
@@ -485,7 +511,7 @@ def test_compromised_gd_after_revocation_reads_nothing_new():
     state.leave_node(7)
     report = state.simulate_adversary(profile, 100, seed=6)
     assert report.admissions == 0
-    post_fps = {ev.envelope.key_fingerprint for ev in state.trace[cut:]}
+    post_fps = {ev.envelope.key_fingerprint for ev in list(state.trace)[cut:]}
     assert {fp for (_, _, fp) in report.decrypted} & post_fps == set()
     assert all(grp == 1 for (_, grp, _) in report.decrypted)
 
@@ -552,7 +578,7 @@ def test_indexed_key_lookups_match_a_scan_of_plan_and_vault():
     recorded += [k for h in vault.group_key_history.values() for k in h]
     plan_keys = [k for g in plan.groups for k in g.individual_keys.values()]
     plan_keys += [k for h in vault.group_key_history.values() for k in h]
-    index = state._key_index()
+    index = vault.by_id
     key_ids = {kid for ring in state.rings.values() for kid in ring}
     key_ids |= {k.key_id for k in recorded} | {"0" * 16, ""}
     for kid in key_ids:
