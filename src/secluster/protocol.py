@@ -56,6 +56,8 @@ from .trace import (  # noqa: F401
 from .udg import UnitDiskGraph, Point, from_positions, generate_uniform
 
 BS_ID = -1  # the base station is a logical entity, not a graph node
+# nonce of forged requests; the network's counter starts at 1, so never yields it
+_FORGED_NONCE = bytes(NONCE_BYTES)
 
 
 class Rank(Enum):
@@ -229,7 +231,6 @@ class NetworkState:
         self.group_key: dict[int, Key] = {}
         self.revoked_groups: set[int] = set()
         self.revoked_key_ids: set[str] = set()
-        self._rekey_counter: dict[int, int] = {}
 
         self.trace = Trace()
         self.audit_log: list[str] = []
@@ -248,27 +249,28 @@ class NetworkState:
     def _grant(self, node: int, key: Key) -> None:
         self.rings.setdefault(node, {}).setdefault(key.key_id, key)
 
-    def _nonce(self) -> bytes:
-        self._nonce_counter += 1
-        return self._nonce_counter.to_bytes(NONCE_BYTES, "big")
-
     def _predistribute(self) -> None:
         # Offline phase: every node in the plan gets its keys, deployed or not.
         for g in self.plan.groups:
-            self._grant(g.dominator, g.group_key)
+            self._open_group(g.group_id, g.dominator, g.group_key)
             for m in g.members:
                 self._grant(m, g.individual_keys[m])
                 self._grant(m, g.group_key)
                 self._grant(g.dominator, g.individual_keys[m])
-            self.group_dominator[g.group_id] = g.dominator
-            self._gid_of_dominator[g.dominator] = g.group_id
-            self.group_members[g.group_id] = set()
-            self.group_key[g.group_id] = g.group_key
-            self._rekey_counter[g.group_id] = 0
+
+    def _open_group(self, gid: int, dominator: int, key: Key) -> None:
+        # planned and promoted groups alike start empty under their first key
+        self.group_dominator[gid] = dominator
+        self._gid_of_dominator[dominator] = gid
+        self.group_members[gid] = set()
+        self.group_key[gid] = key
+        self._grant(dominator, key)
 
     def _seal(self, kind: Kind, sender: int, key: Key, plaintext: bytes) -> Envelope:
+        self._nonce_counter += 1
+        nonce = self._nonce_counter.to_bytes(NONCE_BYTES, "big")
         return Envelope(sender=sender, kind=kind, key_fingerprint=key.key_id,
-                        payload=encrypt(key, self._nonce(), plaintext))
+                        payload=encrypt(key, nonce, plaintext))
 
     def _send(self, kind: Kind, sender: int, key: Key, plaintext: bytes,
               receivers: Iterable[int], group_id: Optional[int]) -> Envelope:
@@ -291,6 +293,13 @@ class NetworkState:
         gid = self.plan._node_group.get(node)
         return None if gid is None else self.plan.groups[gid].individual_keys.get(node)
 
+    def _on_access_list(self, node: int, group_id: int) -> bool:
+        # A group's access list is the members it was planned with, so a
+        # promoted group's list is empty and every join into it goes through
+        # base-station confirmation.
+        return (self.individual_key(node) is not None
+                and self.plan.group_of(node).group_id == group_id)
+
     def _deployed_neighbors(self, node: int) -> list[int]:
         return sorted(self.graph.neighbors(node) & self.deployed)
 
@@ -304,26 +313,25 @@ class NetworkState:
         nbrs = {v: tuple(sorted(self.graph.neighbors(v) & self.deployed))
                 for v in self.deployed}
 
-        deployed_gds = {g.dominator: g for g in plan.groups
-                        if g.dominator in self.deployed}
-        for gd, grec in deployed_gds.items():
-            cm.ranks[gd] = Rank.GD
-            cm.dominator_of[gd] = gd
+        for g in plan.groups:
+            if g.dominator in self.deployed:
+                cm.ranks[g.dominator] = Rank.GD
+                cm.dominator_of[g.dominator] = g.dominator
 
-        # round 1: join requests
+        # round 1: join requests; s is on its planned group's access list
+        # only, so only its own dominator, if deployed in range, approves it
         self._round = 1
         approvals: dict[int, list[int]] = {gid: [] for gid in self.group_dominator}
         for s in sorted(self.deployed):
-            if s in deployed_gds:
+            if cm.ranks.get(s) is Rank.GD:
                 continue
             cm.ranks[s] = Rank.OS
-            ind = self.individual_key(s)
-            self._send(Kind.JOIN_REQ, s, ind, f"JOIN_REQ|{s}".encode(),
-                       nbrs[s], plan.group_of(s).group_id)
-            for nb in nbrs[s]:
-                grec = deployed_gds.get(nb)
-                if grec is not None and s in grec.individual_keys:
-                    approvals[grec.group_id].append(s)
+            gid = plan.group_of(s).group_id
+            self._send(Kind.JOIN_REQ, s, self.individual_key(s),
+                       f"JOIN_REQ|{s}".encode(), nbrs[s], gid)
+            gd = self.group_dominator[gid]
+            if cm.ranks.get(gd) is Rank.GD and gd in self.graph.neighbors(s):
+                approvals[gid].append(s)
 
         # round 2: join approvals under the group key
         self._round = 2
@@ -360,10 +368,10 @@ class NetworkState:
             self._flood(Kind.GD_ERR, s, ind, plaintext,
                         plan.group_of(s).group_id, nbrs, reach)
             for nb in nbrs[s]:
-                grec = deployed_gds.get(nb)
-                if grec is not None:
-                    self._send(Kind.ORP_ERR, nb, self.group_key[grec.group_id],
-                               f"ORP_ERR|{s}".encode(), [BS_ID], grec.group_id)
+                if cm.ranks.get(nb) is Rank.GD:
+                    gid = self._gid_of_dominator[nb]
+                    self._send(Kind.ORP_ERR, nb, self.group_key[gid],
+                               f"ORP_ERR|{s}".encode(), [BS_ID], gid)
                     bs_gd_reports.setdefault(s, []).append(nb)
 
         # round 4: base-station verdicts
@@ -395,15 +403,9 @@ class NetworkState:
                 gid = len(self.group_dominator)  # group ids are dense
                 new_key = self.plan.factory.derive(f"group:{gid}")
                 self.plan.vault.record_group(gid, new_key)
-                self.group_dominator[gid] = s
-                self._gid_of_dominator[s] = gid
-                self.group_members[gid] = set()
-                self.group_key[gid] = new_key
-                self._rekey_counter[gid] = 0
-                ind = self.individual_key(s)
-                self._send(Kind.REKEY_TO_NEW, BS_ID, ind,
+                self._open_group(gid, s, new_key)
+                self._send(Kind.REKEY_TO_NEW, BS_ID, self.individual_key(s),
                            _key_payload(new_key, f"group:{gid}"), [s], gid)
-                self._grant(s, new_key)
                 cm.ranks[s] = Rank.GDOS
                 cm.dominator_of[s] = s
                 cm.orphan_events.append(OrphanEvent(s, "PROMOTED"))
@@ -477,8 +479,7 @@ class NetworkState:
                    f"JOIN_REQ|{new_node}".encode(),
                    self._deployed_neighbors(new_node), target_group)
 
-        on_access_list = new_node in self.plan.groups[target_group].individual_keys
-        if not on_access_list:
+        if not self._on_access_list(new_node, target_group):
             # GD escalates the unknown id; BS confirms legitimacy and supplies
             # the individual key (rejecting revoked material).  The over-the-air
             # confirmation only names the node; the key itself moves over the
@@ -530,9 +531,6 @@ class NetworkState:
         if node not in self.deployed or gid is None:
             self._audit(f"leave ignored: node {node} is not a group member")
             return False
-        if gid in self.revoked_groups:
-            self._audit(f"leave ignored: group {gid} revoked")
-            return False
         gd = self.group_dominator[gid]
 
         ind = self.individual_key(node)
@@ -555,9 +553,10 @@ class NetworkState:
         return True
 
     def _mint_group_key(self, group_id: int) -> Key:
-        self._rekey_counter[group_id] += 1
-        new_key = self.plan.factory.derive(
-            f"rekey:{group_id}:{self._rekey_counter[group_id]}")
+        # the vault's history holds every key the group has had, so its
+        # length numbers the next rekey
+        history = self.plan.vault.group_key_history[group_id]
+        new_key = self.plan.factory.derive(f"rekey:{group_id}:{len(history)}")
         self.group_key[group_id] = new_key
         self.plan.vault.record_group(group_id, new_key)
         return new_key
@@ -651,23 +650,18 @@ class NetworkState:
             sealing_key = None
         plaintext = f"JOIN_REQ|{claimed}".encode()
         if sealing_key is not None:
-            payload = encrypt(sealing_key, self._nonce(), plaintext)
+            # the adversary's own nonce: a replay must not advance the network's
+            payload = encrypt(sealing_key, _FORGED_NONCE, plaintext)
         else:
             payload = bytes(rng.randrange(256) for _ in range(len(plaintext) + 24))
-        env = Envelope(sender=claimed, kind=Kind.JOIN_REQ,
-                       key_fingerprint=spoofed_fp, payload=payload)
 
-        # dominator-side validation; a group that is not operational admits no one
-        if not self._gid_valid(target_group):
-            return False
-        grec = self.plan.groups[target_group] if target_group < len(self.plan.groups) else None
-        if grec is None or claimed not in grec.individual_keys:
-            return False
-        expected = grec.individual_keys[claimed]
-        if env.key_fingerprint != expected.key_id:
+        # dominator-side validation: an operational group admits a node on its
+        # access list whose request opens under that node's individual key
+        if not (self._gid_valid(target_group)
+                and self._on_access_list(claimed, target_group)):
             return False
         try:
-            decrypt(expected, env.payload)
+            decrypt(real, payload)
         except DecryptError:
             return False
         return True

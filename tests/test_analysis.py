@@ -220,7 +220,7 @@ def churned_state(seed):
     state = protocol.form_network(g, plan, placement, seed,
                                   deployed=set(range(n)) - held)
     for v in sorted(held):
-        groups = [gid for gid in range(len(plan.groups)) if state._gid_valid(gid)
+        groups = [gid for gid in sorted(state.group_dominator) if state._gid_valid(gid)
                   and v in g.neighbors(state.group_dominator[gid])]
         if groups and rng.random() < 0.7:
             state.join_node(v, rng.choice(groups))
@@ -228,7 +228,7 @@ def churned_state(seed):
     members = sorted(v for v in cm.dominator_of if cm.ranks[v] is protocol.Rank.OS)
     for v in rng.sample(members, min(len(members), rng.randrange(0, 4))):
         state.leave_node(v)
-    live = [gid for gid in range(len(plan.groups)) if state._gid_valid(gid)]
+    live = [gid for gid in sorted(state.group_dominator) if state._gid_valid(gid)]
     if live and rng.random() < 0.4:
         state.revoke_group(rng.choice(live))
     return state
@@ -265,6 +265,9 @@ def test_formation_validity_matches_networkx_on_churned_networks():
         seen["held back"] += len(cm.ranks) < state.plan.n
         seen["unreachable"] += bool(cm.unreachable())
         seen["joined"] += any(e.cause == "join" for e in cm.rekey_log)
+        seen["joined a promoted group"] += any(
+            e.cause == "join" and e.group_id >= len(state.plan.groups)
+            for e in cm.rekey_log)
         seen["left"] += any(e.cause == "leave" for e in cm.rekey_log)
         seen["revoked"] += bool(state.revoked_groups)
         seen["not wcds"] += not report.is_wcds

@@ -25,3 +25,4 @@ def test_benchmark_workload_smoke_run_is_correct(workload):
     assert run.returncode == 0, run.stderr[-2000:]
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, run.stdout[-2000:]
+    assert result["failed"] == 0, run.stdout[-2000:]

@@ -1,4 +1,5 @@
 import csv
+import random
 
 import pytest
 
@@ -56,17 +57,16 @@ def held_back_network(placement, n=80, deg=4, seed=0):
 def churned_uniform_network():
     """Uniform formation with promotions and isolated orphans, then churn.
 
-    Each held-back sensor joins the first planned group whose dominator
-    hears it (on or off its access list), and three members leave, so the
-    trace holds every message kind and the plan's groups have rekeyed.
+    Each held-back sensor joins the first group, planned or promoted, whose
+    dominator hears it (on or off its access list), and three members
+    leave, so the trace holds every message kind and the groups have rekeyed.
     """
     g, state, held = held_back_network(Placement.uniform())
-    plan = state.plan
     for v in held:
-        for grec in plan.groups:
-            if (v not in state.deployed and state._gid_valid(grec.group_id)
-                    and v in g.neighbors(grec.dominator)):
-                state.join_node(v, grec.group_id)
+        for gid in sorted(state.group_dominator):
+            if (v not in state.deployed and state._gid_valid(gid)
+                    and v in g.neighbors(state.group_dominator[gid])):
+                state.join_node(v, gid)
     members = [v for v in sorted(state.cluster_map.dominator_of)
                if state.cluster_map.ranks[v] is Rank.OS]
     for v in members[:3]:
@@ -588,9 +588,39 @@ def test_indexed_key_lookups_match_a_scan_of_plan_and_vault():
 
 
 def test_revoked_member_cannot_rejoin():
+    # node 5 hears both dominators.  Off the access list: it joins group 1,
+    # group 1 is revoked, and the BS refuses its revoked key for group 0.
     state = join_leave_network()
+    assert state.join_node(5, 1)
     state.revoke_group(1)
-    assert not state.join_node(4, 0)  # node 4's key material is revoked
+    assert not state.join_node(5, 0)
+    assert state.audit_log[-1] == "join denied: BS rejected node 5"
+    assert 5 not in state.deployed
+    # On the access list: it joins group 0 through the BS, group 0 is
+    # revoked with node 5's key in its dominator's ring, and group 1 refuses it.
+    state = join_leave_network()
+    assert state.join_node(5, 0)
+    state.revoke_group(0)
+    assert not state.join_node(5, 1)
+    assert state.audit_log[-1] == "join denied: node 5 key revoked"
+    assert 5 not in state.deployed
+
+
+def test_join_into_a_promoted_group_is_confirmed_by_the_bs():
+    g, state, held = held_back_network(Placement.uniform(), n=200, deg=8)
+    assert 157 in held and 20 >= len(state.plan.groups)  # group 20 is promoted
+    old = state.group_key[20]
+    cut = len(state.trace.records)
+    assert state.join_node(157, 20)
+    # a promoted group's access list is empty, so the GD escalates to the BS
+    assert [r.envelope.kind for r in state.trace.records[cut:]] == [
+        Kind.JOIN_REQ, Kind.ORP_ERR, Kind.REKEY_TO_NEW, Kind.REKEY_TO_NEW,
+        Kind.REKEY_BCAST]
+    assert state.group_members[20] == {157}
+    assert state.cluster_map.dominator_of[157] == state.group_dominator[20]
+    assert state.group_key[20].key_id != old.key_id
+    assert state.plan.vault.group_key_history[20] == [old, state.group_key[20]]
+    assert state.group_key[20].key_id in state.rings[157]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -608,6 +638,41 @@ def test_no_forged_join_is_admitted_into_a_revoked_group(seed):
     report = state.simulate_adversary(profile, 200, seed=seed)
     assert {a.target_group for a in report.attempts} == {0}
     assert report.admissions == 0
+
+
+def test_forged_joins_leave_the_network_nonces_alone():
+    replayed, untouched = join_leave_network(), join_leave_network()
+    report = replayed.simulate_adversary(
+        AdversaryProfile.compromised_os(replayed, 1), 50, seed=5)
+    assert len(report.attempts) == 50
+    for state in (replayed, untouched):
+        assert state.join_node(5, 1)
+    assert [r.envelope for r in replayed.trace.records] == \
+        [r.envelope for r in untouched.trace.records]
+
+
+def test_forged_join_is_admitted_only_onto_its_own_access_list():
+    # group 0 = {gd 0; 1, 2}; group 1 = {gd 3; 4, 5}, where node 5 hears
+    # only node 4 and is promoted to group 2
+    plan = keying.build_plan(6, 2, 128, seed=11)
+    g = udg.from_positions(
+        [Point(0, 0), Point(1, 0), Point(0, 1),
+         Point(10, 0), Point(11, 0), Point(13.5, 0)], 3.0)
+    state = form_network(g, plan, Placement.uniform(), seed=1)
+    assert state.group_dominator[2] == 5
+    profile = AdversaryProfile.compromised_gd(state, 0)
+    report = state.simulate_adversary(profile, 200, seed=2)
+    # the compromised GD holds the keys of its own members, 1 and 2
+    for a in report.attempts:
+        assert a.admitted == (a.target_group == 0 and a.claimed_id in (1, 2)), a
+    assert report.admissions > 0
+    assert any(a.target_group == 1 and a.claimed_id in (1, 2) for a in report.attempts)
+    assert any(a.target_group == 2 and a.claimed_id in (1, 2) for a in report.attempts)
+    # holding node 4's key admits it into its own group, never a promoted one
+    ind = state.individual_key(4)
+    held = {ind.key_id: ind}
+    assert state._forged_join_admitted(4, 1, held, random.Random(0))
+    assert not state._forged_join_admitted(4, 2, held, random.Random(0))
 
 
 def test_attack_report_is_deterministic():

@@ -52,12 +52,10 @@ def churned_pair(draw):
         states.append(state)
     for op, a, b in ops:
         state = states[0]
-        planned = len(state.plan.groups)
         if op == "join" and held:
             v = sorted(held)[a % len(held)]
-            # joins into promoted groups are left out: they raise IndexError
             gids = [gid for gid in sorted(state.group_dominator)
-                    if gid < planned and v in g.neighbors(state.group_dominator[gid])]
+                    if v in g.neighbors(state.group_dominator[gid])]
             if gids:
                 for s in states:
                     s.join_node(v, gids[b % len(gids)])
