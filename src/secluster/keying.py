@@ -5,8 +5,9 @@ plus up to `eta` ordinary sensors (Os).  Every Os carries two keys: its
 own individual key (shared with its GD) and the group key.  A GD carries
 the group key plus the individual keys of all its members, so its storage
 is (eta + 1) * key_bits while an Os needs 2 * key_bits.  The base station
-vault holds every key in the network, including keys minted later by
-rekeying.
+vault keeps every key in the network.  The plan's vault has the keys
+assigned offline; each formed network keeps its own copy of it, which
+also records the keys minted later by promotion and rekeying.
 
 Keys come from a seeded SHA-256 counter generator, so a deployment plan is
 reproducible from its seed.  Secrecy is modeled: the encrypt/decrypt pair
@@ -133,33 +134,11 @@ class BaseStationVault:
 
     `group_key_history[g]` lists every key group g has had, the current
     one last; superseded keys stay so the vault remains a superset of
-    every key ring in the network, stale copies included.  `by_id` indexes
-    every key ever recorded by fingerprint, kept up to date by record_*;
-    like a superseded group key, a replaced individual key stays in it.
+    every key ring in the network, stale copies included.
     """
 
     all_individual_keys: dict[int, Key] = field(default_factory=dict)
     group_key_history: dict[int, list[Key]] = field(default_factory=dict)
-    by_id: dict[str, Key] = field(default_factory=dict, init=False,
-                                  compare=False, repr=False)
-
-    def __post_init__(self):
-        for k in self.all_individual_keys.values():
-            self.by_id[k.key_id] = k
-        for hist in self.group_key_history.values():
-            for k in hist:
-                self.by_id[k.key_id] = k
-
-    def record_individual(self, node: int, key: Key) -> None:
-        self.all_individual_keys[node] = key
-        self.by_id[key.key_id] = key
-
-    def record_group(self, group_id: int, key: Key) -> None:
-        self.group_key_history.setdefault(group_id, []).append(key)
-        self.by_id[key.key_id] = key
-
-    def holds(self, key_id: str) -> bool:
-        return key_id in self.by_id
 
 
 @dataclass
@@ -218,9 +197,8 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
         dominator, members = chunk[0], tuple(chunk[1:])
         group_key = factory.derive(f"group:{gid}")
         individual = {m: factory.derive(f"individual:{m}") for m in members}
-        vault.record_group(gid, group_key)
-        for m, k in individual.items():
-            vault.record_individual(m, k)
+        vault.group_key_history[gid] = [group_key]
+        vault.all_individual_keys.update(individual)
         groups.append(GroupRecord(
             group_id=gid,
             dominator=dominator,

@@ -30,13 +30,14 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .keying import (
     NONCE_BYTES,
+    BaseStationVault,
     DecryptError,
     DeploymentPlan,
     Key,
@@ -214,7 +215,11 @@ class NetworkState:
             raise ValueError(
                 f"plan covers {plan.n} nodes but graph has {graph.n}")
         self.graph = graph
-        self.plan = plan
+        # the network records the keys it mints in a vault of its own, so the
+        # caller's plan is never written and can form any number of networks
+        self.plan = replace(plan, vault=BaseStationVault(
+            dict(plan.vault.all_individual_keys),
+            {gid: list(h) for gid, h in plan.vault.group_key_history.items()}))
         self.deployed: set[int] = (set(range(graph.n)) if deployed is None
                                    else set(deployed))
         for v in self.deployed:
@@ -260,6 +265,7 @@ class NetworkState:
 
     def _open_group(self, gid: int, dominator: int, key: Key) -> None:
         # planned and promoted groups alike start empty under their first key
+        self.plan.vault.group_key_history.setdefault(gid, [key])
         self.group_dominator[gid] = dominator
         self._gid_of_dominator[dominator] = gid
         self.group_members[gid] = set()
@@ -402,7 +408,6 @@ class NetworkState:
             elif nbrs[s]:
                 gid = len(self.group_dominator)  # group ids are dense
                 new_key = self.plan.factory.derive(f"group:{gid}")
-                self.plan.vault.record_group(gid, new_key)
                 self._open_group(gid, s, new_key)
                 self._send(Kind.REKEY_TO_NEW, BS_ID, self.individual_key(s),
                            _key_payload(new_key, f"group:{gid}"), [s], gid)
@@ -486,7 +491,7 @@ class NetworkState:
             # protected BS channel, never inside group-keyed traffic.
             self._send(Kind.ORP_ERR, gd, self.group_key[target_group],
                        f"ORP_ERR|{new_node}".encode(), [BS_ID], target_group)
-            if ind.key_id in self.revoked_key_ids or not self.plan.vault.holds(ind.key_id):
+            if ind.key_id in self.revoked_key_ids:
                 self.deployed.discard(new_node)
                 self._audit(f"join denied: BS rejected node {new_node}")
                 return False
@@ -553,12 +558,12 @@ class NetworkState:
         return True
 
     def _mint_group_key(self, group_id: int) -> Key:
-        # the vault's history holds every key the group has had, so its
+        # the network's vault lists every key the group has had, so its
         # length numbers the next rekey
         history = self.plan.vault.group_key_history[group_id]
         new_key = self.plan.factory.derive(f"rekey:{group_id}:{len(history)}")
         self.group_key[group_id] = new_key
-        self.plan.vault.record_group(group_id, new_key)
+        history.append(new_key)
         return new_key
 
     def revoke_group(self, group_id: int) -> None:
@@ -578,9 +583,7 @@ class NetworkState:
         for fp in self.rings.get(gd, {}):
             self.revoked_key_ids.add(fp)
         for m in sorted(self.group_members[group_id]):
-            ind = self.individual_key(m)
-            if ind is not None:
-                self.revoked_key_ids.add(ind.key_id)
+            self.revoked_key_ids.add(self.individual_key(m).key_id)
             self.deployed.discard(m)
             self.cluster_map.dominator_of.pop(m, None)
         self.group_members[group_id].clear()
@@ -594,18 +597,20 @@ class NetworkState:
                            seed: int) -> AttackReport:
         """Replay the trace through the adversary's keys and try forged joins.
 
-        The adversary observes every envelope sent so far, in order, and tries
-        each distinct envelope once: a flood's relays re-air its origin's
-        envelope unopened, so the trace's records are its envelopes.  When
-        the adversary can open a rekey message it learns the carried key, so
-        a compromised member keeps up with its own group's rotations but
-        nothing else.  Each forged join claims a random identity the
-        adversary does not legitimately control, and a group that is not
-        operational admits no join at all.
+        The adversary starts with the profile's keys, taken from the
+        compromised node's ring.  It observes every envelope sent so far, in
+        order, and tries each distinct envelope once: a flood's relays re-air
+        its origin's envelope unopened, so the trace's records are its
+        envelopes.  When the adversary can open a rekey message it learns the
+        carried key, so a compromised member keeps up with its own group's
+        rotations but nothing else.  Each forged join claims a random
+        identity the adversary does not legitimately control; a group that
+        is not operational admits no join at all, and no group admits a node
+        that is already deployed.
         """
         rng = random.Random(seed)
-        known = self.plan.vault.by_id
-        held = {fp: known[fp] for fp in profile.held_keys if fp in known}
+        ring = self.rings.get(profile.node, {})
+        held = {fp: ring[fp] for fp in profile.held_keys if fp in ring}
 
         decrypted: list[tuple[str, Optional[int], str]] = []
         for rec in self.trace.records:
@@ -655,9 +660,9 @@ class NetworkState:
         else:
             payload = bytes(rng.randrange(256) for _ in range(len(plaintext) + 24))
 
-        # dominator-side validation: an operational group admits a node on its
-        # access list whose request opens under that node's individual key
-        if not (self._gid_valid(target_group)
+        # dominator-side validation: an operational group admits an undeployed
+        # node on its access list whose request opens under its individual key
+        if not (self._gid_valid(target_group) and claimed not in self.deployed
                 and self._on_access_list(claimed, target_group)):
             return False
         try:

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,35 @@ def test_radius_derivation_needs_two_sensors(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
     assert run_cli("generate", "--n", "1", "--radius", "10",
                    "--out-dir", str(tmp_path / "b")) == 0
+
+
+def test_form_a_single_sensor(tmp_path, capsys):
+    assert run_cli("form", "--n", "1", "--radius", "10",
+                   "--out-dir", str(tmp_path)) == 0
+    assert "dominators=1 " in capsys.readouterr().out
+    assert (tmp_path / "trace.csv").read_text() == \
+        "round,sender,kind,key_fingerprint,receivers\n"
+
+
+def test_runtime_needs_only_the_standard_library(tmp_path):
+    # numpy, scipy, networkx and hypothesis serve the tests only; a None
+    # entry in sys.modules makes every import of them fail in the child
+    form = ["form", "--n", "60", "--placement", "uniform", "--out-dir",
+            str(tmp_path / "form")]
+    sweep = ["sweep", "--n-range6", "20:40:20", "--n-range12", "40:40:20",
+             "--seeds", "2", "--curve-n", "50:100:50", "--out-dir",
+             str(tmp_path / "sweep")]
+    code = ("import sys\n"
+            "for m in ('numpy', 'scipy', 'networkx', 'hypothesis'):\n"
+            "    sys.modules[m] = None\n"
+            "from secluster.cli import main\n"
+            f"sys.exit(main({form!r}) or main({sweep!r}))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_config_strings_parse_like_flags(tmp_path):

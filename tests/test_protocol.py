@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import random
 
 import pytest
@@ -52,6 +53,12 @@ def held_back_network(placement, n=80, deg=4, seed=0):
     state = form_network(g, plan, placement, seed=seed,
                          deployed=set(range(n)) - set(held))
     return g, state, held
+
+
+def vault_key_ids(vault):
+    """Fingerprints of every key in the vault's two maps."""
+    ids = {k.key_id for k in vault.all_individual_keys.values()}
+    return ids | {k.key_id for h in vault.group_key_history.values() for k in h}
 
 
 def churned_uniform_network():
@@ -437,11 +444,45 @@ def test_vault_is_superset_of_all_rings_after_rekeys():
     state.leave_node(5)
     state.join_node(5, 0)
     vault = state.plan.vault
+    held = vault_key_ids(vault)
     for ring in state.rings.values():
-        for kid in ring:
-            assert vault.holds(kid)
+        assert set(ring) <= held
     for gid, key in state.group_key.items():
         assert vault.group_key_history[gid][-1] == key
+
+
+def test_a_network_records_its_keys_in_its_own_vault():
+    # node 3 is promoted to group 2, then node 1 leaves and group 0 rekeys
+    plan = keying.build_plan(4, 1, 128, seed=9)
+    g = udg.from_positions(
+        [Point(0, 0), Point(1, 0), Point(100, 0), Point(2.5, 0)], 2.0)
+    state = form_network(g, plan, Placement.uniform(), seed=1)
+    assert state.leave_node(1)
+    vault = state.plan.vault
+    assert state.plan.groups is plan.groups and state.plan.factory is plan.factory
+    assert vault.group_key_history[2] == [state.group_key[2]]
+    assert vault.group_key_history[0] == [plan.groups[0].group_key, state.group_key[0]]
+    assert vault.all_individual_keys == plan.vault.all_individual_keys
+    assert vault.all_individual_keys is not plan.vault.all_individual_keys
+    assert plan.vault == keying.build_plan(4, 1, 128, seed=9).vault
+
+
+def test_eta_zero_makes_every_sensor_a_dominator():
+    # one-node groups: no sensor has an individual key, so nothing is sent
+    placement = Placement.uniform()
+    plan = keying.build_plan(50, 0, 128, seed=0)
+    radius = udg.radius_for_expected_degree(50, 500, 500, 6)
+    g = protocol.deploy_graph(plan, 500, 500, radius, placement, seed=0)
+    state = form_network(g, plan, placement, seed=0, deployed=range(49))
+    assert state.cluster_map.ranks == dict.fromkeys(range(49), Rank.GD)
+    assert len(state.trace) == 0 and state.cluster_map.orphan_events == []
+    assert not state.join_node(49, 0)
+    assert state.audit_log[-1] == "join denied: node 49 has no individual key"
+    assert not state.leave_node(3)
+    assert state.audit_log[-1] == "leave denied: node 3 is a dominator"
+    report = state.simulate_adversary(
+        AdversaryProfile.compromised_gd(state, 0), 200, seed=0)
+    assert report.decrypted == [] and report.admissions == 0
 
 
 def test_uniform_worst_case_promotes_every_os():
@@ -574,17 +615,12 @@ def test_indexed_key_lookups_match_a_scan_of_plan_and_vault():
         assert state.individual_key(v) == scan
     assert all(state.individual_key(g.dominator) is None for g in plan.groups)
 
-    recorded = list(vault.all_individual_keys.values())
-    recorded += [k for h in vault.group_key_history.values() for k in h]
-    plan_keys = [k for g in plan.groups for k in g.individual_keys.values()]
-    plan_keys += [k for h in vault.group_key_history.values() for k in h]
-    index = vault.by_id
-    key_ids = {kid for ring in state.rings.values() for kid in ring}
-    key_ids |= {k.key_id for k in recorded} | {"0" * 16, ""}
-    for kid in key_ids:
-        assert vault.holds(kid) == any(k.key_id == kid for k in recorded)
-        assert index.get(kid) == next((k for k in plan_keys if k.key_id == kid), None)
-    assert set(index) == {k.key_id for k in plan_keys}
+    assert vault.all_individual_keys == {
+        v: k for g in plan.groups for v, k in g.individual_keys.items()}
+    assert {gid: h[-1] for gid, h in vault.group_key_history.items()} == state.group_key
+    held = vault_key_ids(vault)
+    for ring in state.rings.values():
+        assert set(ring) <= held
 
 
 def test_revoked_member_cannot_rejoin():
@@ -653,12 +689,14 @@ def test_forged_joins_leave_the_network_nonces_alone():
 
 def test_forged_join_is_admitted_only_onto_its_own_access_list():
     # group 0 = {gd 0; 1, 2}; group 1 = {gd 3; 4, 5}, where node 5 hears
-    # only node 4 and is promoted to group 2
+    # only node 4 and is promoted to group 2.  Nodes 1 and 2 are held back,
+    # since no forged join may claim a deployed node.
     plan = keying.build_plan(6, 2, 128, seed=11)
     g = udg.from_positions(
         [Point(0, 0), Point(1, 0), Point(0, 1),
          Point(10, 0), Point(11, 0), Point(13.5, 0)], 3.0)
-    state = form_network(g, plan, Placement.uniform(), seed=1)
+    state = form_network(g, plan, Placement.uniform(), seed=1,
+                         deployed=[0, 3, 4, 5])
     assert state.group_dominator[2] == 5
     profile = AdversaryProfile.compromised_gd(state, 0)
     report = state.simulate_adversary(profile, 200, seed=2)
@@ -668,11 +706,60 @@ def test_forged_join_is_admitted_only_onto_its_own_access_list():
     assert report.admissions > 0
     assert any(a.target_group == 1 and a.claimed_id in (1, 2) for a in report.attempts)
     assert any(a.target_group == 2 and a.claimed_id in (1, 2) for a in report.attempts)
-    # holding node 4's key admits it into its own group, never a promoted one
+    # holding node 4's key admits it into its own group once it has left,
+    # never while it is deployed and never into a promoted group
     ind = state.individual_key(4)
     held = {ind.key_id: ind}
+    assert not state._forged_join_admitted(4, 1, held, random.Random(0))
+    assert state.leave_node(4)
     assert state._forged_join_admitted(4, 1, held, random.Random(0))
     assert not state._forged_join_admitted(4, 2, held, random.Random(0))
+
+
+def test_forged_join_never_claims_a_deployed_node():
+    # the most loaded adopter holds its adopted orphans' individual keys, but
+    # those orphans are deployed, so a forged join in their name is refused
+    # as the real join_node refuses it
+    state = churned_uniform_network()
+    report = state.simulate_adversary(
+        AdversaryProfile.compromised_gd(state, 6), 2000, seed=0)
+    pairs = [(a.claimed_id, a.target_group) for a in report.attempts]
+    # the same attempts the replay drew before deployed ids were refused
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == \
+        "71cd32016aa4319bf56d49a4531647af27499f92b8a25730bdda3ceff5c799c3"
+    assert [p for p, a in zip(pairs, report.attempts) if a.admitted] == [(2, 0)] * 2
+    assert 2 not in state.deployed
+
+
+def test_one_plan_forms_the_same_network_twice(tmp_path):
+    placement = Placement.uniform()
+    plan = keying.build_plan(80, 9, 128, seed=0)
+    radius = udg.radius_for_expected_degree(80, 500, 500, 4)
+    g = protocol.deploy_graph(plan, 500, 500, radius, placement, seed=0)
+    held = {v for v in range(80) if v % 7 == 3}
+
+    def run(name):
+        state = form_network(g, plan, placement, seed=0,
+                             deployed=set(range(80)) - held)
+        v, gid = next((v, gid) for v in sorted(held)
+                      for gid in sorted(state.group_dominator)
+                      if v in g.neighbors(state.group_dominator[gid]))
+        assert state.join_node(v, gid)
+        cm = state.cluster_map
+        assert state.leave_node(min(v for v in cm.dominator_of if cm.ranks[v] is Rank.OS))
+        report = state.simulate_adversary(
+            AdversaryProfile.compromised_gd(state, gid), 200, seed=0)
+        protocol.write_trace_csv(state.trace, tmp_path / name)
+        return state, report
+
+    a, report_a = run("a.csv")
+    b, report_b = run("b.csv")
+    assert len(a.group_dominator) > len(plan.groups)  # promoted groups
+    assert len(a.cluster_map.rekey_log) == 2
+    assert a.cluster_map == b.cluster_map
+    assert report_a == report_b
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert plan.vault == keying.build_plan(80, 9, 128, seed=0).vault
 
 
 def test_attack_report_is_deterministic():

@@ -2,7 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from secluster import keying, protocol, udg
-from secluster.protocol import Kind, NetworkState, Placement
+from secluster.protocol import AdversaryProfile, Kind, NetworkState, Placement
 from secluster.trace import FloodEvent, Trace, TraceEvent
 from secluster.udg import Point
 
@@ -28,9 +28,9 @@ class EagerFloodState(NetworkState):
 
 
 @st.composite
-def churned_pair(draw):
-    """The same random UDG formed twice, lazily and eagerly, with some
-    nodes held back, then the same joins, leaves and revocations on both."""
+def churn_case(draw):
+    """A random UDG, the arguments of its plan, some nodes held back from
+    formation, and a list of join, leave and revocation steps."""
     n = draw(st.integers(2, 40))
     side = draw(st.floats(5.0, 60.0))
     pts = [Point(*draw(st.tuples(st.floats(0, side), st.floats(0, side))))
@@ -42,33 +42,38 @@ def churned_pair(draw):
     ops = draw(st.lists(st.tuples(st.sampled_from(["join", "leave", "revoke"]),
                                   st.integers(0, 10**6), st.integers(0, 10**6)),
                         max_size=12))
-    g = udg.from_positions(pts, radius)
-    states = []
-    for cls in (NetworkState, EagerFloodState):
-        plan = keying.build_plan(n, eta, 64, seed=seed)
-        state = cls(g, plan, Placement.uniform(), seed,
-                    deployed=set(range(n)) - held)
-        state.form()
-        states.append(state)
+    return udg.from_positions(pts, radius), (n, eta, 64, seed), held, ops
+
+
+def churned(cls, g, plan, held, ops):
+    """Form a network of class cls from plan, then run the steps on it."""
+    state = cls(g, plan, Placement.uniform(), plan.seed,
+                deployed=set(range(g.n)) - held)
+    state.form()
     for op, a, b in ops:
-        state = states[0]
         if op == "join" and held:
             v = sorted(held)[a % len(held)]
             gids = [gid for gid in sorted(state.group_dominator)
                     if v in g.neighbors(state.group_dominator[gid])]
             if gids:
-                for s in states:
-                    s.join_node(v, gids[b % len(gids)])
+                state.join_node(v, gids[b % len(gids)])
         elif op == "leave":
             members = sorted(m for ms in state.group_members.values() for m in ms)
             if members:
-                for s in states:
-                    s.leave_node(members[a % len(members)])
+                state.leave_node(members[a % len(members)])
         elif op == "revoke":
-            gid = sorted(state.group_dominator)[a % len(state.group_dominator)]
-            for s in states:
-                s.revoke_group(gid)
-    return states[0], states[1]
+            gids = sorted(state.group_dominator)
+            state.revoke_group(gids[a % len(gids)])
+    return state
+
+
+@st.composite
+def churned_pair(draw):
+    """The same random UDG formed twice, lazily and eagerly, with some
+    nodes held back, then the same joins, leaves and revocations on both."""
+    g, plan_args, held, ops = draw(churn_case())
+    return tuple(churned(cls, g, keying.build_plan(*plan_args), held, ops)
+                 for cls in (NetworkState, EagerFloodState))
 
 
 def assert_same(got, want):
@@ -102,6 +107,27 @@ def test_flood_records_expand_to_the_eager_trace(tmp_path_factory, pair):
     protocol.write_trace_csv(eager.trace, tmp / "eager.csv")
     assert_same((tmp / "lazy.csv").read_bytes().splitlines(keepends=True),
                 (tmp / "eager.csv").read_bytes().splitlines(keepends=True))
+
+
+@given(churn_case())
+def test_a_churned_network_leaves_its_plan_alone(tmp_path_factory, case):
+    g, plan_args, held, ops = case
+    plan = keying.build_plan(*plan_args)
+    state = churned(NetworkState, g, plan, held, ops)
+    state.simulate_adversary(AdversaryProfile.compromised_gd(state, 0), 20, seed=0)
+    vault = state.plan.vault
+    recorded = {k.key_id for k in vault.all_individual_keys.values()}
+    recorded |= {k.key_id for h in vault.group_key_history.values() for k in h}
+    for ring in state.rings.values():
+        assert set(ring) <= recorded
+    assert plan.vault == keying.build_plan(*plan_args).vault
+    # so a second network of the same plan, churned the same way without
+    # the replay, airs the same
+    again = churned(NetworkState, g, plan, held, ops)
+    tmp = tmp_path_factory.mktemp("trace")
+    protocol.write_trace_csv(state.trace, tmp / "first.csv")
+    protocol.write_trace_csv(again.trace, tmp / "second.csv")
+    assert (tmp / "first.csv").read_bytes() == (tmp / "second.csv").read_bytes()
 
 
 def test_empty_trace_has_no_events_and_a_header_only_csv(tmp_path):
