@@ -17,8 +17,12 @@ After formation the network is live: nodes can join (group key rotates,
 delivered to the newcomer under its individual key and to the old members
 under the previous group key) or leave (group key rotates, delivered to
 each remaining member under its individual key so the leaver learns
-nothing).  An adversary can be injected to measure what the key discipline
-actually leaks.
+nothing).  Every membership change goes through three steps, each the
+only writer of its facts: `_enroll`/`_withdraw` (deployment, membership
+and dominator), `_rekey` (the group's key history and rekey log) and
+`_deliver` (a key sealed to its receivers, who then hold it).  An
+adversary can be injected to measure what the key discipline actually
+leaks.
 
 Everything is deterministic: ties break toward smaller node ids, rounds
 are processed in sorted order, and key material comes from the plan's
@@ -33,7 +37,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .keying import (
     NONCE_BYTES,
@@ -131,7 +135,6 @@ class ClusterMap:
     mediators: dict[int, frozenset[int]]  # node -> foreign dominators bridged
     orphan_events: list[OrphanEvent]
     rekey_log: list[RekeyEvent]
-    placement: str
 
     def dominator_set(self) -> frozenset[int]:
         return frozenset(v for v, r in self.ranks.items()
@@ -148,7 +151,6 @@ class AdversaryProfile:
 
     mode: str  # OUTSIDER | COMPROMISED_OS | COMPROMISED_GD
     node: Optional[int] = None
-    group: Optional[int] = None
     held_keys: frozenset[str] = frozenset()
 
     @classmethod
@@ -160,15 +162,12 @@ class AdversaryProfile:
         ring = state.rings.get(node)
         if ring is None or state.cluster_map.ranks.get(node) is not Rank.OS:
             raise ValueError(f"node {node} is not an ordinary sensor")
-        return cls(mode="COMPROMISED_OS", node=node,
-                   group=state.group_of_node(node),
-                   held_keys=frozenset(ring))
+        return cls(mode="COMPROMISED_OS", node=node, held_keys=frozenset(ring))
 
     @classmethod
     def compromised_gd(cls, state: "NetworkState", group: int) -> "AdversaryProfile":
         gd = state.group_dominator[group]
-        return cls(mode="COMPROMISED_GD", node=gd, group=group,
-                   held_keys=frozenset(state.rings[gd]))
+        return cls(mode="COMPROMISED_GD", node=gd, held_keys=frozenset(state.rings[gd]))
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,6 @@ class AttackAttempt:
 
 @dataclass
 class AttackReport:
-    profile_mode: str
     attempts: list[AttackAttempt]
     # one (kind, group, key fingerprint) entry per distinct trace envelope
     # the adversary could open; flood relays repeat their origin's envelope
@@ -207,10 +205,7 @@ class NetworkState:
     """Live network: key rings, group membership, and the message trace."""
 
     def __init__(self, graph: UnitDiskGraph, plan: DeploymentPlan,
-                 placement: Placement, seed: int,
                  deployed: Optional[Iterable[int]] = None):
-        # seed is accepted for callers that pass it, but formation draws no
-        # random numbers, so it has no effect
         if plan.n != graph.n:
             raise ValueError(
                 f"plan covers {plan.n} nodes but graph has {graph.n}")
@@ -244,7 +239,7 @@ class NetworkState:
 
         self.cluster_map = ClusterMap(
             ranks={}, dominator_of={}, mediators={},
-            orphan_events=[], rekey_log=[], placement=placement.describe(),
+            orphan_events=[], rekey_log=[],
         )
 
         self._predistribute()
@@ -271,6 +266,41 @@ class NetworkState:
         self.group_members[gid] = set()
         self.group_key[gid] = key
         self._grant(dominator, key)
+
+    def _enroll(self, node: int, gid: int) -> None:
+        """Make node a deployed ordinary member of group gid."""
+        self.deployed.add(node)
+        self.cluster_map.ranks[node] = Rank.OS
+        self.cluster_map.dominator_of[node] = self.group_dominator[gid]
+        self.group_members[gid].add(node)
+
+    def _withdraw(self, node: int, gid: int) -> None:
+        """Take node out of group gid and out of the deployed network."""
+        self.deployed.discard(node)
+        self.cluster_map.dominator_of.pop(node, None)
+        self.group_members[gid].discard(node)
+
+    def _rekey(self, gid: int, cause: str) -> tuple[Key, Key]:
+        """Rotate the group key; the dominator holds the new one."""
+        # the network's vault lists every key the group has had, so its
+        # length numbers the next rekey
+        history = self.plan.vault.group_key_history[gid]
+        old = self.group_key[gid]
+        new = self.plan.factory.derive(f"rekey:{gid}:{len(history)}")
+        history.append(new)
+        self.group_key[gid] = new
+        self._grant(self.group_dominator[gid], new)
+        self.cluster_map.rekey_log.append(
+            RekeyEvent(gid, old.key_id, new.key_id, cause, self._round))
+        return old, new
+
+    def _deliver(self, kind: Kind, sender: int, under: Key, gid: int, key: Key,
+                 receivers: Collection[int]) -> None:
+        """Send group gid's key sealed under `under`; every receiver holds it."""
+        self._send(kind, sender, under, _key_payload(key, f"group:{gid}"),
+                   receivers, gid)
+        for r in receivers:
+            self._grant(r, key)
 
     def _seal(self, kind: Kind, sender: int, key: Key, plaintext: bytes) -> Envelope:
         self._nonce_counter += 1
@@ -306,9 +336,6 @@ class NetworkState:
         return (self.individual_key(node) is not None
                 and self.plan.group_of(node).group_id == group_id)
 
-    def _deployed_neighbors(self, node: int) -> list[int]:
-        return sorted(self.graph.neighbors(node) & self.deployed)
-
     # -- formation ---------------------------------------------------------
 
     def form(self) -> ClusterMap:
@@ -341,56 +368,45 @@ class NetworkState:
 
         # round 2: join approvals under the group key
         self._round = 2
-        neighbor_dominators: dict[int, list[int]] = {}
         for gid in sorted(approvals):
             approved = approvals[gid]
             if not approved:
                 continue
             gd = self.group_dominator[gid]
-            plaintext = ("JOIN_APRV|" + ",".join(str(v) for v in sorted(approved))).encode()
+            plaintext = ("JOIN_APRV|" + ",".join(str(v) for v in approved)).encode()
             self._send(Kind.JOIN_APRV, gd, self.group_key[gid], plaintext,
                        nbrs[gd], gid)
-            for s in sorted(approved):
-                cm.dominator_of[s] = gd
-                self.group_members[gid].add(s)
-            for nb in nbrs[gd]:
-                # an Os that hears an approval it cannot open has found a
-                # foreign dominator in range
-                if (cm.ranks.get(nb) is Rank.OS
-                        and self.group_key[gid].key_id not in self.rings.get(nb, {})):
-                    neighbor_dominators.setdefault(nb, []).append(gd)
+            for s in approved:
+                self._enroll(s, gid)
 
         # round 3: orphan error floods and dominator reports
         self._round = 3
+        gid_of = self._gid_of_dominator
         orphans = sorted(s for s in self.deployed
                          if cm.ranks.get(s) is Rank.OS and s not in cm.dominator_of)
-        bs_gd_reports: dict[int, list[int]] = {}
+        reports: dict[int, list[int]] = {}  # orphan -> dominators in range, by id
         reach: dict[int, int] = {}  # node -> size of its component in nbrs
         for s in orphans:
-            ind = self.individual_key(s)
-            seen_gds = sorted(neighbor_dominators.get(s, []))
+            gds = reports[s] = [nb for nb in nbrs[s] if cm.ranks.get(nb) is Rank.GD]
+            # the orphan heard the approvals of these; its own dominator is not
+            # in range, so it could open none of them
+            heard = [gd for gd in gds if approvals[gid_of[gd]]]
             plaintext = ("GD_ERR|" + str(s) + "|"
-                         + ",".join(str(g) for g in seen_gds)).encode()
-            self._flood(Kind.GD_ERR, s, ind, plaintext,
+                         + ",".join(str(g) for g in heard)).encode()
+            self._flood(Kind.GD_ERR, s, self.individual_key(s), plaintext,
                         plan.group_of(s).group_id, nbrs, reach)
-            for nb in nbrs[s]:
-                if cm.ranks.get(nb) is Rank.GD:
-                    gid = self._gid_of_dominator[nb]
-                    self._send(Kind.ORP_ERR, nb, self.group_key[gid],
-                               f"ORP_ERR|{s}".encode(), [BS_ID], gid)
-                    bs_gd_reports.setdefault(s, []).append(nb)
+            for gd in gds:
+                self._send(Kind.ORP_ERR, gd, self.group_key[gid_of[gd]],
+                           f"ORP_ERR|{s}".encode(), [BS_ID], gid_of[gd])
 
         # round 4: base-station verdicts
         self._round = 4
         for s in orphans:
-            # reports were filed in id order, once per dominator neighbour
-            candidates = bs_gd_reports.get(s)
-            if candidates:
-                gid_of = self._gid_of_dominator
-                adopter = min(candidates,
+            ind = self.individual_key(s)
+            if reports[s]:
+                adopter = min(reports[s],
                               key=lambda g: (len(self.group_members[gid_of[g]]), g))
                 gid = gid_of[adopter]
-                ind = self.individual_key(s)
                 # The adopter command names the orphan but never carries its
                 # individual key: raw key material inside group-keyed traffic
                 # would be readable by every group member.  The key itself is
@@ -398,19 +414,15 @@ class NetworkState:
                 self._send(Kind.REKEY_TO_NEW, BS_ID, self.group_key[gid],
                            f"ADOPT|{s}".encode(), [adopter], gid)
                 self._grant(adopter, ind)
-                self._send(Kind.REKEY_TO_NEW, BS_ID, ind,
-                           _key_payload(self.group_key[gid], f"group:{gid}"),
-                           [s], gid)
-                self._grant(s, self.group_key[gid])
-                cm.dominator_of[s] = adopter
-                self.group_members[gid].add(s)
+                self._deliver(Kind.REKEY_TO_NEW, BS_ID, ind, gid,
+                              self.group_key[gid], [s])
+                self._enroll(s, gid)
                 cm.orphan_events.append(OrphanEvent(s, "ADOPTED", adopter))
             elif nbrs[s]:
                 gid = len(self.group_dominator)  # group ids are dense
                 new_key = self.plan.factory.derive(f"group:{gid}")
                 self._open_group(gid, s, new_key)
-                self._send(Kind.REKEY_TO_NEW, BS_ID, self.individual_key(s),
-                           _key_payload(new_key, f"group:{gid}"), [s], gid)
+                self._deliver(Kind.REKEY_TO_NEW, BS_ID, ind, gid, new_key, [s])
                 cm.ranks[s] = Rank.GDOS
                 cm.dominator_of[s] = s
                 cm.orphan_events.append(OrphanEvent(s, "PROMOTED"))
@@ -462,7 +474,6 @@ class NetworkState:
     def join_node(self, new_node: int, target_group: int) -> bool:
         """Deploy a pre-provisioned node into a group.  True iff admitted."""
         self._round += 1
-        cm = self.cluster_map
         if not self._gid_valid(target_group):
             self._audit(f"join denied: group {target_group} not operational")
             return False
@@ -479,10 +490,8 @@ class NetworkState:
             self._audit(f"join denied: node {new_node} out of range of GD {gd}")
             return False
 
-        self.deployed.add(new_node)
-        self._send(Kind.JOIN_REQ, new_node, ind,
-                   f"JOIN_REQ|{new_node}".encode(),
-                   self._deployed_neighbors(new_node), target_group)
+        self._send(Kind.JOIN_REQ, new_node, ind, f"JOIN_REQ|{new_node}".encode(),
+                   self.graph.neighbors(new_node) & self.deployed, target_group)
 
         if not self._on_access_list(new_node, target_group):
             # GD escalates the unknown id; BS confirms legitimacy and supplies
@@ -492,44 +501,26 @@ class NetworkState:
             self._send(Kind.ORP_ERR, gd, self.group_key[target_group],
                        f"ORP_ERR|{new_node}".encode(), [BS_ID], target_group)
             if ind.key_id in self.revoked_key_ids:
-                self.deployed.discard(new_node)
                 self._audit(f"join denied: BS rejected node {new_node}")
                 return False
             self._send(Kind.REKEY_TO_NEW, BS_ID, self.group_key[target_group],
                        f"CONFIRM|{new_node}".encode(), [gd], target_group)
             self._grant(gd, ind)
         elif ind.key_id in self.revoked_key_ids:
-            self.deployed.discard(new_node)
             self._audit(f"join denied: node {new_node} key revoked")
             return False
 
-        old_key = self.group_key[target_group]
-        new_key = self._mint_group_key(target_group)
-        self._send(Kind.REKEY_TO_NEW, gd, ind,
-                   _key_payload(new_key, f"group:{target_group}"),
-                   [new_node], target_group)
-        self._grant(new_node, new_key)
-        members = sorted(self.group_members[target_group])
-        self._send(Kind.REKEY_BCAST, gd, old_key,
-                   _key_payload(new_key, f"group:{target_group}"),
-                   members, target_group)
-        for m in members:
-            self._grant(m, new_key)
-        self._grant(gd, new_key)
-
-        self.group_members[target_group].add(new_node)
-        cm.ranks[new_node] = Rank.OS
-        cm.dominator_of[new_node] = gd
-        cm.rekey_log.append(RekeyEvent(target_group, old_key.key_id,
-                                       new_key.key_id, "join", self._round))
+        old_key, new_key = self._rekey(target_group, "join")
+        self._deliver(Kind.REKEY_TO_NEW, gd, ind, target_group, new_key, [new_node])
+        self._deliver(Kind.REKEY_BCAST, gd, old_key, target_group, new_key,
+                      self.group_members[target_group])
+        self._enroll(new_node, target_group)
         return True
 
     def leave_node(self, node: int) -> bool:
         """Withdraw a member from its group.  True iff a rekey happened."""
         self._round += 1
-        cm = self.cluster_map
-        rank = cm.ranks.get(node)
-        if rank in (Rank.GD, Rank.GDOS):
+        if self.cluster_map.ranks.get(node) in (Rank.GD, Rank.GDOS):
             self._audit(f"leave denied: node {node} is a dominator")
             return False
         gid = self.group_of_node(node)
@@ -537,34 +528,14 @@ class NetworkState:
             self._audit(f"leave ignored: node {node} is not a group member")
             return False
         gd = self.group_dominator[gid]
-
-        ind = self.individual_key(node)
-        self._send(Kind.LEAVE, node, ind, f"LEAVE|{node}".encode(),
-                   [gd], gid)
-
-        self.group_members[gid].discard(node)
-        del cm.dominator_of[node]
-        self.deployed.discard(node)
-
-        old_key = self.group_key[gid]
-        new_key = self._mint_group_key(gid)
+        self._send(Kind.LEAVE, node, self.individual_key(node),
+                   f"LEAVE|{node}".encode(), [gd], gid)
+        self._withdraw(node, gid)
+        _old_key, new_key = self._rekey(gid, "leave")
         for m in sorted(self.group_members[gid]):
-            self._send(Kind.REKEY_TO_NEW, gd, self.individual_key(m),
-                       _key_payload(new_key, f"group:{gid}"), [m], gid)
-            self._grant(m, new_key)
-        self._grant(gd, new_key)
-        cm.rekey_log.append(RekeyEvent(gid, old_key.key_id,
-                                       new_key.key_id, "leave", self._round))
+            self._deliver(Kind.REKEY_TO_NEW, gd, self.individual_key(m), gid,
+                          new_key, [m])
         return True
-
-    def _mint_group_key(self, group_id: int) -> Key:
-        # the network's vault lists every key the group has had, so its
-        # length numbers the next rekey
-        history = self.plan.vault.group_key_history[group_id]
-        new_key = self.plan.factory.derive(f"rekey:{group_id}:{len(history)}")
-        self.group_key[group_id] = new_key
-        history.append(new_key)
-        return new_key
 
     def revoke_group(self, group_id: int) -> None:
         """BS bookkeeping after a dominator compromise: retire the group.
@@ -578,17 +549,11 @@ class NetworkState:
             self._audit(f"revoke ignored: no group {group_id}")
             return
         self.revoked_groups.add(group_id)
-        self.revoked_key_ids.add(self.group_key[group_id].key_id)
         gd = self.group_dominator[group_id]
-        for fp in self.rings.get(gd, {}):
-            self.revoked_key_ids.add(fp)
-        for m in sorted(self.group_members[group_id]):
-            self.revoked_key_ids.add(self.individual_key(m).key_id)
-            self.deployed.discard(m)
-            self.cluster_map.dominator_of.pop(m, None)
-        self.group_members[group_id].clear()
-        self.deployed.discard(gd)
-        self.cluster_map.dominator_of.pop(gd, None)
+        # the dominator holds the group key and every member's individual key
+        self.revoked_key_ids.update(self.rings[gd])
+        for v in [*self.group_members[group_id], gd]:
+            self._withdraw(v, group_id)
         self._audit(f"group {group_id} revoked by BS")
 
     # -- adversary ---------------------------------------------------------
@@ -637,8 +602,7 @@ class NetworkState:
                 claimed = (claimed + 1) % self.graph.n
             admitted = self._forged_join_admitted(claimed, target, held, rng)
             attempt_log.append(AttackAttempt(claimed, target, admitted))
-        return AttackReport(profile_mode=profile.mode,
-                            attempts=attempt_log, decrypted=decrypted)
+        return AttackReport(attempts=attempt_log, decrypted=decrypted)
 
     def _forged_join_admitted(self, claimed: int, target_group: int,
                               held: dict[str, Key], rng: random.Random) -> bool:
@@ -708,10 +672,11 @@ def form_network(g: UnitDiskGraph, plan: DeploymentPlan, placement: Placement,
                  seed: int, deployed: Optional[Iterable[int]] = None) -> NetworkState:
     """Run cluster formation and return the live network state.
 
-    Formation draws no random numbers: `placement` only labels the cluster
-    map, and `seed` does not affect the result at all.
+    `placement` and `seed` are ignored: formation draws no random numbers,
+    and `deploy_graph` has already placed the nodes.  Both stay in the
+    signature until the benchmark stops passing them.
     """
-    state = NetworkState(g, plan, placement, seed, deployed)
+    state = NetworkState(g, plan, deployed)
     state.form()
     return state
 

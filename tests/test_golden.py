@@ -5,9 +5,12 @@ The `form` digests and the `sweep.csv` digest were taken from the program
 as it was before floods were stored as single trace records.  The figure,
 `generate` and `analyze` digests were taken from the program as it was
 before the base-station vault kept a single key index and the key rings
-became the only custody record.  A change meant to keep every output
-byte-identical must keep them; a change that alters an output on purpose
-updates them and says why.
+became the only custody record.  The envelope digests, which cover what
+`trace.csv` leaves out (payloads, group ids, flood reach), were taken
+from the program as it was before every membership change went through
+one enrol/withdraw pair, one rekey step and one key-delivery step.  A
+change meant to keep every output byte-identical must keep them; a change
+that alters an output on purpose updates them and says why.
 """
 
 import contextlib
@@ -17,7 +20,11 @@ import json
 
 import pytest
 
+from secluster import keying, protocol, udg
+from secluster.analysis import derive_seed
 from secluster.cli import main
+from secluster.protocol import Placement, Rank
+from secluster.trace import FloodEvent
 
 FORM_DIGESTS = {
     ("uniform", 1): {
@@ -53,6 +60,11 @@ FIGURE_DIGESTS = {
     "fig12.svg": "06f465c06f5b33cfa9805af7952ca3b7eb6a7a177b24bd7f57d3c947f58d3ec8",
 }
 SWEEP_FIG11_SVG_DIGEST = "7f8557d1ee92a155250b1b0045399567239349dfd64b0387ed25778efedf54b0"
+# every trace record of churned_form_network(placement)
+ENVELOPE_DIGESTS = {
+    "uniform": "bc295eb2309d108197887a96e11c4c0d4123e98ba917463fecb9dffdec29ff8b",
+    "clustered": "9923398b04a5323ff9b99f3b8576dec8bbf6bf4c9321e3979dba0b96c40d20f1",
+}
 GENERATE_DIGESTS = {  # generate --n 500 --seed 3
     "nodes.csv": "13e610c204775c1771d58c3f7370a83aa2234f9e39b9ad8785586b0c99b91224",
     "edges.csv": "2e02cad07c2299aed0ed33e72398e0b660051cbe46d8b5ff882f445b1e4b7dc3",
@@ -122,3 +134,69 @@ def test_sweep_writes_the_golden_sweep_csv_from_a_config(tmp_path):
     cfg.write_text(json.dumps({"seeds": 3, "seed": 5}))
     run("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
     assert sha256(tmp_path / "out" / "sweep.csv") == SWEEP_CSV_DIGEST
+
+
+def churned_form_network(placement_name, n=300, seed=1):
+    """The network `form --n 300 --placement <placement_name> --seed 1`
+    builds, with every v % 7 == 3 held back from formation, then a fixed
+    script: a join onto the access list, a join the base station confirms,
+    a join into a promoted group, a leave, the revocation of the confirmed
+    join's group, and a refused join by each of its stranded members that
+    hears an operational dominator."""
+    radius = udg.radius_for_expected_degree(n, 500.0, 500.0, 6.0)
+    placement = (Placement.uniform() if placement_name == "uniform"
+                 else Placement.clustered(radius * 0.25))
+    plan = keying.build_plan(n, 9, 128, derive_seed("plan", seed))
+    g = protocol.deploy_graph(plan, 500.0, 500.0, radius, placement,
+                              derive_seed("graph", seed))
+    held = {v for v in range(n) if v % 7 == 3}
+    state = protocol.form_network(g, plan, placement, derive_seed("form", seed),
+                                  deployed=set(range(n)) - held)
+
+    def hears(v):
+        # the operational groups whose dominator is in range of v, by id
+        return [gid for gid in sorted(state.group_dominator)
+                if state._gid_valid(gid) and v in g.neighbors(state.group_dominator[gid])]
+
+    def join_first(fits):
+        v, gid = min((v, gid) for v in held - state.deployed
+                     if state.individual_key(v) is not None
+                     for gid in hears(v) if fits(v, gid))
+        assert state.join_node(v, gid)
+        return gid
+
+    def own(v):
+        return plan.group_of(v).group_id
+
+    join_first(lambda v, gid: gid == own(v))
+    confirmed = join_first(lambda v, gid: gid != own(v) and gid < len(plan.groups))
+    join_first(lambda v, gid: gid >= len(plan.groups))
+    cm = state.cluster_map
+    assert state.leave_node(min(v for v in cm.dominator_of if cm.ranks[v] is Rank.OS))
+    stranded = sorted(state.group_members[confirmed])
+    state.revoke_group(confirmed)
+    refused = [(v, hears(v)[0]) for v in stranded if hears(v)]
+    assert refused
+    for v, gid in refused:
+        assert not state.join_node(v, gid)
+    return state
+
+
+def envelope_digest(trace):
+    h = hashlib.sha256()
+    for rec in trace.records:
+        env = rec.envelope
+        if type(rec) is FloodEvent:
+            on_air = ("reach", rec.reach, rec.nbrs[env.sender])
+        else:
+            on_air = ("transmitter", rec.transmitter, rec.receivers)
+        h.update(repr((rec.round, env.kind.value, env.sender, *on_air, rec.group_id,
+                       env.key_fingerprint, len(env.payload))).encode())
+        h.update(env.payload)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("placement", list(ENVELOPE_DIGESTS))
+def test_a_churned_network_airs_the_golden_envelopes(placement):
+    state = churned_form_network(placement)
+    assert envelope_digest(state.trace) == ENVELOPE_DIGESTS[placement]

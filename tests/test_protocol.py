@@ -623,23 +623,66 @@ def test_indexed_key_lookups_match_a_scan_of_plan_and_vault():
         assert set(ring) <= held
 
 
+def membership_record(state):
+    """What a join writes besides the trace and the audit log."""
+    return ({v: dict(ring) for v, ring in state.rings.items()},
+            {gid: list(h) for gid, h in state.plan.vault.group_key_history.items()},
+            list(state.cluster_map.rekey_log), set(state.deployed),
+            {gid: set(ms) for gid, ms in state.group_members.items()},
+            dict(state.group_key), dict(state.cluster_map.dominator_of),
+            dict(state.cluster_map.ranks))
+
+
+def refused_join(state, node, gid):
+    """Run a join that must be refused; return the kinds it put on the air."""
+    before = membership_record(state)
+    cut = len(state.trace.records)
+    assert not state.join_node(node, gid)
+    assert membership_record(state) == before
+    return [r.envelope.kind for r in state.trace.records[cut:]]
+
+
 def test_revoked_member_cannot_rejoin():
-    # node 5 hears both dominators.  Off the access list: it joins group 1,
-    # group 1 is revoked, and the BS refuses its revoked key for group 0.
+    # Node 5 is planned in group 1 and hears both dominators.  A refused
+    # join keeps what it put on the air in the trace (its JOIN_REQ, and on
+    # the base-station path the dominator's ORP_ERR) and changes nothing
+    # else: no rekey, no vault entry, no ring, and node 5 stays undeployed.
+    # It joins its own group 1, group 1 is revoked, and group 0 escalates
+    # it to the BS, which refuses its revoked key.
     state = join_leave_network()
     assert state.join_node(5, 1)
     state.revoke_group(1)
-    assert not state.join_node(5, 0)
+    assert refused_join(state, 5, 0) == [Kind.JOIN_REQ, Kind.ORP_ERR]
     assert state.audit_log[-1] == "join denied: BS rejected node 5"
     assert 5 not in state.deployed
-    # On the access list: it joins group 0 through the BS, group 0 is
-    # revoked with node 5's key in its dominator's ring, and group 1 refuses it.
+    # It joins group 0 through the BS, group 0 is revoked with node 5's key
+    # in its dominator's ring, and its own group 1 refuses it.
     state = join_leave_network()
     assert state.join_node(5, 0)
     state.revoke_group(0)
-    assert not state.join_node(5, 1)
+    assert refused_join(state, 5, 1) == [Kind.JOIN_REQ]
     assert state.audit_log[-1] == "join denied: node 5 key revoked"
     assert 5 not in state.deployed
+
+
+def test_a_leaver_rejoins_its_group_without_the_keys_it_missed():
+    # group 0 = {gd 0; 1, 2}: node 1 leaves, then node 2 leaves and node 5
+    # joins, so group 0 rekeys three times while node 1 is away
+    state = join_leave_network()
+    assert state.leave_node(1)
+    assert state.leave_node(2)
+    assert state.join_node(5, 0)
+    history = state.plan.vault.group_key_history[0]
+    missed = {k.key_id for k in history[1:]}
+    assert len(missed) == 3
+    assert state.join_node(1, 0)
+    cm = state.cluster_map
+    assert cm.rekey_log[-1] == protocol.RekeyEvent(
+        0, history[-2].key_id, history[-1].key_id, "join", state._round)
+    assert 1 in state.deployed and state.group_members[0] == {1, 5}
+    assert cm.dominator_of[1] == 0
+    assert state.group_key[0].key_id in state.rings[1]
+    assert not missed & set(state.rings[1])
 
 
 def test_join_into_a_promoted_group_is_confirmed_by_the_bs():

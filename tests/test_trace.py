@@ -2,7 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from secluster import keying, protocol, udg
-from secluster.protocol import AdversaryProfile, Kind, NetworkState, Placement
+from secluster.protocol import AdversaryProfile, Kind, NetworkState, Placement, Rank
 from secluster.trace import FloodEvent, Trace, TraceEvent
 from secluster.udg import Point
 
@@ -47,12 +47,13 @@ def churn_case(draw):
 
 def churned(cls, g, plan, held, ops):
     """Form a network of class cls from plan, then run the steps on it."""
-    state = cls(g, plan, Placement.uniform(), plan.seed,
-                deployed=set(range(g.n)) - held)
+    state = cls(g, plan, deployed=set(range(g.n)) - held)
     state.form()
     for op, a, b in ops:
-        if op == "join" and held:
-            v = sorted(held)[a % len(held)]
+        # held-back nodes join, and so do leavers and revoked members
+        away = sorted(set(range(g.n)) - state.deployed)
+        if op == "join" and away:
+            v = away[a % len(away)]
             gids = [gid for gid in sorted(state.group_dominator)
                     if v in g.neighbors(state.group_dominator[gid])]
             if gids:
@@ -109,11 +110,33 @@ def test_flood_records_expand_to_the_eager_trace(tmp_path_factory, pair):
                 (tmp / "eager.csv").read_bytes().splitlines(keepends=True))
 
 
+def assert_membership_agrees(state):
+    """Membership, dominators, current keys and the rekey log tell one story."""
+    cm = state.cluster_map
+    assert set(cm.dominator_of) <= state.deployed
+    for gid, members in state.group_members.items():
+        for m in members:
+            assert m in state.deployed
+            assert cm.dominator_of[m] == state.group_dominator[gid]
+    for v in state.deployed:
+        if cm.ranks[v] is Rank.OS and v in cm.dominator_of:
+            assert [gid for gid, ms in state.group_members.items() if v in ms] == \
+                [state.group_of_node(v)]
+    histories = state.plan.vault.group_key_history
+    assert state.group_key == {gid: h[-1] for gid, h in histories.items()}
+    assert len(cm.rekey_log) == sum(len(h) - 1 for h in histories.values())
+    for gid, h in histories.items():
+        ids = [k.key_id for k in h]
+        assert [(e.old_key_id, e.new_key_id) for e in cm.rekey_log
+                if e.group_id == gid] == list(zip(ids, ids[1:]))
+
+
 @given(churn_case())
 def test_a_churned_network_leaves_its_plan_alone(tmp_path_factory, case):
     g, plan_args, held, ops = case
     plan = keying.build_plan(*plan_args)
     state = churned(NetworkState, g, plan, held, ops)
+    assert_membership_agrees(state)
     state.simulate_adversary(AdversaryProfile.compromised_gd(state, 0), 20, seed=0)
     vault = state.plan.vault
     recorded = {k.key_id for k in vault.all_individual_keys.values()}
