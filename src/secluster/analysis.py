@@ -12,7 +12,7 @@ import csv
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -87,13 +87,6 @@ class ExperimentRow:
     distinct_keys: int
     gd_storage_bits: int
     network_storage_bits: int
-
-
-EXPERIMENT_COLUMNS = [
-    "seed", "n", "eta", "avg_degree_target", "placement",
-    "dominators_ours", "dominators_greedy_I", "dominators_greedy_II",
-    "wcds_valid", "distinct_keys", "gd_storage_bits", "network_storage_bits",
-]
 
 
 def formation_validity(state: protocol.NetworkState) -> domsets.DomsetReport:
@@ -223,44 +216,30 @@ def connectivity_curves(n_range: Sequence[int],
         for p_c in p_c_values:
             t = threshold_p(n, p_c)
             rows.append(ConnectivityRow(
-                n=n, p_c=p_c, p=t.p_raw,
-                d=expected_gd_degree(n, p_c),
+                n=n, p_c=p_c, p=t.p_raw, d=(n - 1) * t.p_raw,
                 in_range=t.in_range,
             ))
     return rows
 
 
-def write_experiment_csv(rows: Iterable[ExperimentRow], path: Path | str) -> None:
+def write_table(row_type: type, rows: Iterable, path: Path | str) -> None:
+    """Write rows of one dataclass type as CSV, one column per field in order.
+
+    A bool cell is `true`/`false`, a float cell is `fmt_float`, and any other
+    value is written as it is.
+    """
+    names = [f.name for f in fields(row_type)]
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(EXPERIMENT_COLUMNS)
+        w.writerow(names)
         for r in rows:
-            w.writerow([
-                r.seed, r.n, r.eta, fmt_float(r.avg_degree_target), r.placement,
-                r.dominators_ours, r.dominators_greedy_I, r.dominators_greedy_II,
-                "true" if r.wcds_valid else "false",
-                r.distinct_keys, r.gd_storage_bits, r.network_storage_bits,
-            ])
+            w.writerow([_cell(getattr(r, name)) for name in names])
 
 
-def write_storage_csv(rows: Iterable[StorageRow], path: Path | str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["n", "eta", "key_bits", "distinct_keys", "gd_storage_bits",
-                    "os_storage_bits", "network_storage_bits"])
-        for r in rows:
-            w.writerow([r.n, r.eta, r.key_bits, r.distinct_keys,
-                        r.gd_storage_bits, r.os_storage_bits,
-                        r.network_storage_bits])
-
-
-def write_connectivity_csv(rows: Iterable[ConnectivityRow], path: Path | str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["n", "p_c", "p", "d", "in_range"])
-        for r in rows:
-            w.writerow([r.n, fmt_float(r.p_c), repr(r.p), repr(r.d),
-                        "true" if r.in_range else "false"])
+def _cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return fmt_float(value) if isinstance(value, float) else value
 
 
 def fmt_float(x: float) -> str:

@@ -8,9 +8,10 @@ Subcommands:
              key-count, storage, and connectivity datasets and figures
   analyze    the closed-form subset of sweep (no simulation)
 
-Every command takes --seed and --out-dir and is reproducible: the same
-invocation writes byte-identical CSVs (and SVGs, which embed no
-timestamps).  Each option is declared and checked once, in its
+Every command takes --out-dir and is reproducible: the same invocation
+writes byte-identical CSVs (and SVGs, which embed no timestamps).  Every
+command but analyze, whose closed forms draw no random numbers, takes
+--seed.  Each option is declared and checked once, in its
 `add_argument` call.  An optional --config JSON object supplies option
 values, parsed exactly like flags (`null` means the default, keys a
 command lacks are ignored); flags win.  Bad input exits 2 before any work.
@@ -129,40 +130,37 @@ def cmd_form(args, parser) -> int:
     return 0
 
 
+def _series(rows, by: str, label: str, x: str, y: str) -> list[svgplot.Series]:
+    """One (x, y) series per distinct value of column `by`, in first-seen order.
+
+    `label` is a format string given that value.
+    """
+    points: dict = {}
+    for r in rows:
+        points.setdefault(getattr(r, by), []).append((getattr(r, x), getattr(r, y)))
+    return [svgplot.Series(label.format(k), tuple(pts)) for k, pts in points.items()]
+
+
 def _closed_form_figures(args, n_values: list[int], out: Path) -> None:
     """fig9 (key count over n_values), fig10 (storage) and fig12 (connectivity)."""
-    key_rows = analysis.storage_curves(n_values, [args.eta], args.key_bits)
-    analysis.write_storage_csv(key_rows, out / "fig9.csv")
-    svgplot.line_chart(
-        [svgplot.Series.of(f"eta={args.eta}", [r.n for r in key_rows],
-                           [r.distinct_keys for r in key_rows])],
-        "Distinct keys required vs network size",
-        "number of sensors", "distinct keys", out / "fig9.svg")
+    rows = analysis.storage_curves(n_values, [args.eta], args.key_bits)
+    analysis.write_table(analysis.StorageRow, rows, out / "fig9.csv")
+    svgplot.line_chart(_series(rows, "eta", "eta={}", "n", "distinct_keys"),
+                       "Distinct keys required vs network size",
+                       "number of sensors", "distinct keys", out / "fig9.svg")
 
-    storage_rows = []
-    for bits in args.key_bits_list:
-        storage_rows.extend(analysis.storage_curves([max(n_values)],
-                                                    args.eta_values, bits))
-    analysis.write_storage_csv(storage_rows, out / "fig10.csv")
-    series = []
-    for bits in args.key_bits_list:
-        rows = [r for r in storage_rows if r.key_bits == bits]
-        series.append(svgplot.Series.of(f"k={bits} bits",
-                                        [r.eta for r in rows],
-                                        [r.gd_storage_bits for r in rows]))
-    svgplot.line_chart(series, "Dominator key storage vs group size",
+    rows = [r for bits in args.key_bits_list
+            for r in analysis.storage_curves([max(n_values)], args.eta_values, bits)]
+    analysis.write_table(analysis.StorageRow, rows, out / "fig10.csv")
+    svgplot.line_chart(_series(rows, "key_bits", "k={} bits", "eta", "gd_storage_bits"),
+                       "Dominator key storage vs group size",
                        "ordinary sensors per group", "storage (bits)",
                        out / "fig10.svg")
 
     rows = analysis.connectivity_curves(args.curve_n, args.p_c)
-    analysis.write_connectivity_csv(rows, out / "fig12.csv")
-    series = []
-    for p_c in args.p_c:
-        sel = [r for r in rows if r.p_c == p_c]
-        series.append(svgplot.Series.of(f"Pc={p_c:g}",
-                                        [r.n for r in sel],
-                                        [r.d for r in sel]))
-    svgplot.line_chart(series, "Expected dominator degree for connectivity",
+    analysis.write_table(analysis.ConnectivityRow, rows, out / "fig12.csv")
+    svgplot.line_chart(_series(rows, "p_c", "Pc={:g}", "n", "d"),
+                       "Expected dominator degree for connectivity",
                        "number of clusters", "expected degree",
                        out / "fig12.svg")
 
@@ -179,21 +177,20 @@ def cmd_sweep(args, parser) -> int:
             base_seed=args.seed, workers=args.workers)
         all_rows.extend(rows)
 
-        means: dict[str, list[tuple[float, float]]] = {"ours": [], "greedy I": [],
-                                                       "greedy II": []}
-        for n in n_values:
-            cell = [r for r in rows if r.n == n]
-            means["ours"].append((n, sum(r.dominators_ours for r in cell) / len(cell)))
-            means["greedy I"].append((n, sum(r.dominators_greedy_I for r in cell) / len(cell)))
-            means["greedy II"].append((n, sum(r.dominators_greedy_II for r in cell) / len(cell)))
+        # fig11 plots the mean of each dominator-count column per n
+        cells = [[r for r in rows if r.n == n] for n in n_values]
+        series = []
+        for label, column in (("ours", "dominators_ours"),
+                              ("greedy I", "dominators_greedy_I"),
+                              ("greedy II", "dominators_greedy_II")):
+            means = [(n, sum(getattr(r, column) for r in cell) / len(cell))
+                     for n, cell in zip(n_values, cells)]
+            series.append(svgplot.Series(label, tuple(means)))
         panels.append(svgplot.Panel(
             f"Dominating-set size, avg degree {avg_degree:g}",
-            "number of sensors", "dominators",
-            tuple(svgplot.Series(label, tuple(pts))
-                  for label, pts in means.items()),
-        ))
+            "number of sensors", "dominators", tuple(series)))
 
-    analysis.write_experiment_csv(all_rows, out / "sweep.csv")
+    analysis.write_table(analysis.ExperimentRow, all_rows, out / "sweep.csv")
     svgplot.write_chart(panels, out / "fig11.svg")
     _closed_form_figures(args, args.n_range6, out)
     print(f"sweep: {len(all_rows)} experiment rows")
@@ -259,9 +256,10 @@ def _add_figures(p: argparse.ArgumentParser) -> None:
                    help="connectivity targets, each in (0, 1) (default: %(default)s)")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0,
-                   help="base RNG seed (default: %(default)s)")
+def _add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
+    if seeded:
+        p.add_argument("--seed", type=int, default=0,
+                       help="base RNG seed (default: %(default)s)")
     p.add_argument("--out-dir", default="out",
                    help="output directory (default: %(default)s)")
     p.add_argument("--config",
@@ -321,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="n values for the key-count curve (default: %(default)s)")
     _add_group_keys(a, formulas_only=True)
     _add_figures(a)
-    _add_common(a)
+    _add_common(a, seeded=False)  # the closed forms draw no random numbers
     return parser
 
 

@@ -228,7 +228,6 @@ class NetworkState:
         self.group_dominator: dict[int, int] = {}
         self._gid_of_dominator: dict[int, int] = {}
         self.group_members: dict[int, set[int]] = {}
-        self.group_key: dict[int, Key] = {}
         self.revoked_groups: set[int] = set()
         self.revoked_key_ids: set[str] = set()
 
@@ -264,7 +263,6 @@ class NetworkState:
         self.group_dominator[gid] = dominator
         self._gid_of_dominator[dominator] = gid
         self.group_members[gid] = set()
-        self.group_key[gid] = key
         self._grant(dominator, key)
 
     def _enroll(self, node: int, gid: int) -> None:
@@ -285,10 +283,9 @@ class NetworkState:
         # the network's vault lists every key the group has had, so its
         # length numbers the next rekey
         history = self.plan.vault.group_key_history[gid]
-        old = self.group_key[gid]
+        old = history[-1]
         new = self.plan.factory.derive(f"rekey:{gid}:{len(history)}")
         history.append(new)
-        self.group_key[gid] = new
         self._grant(self.group_dominator[gid], new)
         self.cluster_map.rekey_log.append(
             RekeyEvent(gid, old.key_id, new.key_id, cause, self._round))
@@ -325,9 +322,16 @@ class NetworkState:
             return None
         return self._gid_of_dominator.get(dom)
 
+    @property
+    def group_key(self) -> dict[int, Key]:
+        """Each group's current key: the last entry of its vault history."""
+        return {gid: h[-1] for gid, h in self.plan.vault.group_key_history.items()}
+
+    def _current_key(self, gid: int) -> Key:
+        return self.plan.vault.group_key_history[gid][-1]
+
     def individual_key(self, node: int) -> Optional[Key]:
-        gid = self.plan._node_group.get(node)
-        return None if gid is None else self.plan.groups[gid].individual_keys.get(node)
+        return self.plan.vault.all_individual_keys.get(node)
 
     def _on_access_list(self, node: int, group_id: int) -> bool:
         # A group's access list is the members it was planned with, so a
@@ -374,7 +378,7 @@ class NetworkState:
                 continue
             gd = self.group_dominator[gid]
             plaintext = ("JOIN_APRV|" + ",".join(str(v) for v in approved)).encode()
-            self._send(Kind.JOIN_APRV, gd, self.group_key[gid], plaintext,
+            self._send(Kind.JOIN_APRV, gd, self._current_key(gid), plaintext,
                        nbrs[gd], gid)
             for s in approved:
                 self._enroll(s, gid)
@@ -396,7 +400,7 @@ class NetworkState:
             self._flood(Kind.GD_ERR, s, self.individual_key(s), plaintext,
                         plan.group_of(s).group_id, nbrs, reach)
             for gd in gds:
-                self._send(Kind.ORP_ERR, gd, self.group_key[gid_of[gd]],
+                self._send(Kind.ORP_ERR, gd, self._current_key(gid_of[gd]),
                            f"ORP_ERR|{s}".encode(), [BS_ID], gid_of[gd])
 
         # round 4: base-station verdicts
@@ -411,11 +415,11 @@ class NetworkState:
                 # individual key: raw key material inside group-keyed traffic
                 # would be readable by every group member.  The key itself is
                 # provisioned over the protected BS channel (bookkeeping).
-                self._send(Kind.REKEY_TO_NEW, BS_ID, self.group_key[gid],
+                self._send(Kind.REKEY_TO_NEW, BS_ID, self._current_key(gid),
                            f"ADOPT|{s}".encode(), [adopter], gid)
                 self._grant(adopter, ind)
                 self._deliver(Kind.REKEY_TO_NEW, BS_ID, ind, gid,
-                              self.group_key[gid], [s])
+                              self._current_key(gid), [s])
                 self._enroll(s, gid)
                 cm.orphan_events.append(OrphanEvent(s, "ADOPTED", adopter))
             elif nbrs[s]:
@@ -498,12 +502,12 @@ class NetworkState:
             # the individual key (rejecting revoked material).  The over-the-air
             # confirmation only names the node; the key itself moves over the
             # protected BS channel, never inside group-keyed traffic.
-            self._send(Kind.ORP_ERR, gd, self.group_key[target_group],
+            self._send(Kind.ORP_ERR, gd, self._current_key(target_group),
                        f"ORP_ERR|{new_node}".encode(), [BS_ID], target_group)
             if ind.key_id in self.revoked_key_ids:
                 self._audit(f"join denied: BS rejected node {new_node}")
                 return False
-            self._send(Kind.REKEY_TO_NEW, BS_ID, self.group_key[target_group],
+            self._send(Kind.REKEY_TO_NEW, BS_ID, self._current_key(target_group),
                        f"CONFIRM|{new_node}".encode(), [gd], target_group)
             self._grant(gd, ind)
         elif ind.key_id in self.revoked_key_ids:
@@ -569,9 +573,10 @@ class NetworkState:
         envelopes.  When the adversary can open a rekey message it learns the
         carried key, so a compromised member keeps up with its own group's
         rotations but nothing else.  Each forged join claims a random
-        identity the adversary does not legitimately control; a group that
-        is not operational admits no join at all, and no group admits a node
-        that is already deployed.
+        identity the adversary does not legitimately control and targets a
+        random operational group; when no group is operational the replay
+        makes no forged joins.  No group admits a node that is already
+        deployed.
         """
         rng = random.Random(seed)
         ring = self.rings.get(profile.node, {})
@@ -595,8 +600,8 @@ class NetworkState:
         attempt_log: list[AttackAttempt] = []
         group_ids = sorted(gid for gid in self.group_dominator
                            if self._gid_valid(gid))
-        for _ in range(attempts):
-            target = rng.choice(group_ids) if group_ids else 0
+        for _ in range(attempts if group_ids else 0):
+            target = rng.choice(group_ids)
             claimed = rng.randrange(self.graph.n)
             if profile.node is not None and claimed == profile.node:
                 claimed = (claimed + 1) % self.graph.n
@@ -624,10 +629,10 @@ class NetworkState:
         else:
             payload = bytes(rng.randrange(256) for _ in range(len(plaintext) + 24))
 
-        # dominator-side validation: an operational group admits an undeployed
-        # node on its access list whose request opens under its individual key
-        if not (self._gid_valid(target_group) and claimed not in self.deployed
-                and self._on_access_list(claimed, target_group)):
+        # dominator-side validation: the target, an operational group, admits
+        # an undeployed node on its access list whose request opens under its
+        # individual key
+        if claimed in self.deployed or not self._on_access_list(claimed, target_group):
             return False
         try:
             decrypt(real, payload)

@@ -19,10 +19,6 @@ class Series:
     label: str
     points: tuple[tuple[float, float], ...]
 
-    @classmethod
-    def of(cls, label: str, xs: Sequence[float], ys: Sequence[float]) -> "Series":
-        return cls(label, tuple(zip(xs, ys)))
-
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if hi <= lo:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -277,20 +278,20 @@ def test_formation_validity_matches_networkx_on_churned_networks():
 
 # -- CSV writers -----------------------------------------------------------------
 
-def test_experiment_csv_columns(tmp_path):
-    rows = small_sweep(n_range=[20], seeds=2)
-    path = tmp_path / "sweep.csv"
-    analysis.write_experiment_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(analysis.EXPERIMENT_COLUMNS)
-    assert len(lines) == 3
-    assert lines[1].split(",")[1] == "20"
+SAMPLE_CELLS = {"int": (7, "7"), "float": (6.0, "6"), "str": ("clustered", "clustered")}
 
 
-def test_connectivity_csv(tmp_path):
-    rows = connectivity_curves([100, 200], [0.9, 0.999])
-    path = tmp_path / "fig12.csv"
-    analysis.write_connectivity_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,p_c,p,d,in_range"
-    assert len(lines) == 5
+@pytest.mark.parametrize("row_type", [analysis.ExperimentRow, analysis.StorageRow,
+                                      analysis.ConnectivityRow])
+def test_write_table_names_the_fields_and_formats_each_cell(row_type, tmp_path):
+    cols = dataclasses.fields(row_type)
+    rows = [row_type(**{f.name: flag if f.type == "bool" else SAMPLE_CELLS[f.type][0]
+                        for f in cols})
+            for flag in (True, False)]
+    path = tmp_path / "table.csv"
+    analysis.write_table(row_type, rows, path)
+    header, *lines = path.read_text().splitlines()
+    assert header == ",".join(f.name for f in cols)
+    assert [line.split(",") for line in lines] == [
+        [text if f.type == "bool" else SAMPLE_CELLS[f.type][1] for f in cols]
+        for text in ("true", "false")]

@@ -268,6 +268,19 @@ def test_bad_config_value_exits_2_before_any_file(tmp_path, capsys, content):
     assert not out.exists()
 
 
+def test_analyze_keeps_duplicate_list_entries_in_csv_but_draws_each_once(tmp_path):
+    assert run_cli("analyze", "--key-bits-list", "64,64", "--eta-values", "0,3",
+                   "--p-c", "0.9,0.9", "--curve-n", "50:100:50",
+                   "--out-dir", str(tmp_path)) == 0
+    fig10 = (tmp_path / "fig10.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:3] for row in fig10] == [["0", "64"], ["3", "64"]] * 2
+    fig12 = (tmp_path / "fig12.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in fig12] == \
+        [["50", "0.9"]] * 2 + [["100", "0.9"]] * 2
+    for svg in ("fig10.svg", "fig12.svg"):
+        assert (tmp_path / svg).read_text().count("<polyline") == 1, svg
+
+
 def test_analyze_takes_any_positive_key_length(tmp_path):
     assert run_cli("analyze", "--key-bits", "512", "--key-bits-list", "64,1024",
                    "--curve-n", "50:100:50", "--out-dir", str(tmp_path)) == 0
@@ -281,16 +294,17 @@ def test_analyze_takes_any_positive_key_length(tmp_path):
 # -- the CLI surface: option strings as of the parser's last redesign, with the
 #    default each option's help must show (None: no default to show)
 
-COMMON = {"--seed": "0", "--out-dir": "out", "--config": None, "-h": None, "--help": None}
+COMMON = {"--out-dir": "out", "--config": None, "-h": None, "--help": None}
+SEED = {"--seed": "0"}
 FIELD = {"--width": "500.0", "--height": "500.0"}
 SENSORS = {"--n": "100", "--radius": None, "--avg-degree": "6.0"}
 FIGURES = {"--eta-values": "0,3,5,9,12,15", "--key-bits-list": "64,128,256",
            "--curve-n": "10:2000:10", "--p-c": "0.9,0.99,0.999,0.9999"}
 SURFACE = {
-    "generate": {**SENSORS, **FIELD, **COMMON},
-    "form": {**SENSORS, **FIELD, **COMMON, "--eta": "9", "--key-bits": "128",
+    "generate": {**SENSORS, **FIELD, **SEED, **COMMON},
+    "form": {**SENSORS, **FIELD, **SEED, **COMMON, "--eta": "9", "--key-bits": "128",
              "--placement": "clustered", "--rho": None, "--rho-fraction": "0.25"},
-    "sweep": {**FIELD, **FIGURES, **COMMON, "--n-range6": "20:200:20",
+    "sweep": {**FIELD, **FIGURES, **SEED, **COMMON, "--n-range6": "20:200:20",
               "--n-range12": "40:200:20", "--seeds": "30", "--eta": "9",
               "--placement": "clustered", "--rho": None, "--key-bits": "128",
               "--workers": "1"},

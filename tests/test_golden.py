@@ -118,6 +118,13 @@ def test_analyze_writes_the_golden_figures(tmp_path):
     assert digests_of(tmp_path) == FIGURE_DIGESTS
 
 
+def test_analyze_ignores_a_seed_in_its_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    run("analyze", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert digests_of(tmp_path / "out") == FIGURE_DIGESTS
+
+
 @pytest.mark.parametrize(("placement", "seed"), list(FORM_DIGESTS))
 def test_form_writes_the_golden_files_from_a_config(tmp_path, placement, seed):
     cfg = tmp_path / "cfg.json"

@@ -704,8 +704,8 @@ def test_join_into_a_promoted_group_is_confirmed_by_the_bs():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_no_forged_join_is_admitted_into_a_revoked_group(seed):
-    # with every group revoked the forged joins still target group 0,
-    # which must refuse them all, even for the dominator's own members
+    # with every group revoked there is no group to forge a join into, so
+    # the replay only reads the trace
     plan = keying.build_plan(30, 4, 128, seed=seed)
     radius = udg.radius_for_expected_degree(30, 100, 100, 8)
     placement = Placement.clustered(radius / 4)
@@ -715,8 +715,9 @@ def test_no_forged_join_is_admitted_into_a_revoked_group(seed):
     for gid in sorted(state.group_dominator):
         state.revoke_group(gid)
     report = state.simulate_adversary(profile, 200, seed=seed)
-    assert {a.target_group for a in report.attempts} == {0}
-    assert report.admissions == 0
+    assert report.attempts == []
+    assert report.decrypted == state.simulate_adversary(profile, 0, seed=seed).decrypted
+    assert report.decrypted  # the dominator still opens its group's traffic
 
 
 def test_forged_joins_leave_the_network_nonces_alone():
