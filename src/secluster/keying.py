@@ -13,7 +13,12 @@ Keys come from a seeded SHA-256 counter generator, so a deployment plan is
 reproducible from its seed.  Secrecy is modeled: the encrypt/decrypt pair
 below behaves like an authenticated cipher (wrong or missing key => a
 detectable failure, never silent garbage), which is the only property the
-simulation observes.
+simulation observes.  Its keystream is SHA-256 of `ks|`, the secret, the
+nonce and an 8-byte big-endian block counter, 32 bytes per block, XORed
+onto the message; its tag is the first 16 bytes of SHA-256 of `tag|`, the
+secret, the nonce and the ciphertext.  Every message sent costs one seal,
+so `encrypt` builds the keystream prefix once and joins its blocks in one
+pass.
 """
 
 from __future__ import annotations
@@ -77,20 +82,11 @@ class KeyFactory:
         return Key(key_id=kid, bits=self.key_bits, secret=secret)
 
 
-def _keystream(secret: bytes, nonce: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(
-            b"ks|" + secret + nonce + counter.to_bytes(8, "big")).digest()
-        counter += 1
-    return bytes(out[:length])
-
-
-def _xor(data: bytes, stream: bytes) -> bytes:
-    # one big-integer XOR instead of a per-byte loop; stream is as long as data
-    n = len(data)
-    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
+def _keystream(prefix: bytes, length: int) -> bytes:
+    """SHA-256(prefix + counter) blocks for counters 0, 1, ..., joined; at
+    least `length` bytes."""
+    return b"".join([hashlib.sha256(prefix + i.to_bytes(8, "big")).digest()
+                     for i in range((length + 31) >> 5)])
 
 
 def encrypt(key: Key, nonce: bytes, plaintext: bytes) -> bytes:
@@ -101,8 +97,12 @@ def encrypt(key: Key, nonce: bytes, plaintext: bytes) -> bytes:
     """
     if len(nonce) != NONCE_BYTES:
         raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
-    ct = _xor(plaintext, _keystream(key.secret, nonce, len(plaintext)))
-    tag = hashlib.sha256(b"tag|" + key.secret + nonce + ct).digest()[:_TAG_LEN]
+    secret, n = key.secret, len(plaintext)
+    # one big-integer XOR with the stream cut to the plaintext's length
+    stream = _keystream(b"ks|" + secret + nonce, n)
+    ct = (int.from_bytes(plaintext, "big")
+          ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
+    tag = hashlib.sha256(b"tag|" + secret + nonce + ct).digest()[:_TAG_LEN]
     return nonce + ct + tag
 
 
@@ -111,10 +111,11 @@ def decrypt(key: Key, blob: bytes) -> bytes:
     if len(blob) < NONCE_BYTES + _TAG_LEN:
         raise DecryptError("ciphertext too short")
     nonce, ct, tag = (blob[:NONCE_BYTES], blob[NONCE_BYTES:-_TAG_LEN], blob[-_TAG_LEN:])
-    expect = hashlib.sha256(b"tag|" + key.secret + nonce + ct).digest()[:_TAG_LEN]
-    if tag != expect:
+    secret, n = key.secret, len(ct)
+    if tag != hashlib.sha256(b"tag|" + secret + nonce + ct).digest()[:_TAG_LEN]:
         raise DecryptError("authentication tag mismatch")
-    return _xor(ct, _keystream(key.secret, nonce, len(ct)))
+    stream = _keystream(b"ks|" + secret + nonce, n)
+    return (int.from_bytes(ct, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
 
 
 @dataclass

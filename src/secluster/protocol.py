@@ -20,9 +20,10 @@ each remaining member under its individual key so the leaver learns
 nothing).  Every membership change goes through three steps, each the
 only writer of its facts: `_enroll`/`_withdraw` (deployment, membership
 and dominator), `_rekey` (the group's key history and rekey log) and
-`_deliver` (a key sealed to its receivers, who then hold it).  An
-adversary can be injected to measure what the key discipline actually
-leaks.
+`_deliver` (a key sealed to its receivers, who then hold it).  A leave
+builds its key plaintext once and seals one copy of it under each
+remaining member's individual key.  An adversary can be injected to
+measure what the key discipline actually leaks.
 
 Everything is deterministic: ties break toward smaller node ids, rounds
 are processed in sorted order, and key material comes from the plan's
@@ -166,7 +167,9 @@ class AdversaryProfile:
 
     @classmethod
     def compromised_gd(cls, state: "NetworkState", group: int) -> "AdversaryProfile":
-        gd = state.group_dominator[group]
+        gd = state.group_dominator.get(group)
+        if gd is None:
+            raise ValueError(f"no group {group}")
         return cls(mode="COMPROMISED_GD", node=gd, held_keys=frozenset(state.rings[gd]))
 
 
@@ -291,28 +294,30 @@ class NetworkState:
             RekeyEvent(gid, old.key_id, new.key_id, cause, self._round))
         return old, new
 
-    def _deliver(self, kind: Kind, sender: int, under: Key, gid: int, key: Key,
-                 receivers: Collection[int]) -> None:
-        """Send group gid's key sealed under `under`; every receiver holds it."""
-        self._send(kind, sender, under, _key_payload(key, f"group:{gid}"),
-                   receivers, gid)
-        for r in receivers:
-            self._grant(r, key)
+    def _deliver(self, kind: Kind, sender: int, gid: int, key: Key,
+                 copies: Iterable[tuple[Key, Collection[int]]]) -> None:
+        """Send group gid's key once per `(under, receivers)` of `copies`,
+        sealed under `under`; every receiver holds it.  The plaintext is the
+        same in every copy, so it is built once."""
+        plaintext = _key_payload(key, f"group:{gid}")
+        for under, receivers in copies:
+            self._send(kind, sender, under, plaintext, receivers, gid)
+            for r in receivers:
+                self._grant(r, key)
 
     def _seal(self, kind: Kind, sender: int, key: Key, plaintext: bytes) -> Envelope:
+        """Seal plaintext under key with the network's next nonce; the only
+        writer of the nonce sequence."""
         self._nonce_counter += 1
-        nonce = self._nonce_counter.to_bytes(NONCE_BYTES, "big")
-        return Envelope(sender=sender, kind=kind, key_fingerprint=key.key_id,
-                        payload=encrypt(key, nonce, plaintext))
+        return Envelope(sender, kind, key.key_id, encrypt(
+            key, self._nonce_counter.to_bytes(NONCE_BYTES, "big"), plaintext))
 
     def _send(self, kind: Kind, sender: int, key: Key, plaintext: bytes,
               receivers: Iterable[int], group_id: Optional[int]) -> Envelope:
+        """Seal plaintext and record its broadcast by sender."""
         env = self._seal(kind, sender, key, plaintext)
-        self.trace.append(TraceEvent(
-            round=self._round, envelope=env,
-            receivers=tuple(sorted(receivers)), group_id=group_id,
-            transmitter=sender,
-        ))
+        self.trace.append(TraceEvent(self._round, env, tuple(sorted(receivers)),
+                                     group_id, sender))
         return env
 
     def group_of_node(self, node: int) -> Optional[int]:
@@ -418,15 +423,15 @@ class NetworkState:
                 self._send(Kind.REKEY_TO_NEW, BS_ID, self._current_key(gid),
                            f"ADOPT|{s}".encode(), [adopter], gid)
                 self._grant(adopter, ind)
-                self._deliver(Kind.REKEY_TO_NEW, BS_ID, ind, gid,
-                              self._current_key(gid), [s])
+                self._deliver(Kind.REKEY_TO_NEW, BS_ID, gid, self._current_key(gid),
+                              [(ind, [s])])
                 self._enroll(s, gid)
                 cm.orphan_events.append(OrphanEvent(s, "ADOPTED", adopter))
             elif nbrs[s]:
                 gid = len(self.group_dominator)  # group ids are dense
                 new_key = self.plan.factory.derive(f"group:{gid}")
                 self._open_group(gid, s, new_key)
-                self._deliver(Kind.REKEY_TO_NEW, BS_ID, ind, gid, new_key, [s])
+                self._deliver(Kind.REKEY_TO_NEW, BS_ID, gid, new_key, [(ind, [s])])
                 cm.ranks[s] = Rank.GDOS
                 cm.dominator_of[s] = s
                 cm.orphan_events.append(OrphanEvent(s, "PROMOTED"))
@@ -515,9 +520,9 @@ class NetworkState:
             return False
 
         old_key, new_key = self._rekey(target_group, "join")
-        self._deliver(Kind.REKEY_TO_NEW, gd, ind, target_group, new_key, [new_node])
-        self._deliver(Kind.REKEY_BCAST, gd, old_key, target_group, new_key,
-                      self.group_members[target_group])
+        self._deliver(Kind.REKEY_TO_NEW, gd, target_group, new_key, [(ind, [new_node])])
+        self._deliver(Kind.REKEY_BCAST, gd, target_group, new_key,
+                      [(old_key, self.group_members[target_group])])
         self._enroll(new_node, target_group)
         return True
 
@@ -536,9 +541,9 @@ class NetworkState:
                    f"LEAVE|{node}".encode(), [gd], gid)
         self._withdraw(node, gid)
         _old_key, new_key = self._rekey(gid, "leave")
-        for m in sorted(self.group_members[gid]):
-            self._deliver(Kind.REKEY_TO_NEW, gd, self.individual_key(m), gid,
-                          new_key, [m])
+        self._deliver(Kind.REKEY_TO_NEW, gd, gid, new_key,
+                      [(self.individual_key(m), [m])
+                       for m in sorted(self.group_members[gid])])
         return True
 
     def revoke_group(self, group_id: int) -> None:
@@ -546,8 +551,12 @@ class NetworkState:
 
         The group key and every member individual key the dominator held are
         revoked; the group goes silent.  Re-forming the stranded members is a
-        dominator-failure protocol and out of scope.
+        dominator-failure protocol and out of scope.  Revoking a group
+        again only records that in the audit log.
         """
+        if group_id in self.revoked_groups:
+            self._audit(f"revoke ignored: group {group_id} already revoked")
+            return
         self._round += 1
         if group_id not in self.group_dominator:
             self._audit(f"revoke ignored: no group {group_id}")

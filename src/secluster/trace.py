@@ -6,6 +6,11 @@ is stored as one `FloodEvent` and expanded into its origin broadcast and
 relays only when read, from the neighbourhood snapshot it holds.  A
 `Trace` therefore takes memory in proportion to the messages sent, not
 to the transmissions, and knows its length without expanding anything.
+
+`Envelope` and `TraceEvent` are immutable named tuples: one is built for
+every message sent, and a tuple is built in half the time of a frozen
+dataclass.  Being tuples, they compare equal to a plain tuple with the
+same values, and they can be unpacked and indexed in field order.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 
 class Kind(Enum):
@@ -26,8 +31,7 @@ class Kind(Enum):
     LEAVE = "LEAVE"
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One encrypted transmission.
 
     A receiver can open the payload iff it holds the key whose fingerprint
@@ -41,8 +45,7 @@ class Envelope:
     payload: bytes
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One local broadcast of `envelope` by `transmitter` to `receivers`."""
 
     round: int

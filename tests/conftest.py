@@ -1,12 +1,69 @@
-"""Test-wide settings.
+"""Test-wide settings and shared fixtures.
 
 Hypothesis runs derandomized, with no deadline and no example database, so
 every run of the suite tries the same examples and a slow shared host
 cannot fail a test on time alone.
 """
 
+import pytest
 from hypothesis import settings
+
+from secluster import keying, protocol, udg
+from secluster.analysis import derive_seed
+from secluster.protocol import Placement, Rank
 
 settings.register_profile("deterministic", deadline=None, derandomize=True,
                           database=None)
 settings.load_profile("deterministic")
+
+
+def _churned_form_network(placement_name, n=300, seed=1):
+    """The network `form --n 300 --placement <placement_name> --seed 1`
+    builds, with every v % 7 == 3 held back from formation, then a fixed
+    script: a join onto the access list, a join the base station confirms,
+    a join into a promoted group, a leave, the revocation of the confirmed
+    join's group, and a refused join by each of its stranded members that
+    hears an operational dominator."""
+    radius = udg.radius_for_expected_degree(n, 500.0, 500.0, 6.0)
+    placement = (Placement.uniform() if placement_name == "uniform"
+                 else Placement.clustered(radius * 0.25))
+    plan = keying.build_plan(n, 9, 128, derive_seed("plan", seed))
+    g = protocol.deploy_graph(plan, 500.0, 500.0, radius, placement,
+                              derive_seed("graph", seed))
+    held = {v for v in range(n) if v % 7 == 3}
+    state = protocol.form_network(g, plan, placement, derive_seed("form", seed),
+                                  deployed=set(range(n)) - held)
+
+    def hears(v):
+        # the operational groups whose dominator is in range of v, by id
+        return [gid for gid in sorted(state.group_dominator)
+                if state._gid_valid(gid) and v in g.neighbors(state.group_dominator[gid])]
+
+    def join_first(fits):
+        v, gid = min((v, gid) for v in held - state.deployed
+                     if state.individual_key(v) is not None
+                     for gid in hears(v) if fits(v, gid))
+        assert state.join_node(v, gid)
+        return gid
+
+    def own(v):
+        return plan.group_of(v).group_id
+
+    join_first(lambda v, gid: gid == own(v))
+    confirmed = join_first(lambda v, gid: gid != own(v) and gid < len(plan.groups))
+    join_first(lambda v, gid: gid >= len(plan.groups))
+    cm = state.cluster_map
+    assert state.leave_node(min(v for v in cm.dominator_of if cm.ranks[v] is Rank.OS))
+    stranded = sorted(state.group_members[confirmed])
+    state.revoke_group(confirmed)
+    refused = [(v, hears(v)[0]) for v in stranded if hears(v)]
+    assert refused
+    for v, gid in refused:
+        assert not state.join_node(v, gid)
+    return state
+
+
+@pytest.fixture
+def churned_form_network():
+    """Builds a fresh `_churned_form_network(placement_name)` per call."""
+    return _churned_form_network

@@ -169,9 +169,20 @@ def test_nonce_of_another_length_is_refused(length):
     assert decrypt(key, blob) == b"hello"
 
 
+def reference_keystream(secret, nonce, length):
+    """The keystream as first written: a counter loop over SHA-256 blocks."""
+    out = bytearray()
+    counter = 0
+    while len(out) < length:
+        out += hashlib.sha256(
+            b"ks|" + secret + nonce + counter.to_bytes(8, "big")).digest()
+        counter += 1
+    return bytes(out[:length])
+
+
 def per_byte_encrypt(key, nonce, plaintext):
     """The cipher as first written, XOR one byte at a time; pins the output."""
-    stream = keying._keystream(key.secret, nonce, len(plaintext))
+    stream = reference_keystream(key.secret, nonce, len(plaintext))
     ct = bytes(a ^ b for a, b in zip(plaintext, stream))
     tag = hashlib.sha256(b"tag|" + key.secret + nonce + ct).digest()[:16]
     return nonce + ct + tag
@@ -179,12 +190,18 @@ def per_byte_encrypt(key, nonce, plaintext):
 
 def per_byte_decrypt(key, blob):
     nonce, ct = blob[:8], blob[8:-16]
-    return bytes(a ^ b for a, b in zip(ct, keying._keystream(key.secret, nonce, len(ct))))
+    return bytes(a ^ b for a, b in zip(ct, reference_keystream(key.secret, nonce, len(ct))))
 
 
+# one keystream block is 32 bytes
 @given(bits=st.sampled_from(keying.SUPPORTED_KEY_BITS), label=st.text(max_size=8),
        nonce=st.binary(min_size=8, max_size=8), plaintext=st.binary(max_size=200))
 @example(bits=64, label="", nonce=bytes(8), plaintext=b"")
+@example(bits=128, label="a", nonce=bytes(8), plaintext=bytes(31))
+@example(bits=128, label="a", nonce=bytes(8), plaintext=bytes(32))
+@example(bits=128, label="a", nonce=bytes(8), plaintext=bytes(33))
+@example(bits=128, label="a", nonce=bytes(8), plaintext=bytes(64))
+@example(bits=128, label="a", nonce=bytes(8), plaintext=bytes(65))
 @example(bits=256, label="g", nonce=bytes(range(8)), plaintext=bytes(range(200)))
 def test_cipher_matches_the_per_byte_xor(bits, label, nonce, plaintext):
     key = keying.KeyFactory(seed=5, key_bits=bits).derive(label)

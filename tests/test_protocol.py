@@ -665,6 +665,27 @@ def test_revoked_member_cannot_rejoin():
     assert 5 not in state.deployed
 
 
+def test_a_second_revocation_only_writes_the_audit_log():
+    state = join_leave_network()
+    state.revoke_group(1)
+    assert state.audit_log[-1] == "group 1 revoked by BS"
+    before = (membership_record(state), set(state.revoked_groups),
+              set(state.revoked_key_ids), state._round, len(state.trace.records))
+    state.revoke_group(1)
+    assert state.audit_log[-2:] == ["group 1 revoked by BS",
+                                    "revoke ignored: group 1 already revoked"]
+    assert (membership_record(state), set(state.revoked_groups),
+            set(state.revoked_key_ids), state._round, len(state.trace.records)) == before
+
+
+def test_adversary_profiles_name_an_unknown_node_or_group():
+    state = join_leave_network()
+    with pytest.raises(ValueError, match="group 7"):
+        AdversaryProfile.compromised_gd(state, 7)
+    with pytest.raises(ValueError, match="node 0"):
+        AdversaryProfile.compromised_os(state, 0)  # a dominator
+
+
 def test_a_leaver_rejoins_its_group_without_the_keys_it_missed():
     # group 0 = {gd 0; 1, 2}: node 1 leaves, then node 2 leaves and node 5
     # joins, so group 0 rekeys three times while node 1 is away

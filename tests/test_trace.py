@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -151,6 +152,45 @@ def test_a_churned_network_leaves_its_plan_alone(tmp_path_factory, case):
     protocol.write_trace_csv(state.trace, tmp / "first.csv")
     protocol.write_trace_csv(again.trace, tmp / "second.csv")
     assert (tmp / "first.csv").read_bytes() == (tmp / "second.csv").read_bytes()
+
+
+def assert_each_envelope_sealed_once(state):
+    """The records' nonces are 1..N in order, so each envelope, a flood's
+    included, was sealed once with the network's next nonce; and each
+    opens under the key its fingerprint names in the network's vault."""
+    vault = state.plan.vault
+    keys = {k.key_id: k for k in vault.all_individual_keys.values()}
+    keys.update((k.key_id, k) for h in vault.group_key_history.values() for k in h)
+    envelopes = [rec.envelope for rec in state.trace.records]
+    assert [int.from_bytes(env.payload[:keying.NONCE_BYTES], "big")
+            for env in envelopes] == list(range(1, len(envelopes) + 1))
+    for env in envelopes:
+        keying.decrypt(keys[env.key_fingerprint], env.payload)
+
+
+@given(churn_case())
+def test_a_churned_network_seals_each_envelope_once(case):
+    g, plan_args, held, ops = case
+    state = churned(NetworkState, g, keying.build_plan(*plan_args), held, ops)
+    # a replay's forged joins are sealed too, but never sent, so the leave
+    # after it takes the next nonces
+    state.simulate_adversary(AdversaryProfile.compromised_gd(state, 0), 20, seed=0)
+    members = sorted(m for ms in state.group_members.values() for m in ms)
+    if members:
+        state.leave_node(members[0])
+    assert_each_envelope_sealed_once(state)
+
+
+@pytest.mark.parametrize("placement", ["uniform", "clustered"])
+def test_the_golden_churned_network_seals_each_envelope_once(churned_form_network,
+                                                              placement):
+    state = churned_form_network(placement)
+    assert any(type(rec) is FloodEvent for rec in state.trace.records)
+    cm = state.cluster_map
+    spy = min(v for v in cm.dominator_of if cm.ranks[v] is Rank.OS)
+    state.simulate_adversary(AdversaryProfile.compromised_os(state, spy), 200, seed=0)
+    assert state.leave_node(spy)
+    assert_each_envelope_sealed_once(state)
 
 
 def test_empty_trace_has_no_events_and_a_header_only_csv(tmp_path):
