@@ -98,8 +98,8 @@ def formation_validity(state: protocol.NetworkState) -> domsets.DomsetReport:
     a mediator.
     """
     cm = state.cluster_map
-    active = (set(cm.ranks) & state.deployed) - cm.unreachable()
-    return domsets.classify(state.graph, cm.dominator_set() & active, active)
+    active = state.deployed - cm.unreachable()
+    return domsets.classify(state.graph, cm.dominator_set(), active)
 
 
 def run_experiment_cell(n: int, eta: int, avg_degree: float,

@@ -125,7 +125,7 @@ def cmd_form(args, parser) -> int:
           f"orphans_adopted={by_resolution['ADOPTED']} "
           f"orphans_promoted={by_resolution['PROMOTED']} "
           f"orphans_unreachable={by_resolution['UNREACHABLE']} "
-          f"mediators={len(cm.mediators)}")
+          f"mediators={len(cm.mediators())}")
     print(f"wrote {out / 'plan.csv'}, {out / 'clustermap.csv'}, {out / 'trace.csv'}")
     return 0
 

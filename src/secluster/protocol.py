@@ -20,9 +20,9 @@ each remaining member under its individual key so the leaver learns
 nothing).  Every membership change goes through three steps, each the
 only writer of its facts: `_enroll`/`_withdraw` (deployment, membership
 and dominator), `_rekey` (the group's key history and rekey log) and
-`_deliver` (a key sealed to its receivers, who then hold it).  A leave
-builds its key plaintext once and seals one copy of it under each
-remaining member's individual key.  An adversary can be injected to
+`_deliver` (a key sealed to its receivers, who then hold it).  The
+dominator set and the mediators are read from the dominator record, so
+they describe the live network.  An adversary can be injected to
 measure what the key discipline actually leaks.
 
 Everything is deterministic: ties break toward smaller node ids, rounds
@@ -35,7 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Collection, Iterable, Optional
@@ -129,17 +129,33 @@ class RekeyEvent:
 
 @dataclass
 class ClusterMap:
-    """Outcome of cluster formation plus the membership-change history."""
+    """Outcome of cluster formation plus the membership-change history.
 
+    `dominator_of` is the one record of who leads whom in the live network;
+    d is a live dominator iff `dominator_of.get(d) == d`.  The dominator
+    set and the mediators are derived from it on read, so they follow churn.
+    """
+
+    graph: UnitDiskGraph = field(repr=False, compare=False)
     ranks: dict[int, Rank]
-    dominator_of: dict[int, int]  # absent for UNREACHABLE nodes
-    mediators: dict[int, frozenset[int]]  # node -> foreign dominators bridged
+    dominator_of: dict[int, int]  # deployed nodes only; absent for UNREACHABLE
     orphan_events: list[OrphanEvent]
     rekey_log: list[RekeyEvent]
 
     def dominator_set(self) -> frozenset[int]:
-        return frozenset(v for v, r in self.ranks.items()
-                         if r in (Rank.GD, Rank.GDOS))
+        """The live dominators."""
+        return frozenset(v for v, d in self.dominator_of.items() if v == d)
+
+    def mediators(self) -> dict[int, frozenset[int]]:
+        """Each deployed member that hears a live dominator other than its
+        own, mapped to those foreign dominators."""
+        doms = self.dominator_set()
+        out = {}
+        for s, own in self.dominator_of.items():
+            foreign = (self.graph.neighbors(s) & doms) - {own}
+            if s != own and foreign:
+                out[s] = foreign
+        return out
 
     def unreachable(self) -> frozenset[int]:
         return frozenset(e.node for e in self.orphan_events
@@ -240,7 +256,7 @@ class NetworkState:
         self._nonce_counter = 0
 
         self.cluster_map = ClusterMap(
-            ranks={}, dominator_of={}, mediators={},
+            graph=graph, ranks={}, dominator_of={},
             orphan_events=[], rekey_log=[],
         )
 
@@ -437,8 +453,6 @@ class NetworkState:
                 cm.orphan_events.append(OrphanEvent(s, "PROMOTED"))
             else:
                 cm.orphan_events.append(OrphanEvent(s, "UNREACHABLE"))
-
-        self._record_mediators()
         return cm
 
     def _flood(self, kind: Kind, origin: int, key: Key, plaintext: bytes,
@@ -454,31 +468,15 @@ class NetworkState:
         env = self._seal(kind, origin, key, plaintext)
         self.trace.append(FloodEvent(self._round, env, group_id, reach[origin], nbrs))
 
-    def _record_mediators(self) -> None:
-        # A mediator is a dominated node that additionally hears at least one
-        # foreign dominator.  Ground-truth adjacency is equivalent to the
-        # overheard-request bookkeeping for planned GDs and extends it to
-        # nodes promoted during adjudication.
-        cm = self.cluster_map
-        doms = cm.dominator_set()
-        for s in sorted(cm.ranks):
-            if cm.ranks[s] is not Rank.OS or s not in cm.dominator_of:
-                continue
-            own = cm.dominator_of[s]
-            foreign = frozenset(d for d in self.graph.neighbors(s) & doms
-                                if d != own)
-            if foreign:
-                cm.mediators[s] = foreign
-
     # -- membership dynamics -----------------------------------------------
 
     def _audit(self, message: str) -> None:
         self.audit_log.append(message)
 
     def _gid_valid(self, group_id: int) -> bool:
-        return (group_id in self.group_dominator
-                and group_id not in self.revoked_groups
-                and self.group_dominator[group_id] in self.deployed)
+        # operational iff its dominator is live: deployed and not revoked
+        gd = self.group_dominator.get(group_id)
+        return gd is not None and self.cluster_map.dominator_of.get(gd) == gd
 
     def join_node(self, new_node: int, target_group: int) -> bool:
         """Deploy a pre-provisioned node into a group.  True iff admitted."""
@@ -529,7 +527,7 @@ class NetworkState:
     def leave_node(self, node: int) -> bool:
         """Withdraw a member from its group.  True iff a rekey happened."""
         self._round += 1
-        if self.cluster_map.ranks.get(node) in (Rank.GD, Rank.GDOS):
+        if self.cluster_map.dominator_of.get(node) == node:
             self._audit(f"leave denied: node {node} is a dominator")
             return False
         gid = self.group_of_node(node)
@@ -704,11 +702,12 @@ def write_clustermap_csv(cm: ClusterMap, path: Path | str) -> None:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["node_id", "rank", "dominator", "is_mediator",
                     "orphan_resolution"])
+        mediators = cm.mediators()
         for node in sorted(cm.ranks):
             w.writerow([
                 node,
                 cm.ranks[node].value,
                 cm.dominator_of.get(node, -1),
-                "true" if node in cm.mediators else "false",
+                "true" if node in mediators else "false",
                 resolution.get(node, ""),
             ])

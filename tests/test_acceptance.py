@@ -205,7 +205,7 @@ def test_c8_protocol_soundness():
                 report = analysis.formation_validity(state)
                 assert report.is_dominating, (placement.describe(), n, seed)
                 assert isinstance(report.is_wcds, bool)
-                for node, foreign in cm.mediators.items():
+                for node, foreign in cm.mediators().items():
                     own = cm.dominator_of[node]
                     assert own in g.neighbors(node)
                     assert foreign

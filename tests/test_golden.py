@@ -11,7 +11,10 @@ from the program as it was before every membership change went through
 one enrol/withdraw pair, one rekey step and one key-delivery step.  The
 adversary digests, which cover the replay's decryptions and forged joins,
 were taken from the program as it was before envelopes became named
-tuples sealed in one step.  A change meant to keep every output
+tuples sealed in one step.  The churned clustermap digests are a new pin,
+taken once the dominator set and the mediators were read from the live
+dominator record (before, a churned clustermap kept the mediators of
+formation time).  A change meant to keep every output
 byte-identical must keep them; a change that alters an output on purpose
 updates them and says why.
 """
@@ -71,6 +74,11 @@ ENVELOPE_DIGESTS = {
 ADVERSARY_DIGESTS = {
     "uniform": "47a2010ebe6d0b30ed2345495d8de02e24d0bce5a8cc6f0385df52aaa3c9ecac",
     "clustered": "f205d072f20c1861a8968664d34f081fbab3d4b0050e998ed33e2167f7831d0c",
+}
+# write_clustermap_csv of churned_form_network(placement)
+CHURNED_CLUSTERMAP_DIGESTS = {
+    "uniform": "0aa4e9bcf64ee26e3e69757b0c2212afa0effab95a24f4294fed232b2824c242",
+    "clustered": "ca1b95eb5ee23c4ba321522993df7eaf1f162cb2ea8c889eb06c0a0b01a975f7",
 }
 GENERATE_DIGESTS = {  # generate --n 500 --seed 3
     "nodes.csv": "13e610c204775c1771d58c3f7370a83aa2234f9e39b9ad8785586b0c99b91224",
@@ -197,3 +205,11 @@ def test_a_churned_network_gives_the_golden_adversary_reports(churned_form_netwo
                                                                placement):
     state = churned_form_network(placement)
     assert adversary_digest(state) == ADVERSARY_DIGESTS[placement]
+
+
+@pytest.mark.parametrize("placement", list(CHURNED_CLUSTERMAP_DIGESTS))
+def test_a_churned_network_writes_the_golden_clustermap(churned_form_network,
+                                                         placement, tmp_path):
+    state = churned_form_network(placement)
+    protocol.write_clustermap_csv(state.cluster_map, tmp_path / "clustermap.csv")
+    assert sha256(tmp_path / "clustermap.csv") == CHURNED_CLUSTERMAP_DIGESTS[placement]

@@ -188,13 +188,33 @@ def test_mediator_recorded_with_adjacency():
     g, plan = two_groups_linear()
     cm = form_network(g, plan, Placement.uniform(), seed=1).cluster_map
     # os 1 hears both dominators; os 3 hears only its own
-    assert cm.mediators == {1: frozenset({2})}
-    for node, foreign in cm.mediators.items():
+    assert cm.mediators() == {1: frozenset({2})}
+    for node, foreign in cm.mediators().items():
         own = cm.dominator_of[node]
         assert own in g.neighbors(node)
         for d in foreign:
             assert d in g.neighbors(node)
             assert d != own
+
+
+def test_mediators_and_dominators_follow_leaves_joins_and_revocations(tmp_path):
+    # os 1 hears its own GD 0 and the foreign GD 2 until it leaves
+    g, plan = two_groups_linear()
+    state = form_network(g, plan, Placement.uniform(), seed=1)
+    cm = state.cluster_map
+    assert state.leave_node(1)
+    assert 1 not in cm.mediators()
+    protocol.write_clustermap_csv(cm, tmp_path / "cm.csv")
+    assert (tmp_path / "cm.csv").read_text().splitlines()[2] == "1,Os,-1,false,"
+    # node 5 joins group 1 and hears GD 0, so it bridges to group 0 until
+    # group 0 is revoked; then no entry names GD 0, and GD 0 is no dominator
+    state = join_leave_network()
+    cm = state.cluster_map
+    assert state.join_node(5, 1)
+    assert cm.mediators() == {5: frozenset({0})}
+    state.revoke_group(0)
+    assert cm.mediators() == {}
+    assert cm.dominator_set() == {3}
 
 
 def test_error_flood_is_relayed_without_decryption():
@@ -253,7 +273,7 @@ def test_formation_is_deterministic():
     cm2, t2 = run()
     assert cm1.dominator_of == cm2.dominator_of
     assert cm1.ranks == cm2.ranks
-    assert cm1.mediators == cm2.mediators
+    assert cm1.mediators() == cm2.mediators()
     assert cm1.orphan_events == cm2.orphan_events
     assert t1 == t2
 
@@ -406,6 +426,22 @@ def test_dominator_cannot_leave():
     assert any("dominator" in msg for msg in state.audit_log)
     assert not state.leave_node(42)  # unknown node: audited no-op
     assert len(state.audit_log) == 2
+
+
+def test_a_revoked_dominator_is_no_group_member():
+    state = join_leave_network()
+    state.revoke_group(1)
+    assert not state.leave_node(3)
+    assert state.audit_log[-1] == "leave ignored: node 3 is not a group member"
+
+
+def test_a_join_into_a_revoked_or_unknown_group_is_refused():
+    state = join_leave_network()
+    state.revoke_group(1)
+    for gid in (1, 7):
+        assert not state.join_node(5, gid)
+        assert state.audit_log[-1] == f"join denied: group {gid} not operational"
+    assert 5 not in state.deployed
 
 
 def test_key_rings_match_the_join_leave_history():

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from secluster import keying, protocol, udg
 from secluster.protocol import AdversaryProfile, Kind, NetworkState, Placement, Rank
@@ -29,9 +30,9 @@ class EagerFloodState(NetworkState):
 
 
 @st.composite
-def churn_case(draw):
-    """A random UDG, the arguments of its plan, some nodes held back from
-    formation, and a list of join, leave and revocation steps."""
+def network_case(draw):
+    """A random UDG, the arguments of its plan, and some nodes held back
+    from formation."""
     n = draw(st.integers(2, 40))
     side = draw(st.floats(5.0, 60.0))
     pts = [Point(*draw(st.tuples(st.floats(0, side), st.floats(0, side))))
@@ -40,10 +41,17 @@ def churn_case(draw):
     eta = draw(st.integers(0, 6))
     seed = draw(st.integers(0, 2**16))
     held = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    return udg.from_positions(pts, radius), (n, eta, 64, seed), held
+
+
+@st.composite
+def churn_case(draw):
+    """A `network_case` and a list of join, leave and revocation steps."""
+    g, plan_args, held = draw(network_case())
     ops = draw(st.lists(st.tuples(st.sampled_from(["join", "leave", "revoke"]),
                                   st.integers(0, 10**6), st.integers(0, 10**6)),
                         max_size=12))
-    return udg.from_positions(pts, radius), (n, eta, 64, seed), held, ops
+    return g, plan_args, held, ops
 
 
 def churned(cls, g, plan, held, ops):
@@ -191,6 +199,137 @@ def test_the_golden_churned_network_seals_each_envelope_once(churned_form_networ
     state.simulate_adversary(AdversaryProfile.compromised_os(state, spy), 200, seed=0)
     assert state.leave_node(spy)
     assert_each_envelope_sealed_once(state)
+
+
+def assert_views_match_the_live_map(state):
+    """dominator_set() and mediators() equal a recomputation, pair by pair,
+    from the graph, the deployed set and dominator_of."""
+    cm, g = state.cluster_map, state.graph
+    doms = {d for d in state.deployed if cm.dominator_of.get(d) == d}
+    # the group records agree: a dominator is live iff it is deployed and
+    # its group is not revoked
+    assert doms == {gd for gid, gd in state.group_dominator.items()
+                    if gid not in state.revoked_groups and gd in state.deployed}
+    assert cm.dominator_set() == doms
+    mediators = {}
+    for s in state.deployed:
+        own = cm.dominator_of.get(s)
+        foreign = frozenset(d for d in doms if d != own and d in g.neighbors(s))
+        if own is not None and own != s and foreign:
+            mediators[s] = foreign
+    assert cm.mediators() == mediators
+
+
+@pytest.mark.parametrize("placement", ["uniform", "clustered"])
+def test_the_golden_churned_network_reads_its_views_from_the_live_map(
+        churned_form_network, placement):
+    state = churned_form_network(placement)
+    assert state.revoked_groups
+    assert_views_match_the_live_map(state)
+
+
+class ChurnedNetwork(RuleBasedStateMachine):
+    """Joins, leaves, revocations and outsider replays on a small network,
+    with the membership invariants checked after every step."""
+
+    @initialize(case=network_case())
+    def form(self, case):
+        g, plan_args, held = case
+        self.plan = keying.build_plan(*plan_args)
+        self.fresh = keying.build_plan(*plan_args)  # never given to a network
+        self.state = NetworkState(g, self.plan, deployed=set(range(g.n)) - held)
+        self.state.form()
+        # leaver -> (its group, that group's key count when it left)
+        self.away: dict[int, tuple[int, int]] = {}
+        # node -> key ids its groups minted while it was out, once it rejoined
+        self.missed: dict[int, set[str]] = {}
+
+    def _minted_since(self, gid, since):
+        return {k.key_id for k in self.state.plan.vault.group_key_history[gid][since:]}
+
+    @rule(a=st.integers(0, 10**6), b=st.integers(0, 10**6))
+    def join(self, a, b):
+        # held-back nodes, leavers and revoked members try to join a group
+        # whose dominator hears them, operational or not
+        state, g = self.state, self.state.graph
+        out = sorted(set(range(g.n)) - state.deployed)
+        if not out:
+            return
+        v = out[a % len(out)]
+        gids = [gid for gid in sorted(state.group_dominator)
+                if v in g.neighbors(state.group_dominator[gid])]
+        if not gids:
+            return
+        pending = self._minted_since(*self.away[v]) if v in self.away else set()
+        if state.join_node(v, gids[b % len(gids)]) and v in self.away:
+            del self.away[v]
+            self.missed.setdefault(v, set()).update(pending)
+
+    @rule(a=st.integers(0, 10**6))
+    def leave(self, a):
+        # any deployed node: only a group member leaves, dominators and
+        # UNREACHABLE orphans are refused
+        state = self.state
+        deployed = sorted(state.deployed)
+        if not deployed:
+            return
+        v = deployed[a % len(deployed)]
+        gid = next((gid for gid, ms in state.group_members.items() if v in ms), None)
+        since = None if gid is None else len(state.plan.vault.group_key_history[gid])
+        assert state.leave_node(v) == (gid is not None)
+        if gid is not None:
+            self.away[v] = (gid, since)
+
+    @rule(a=st.integers(0, 10**6))
+    def revoke(self, a):
+        gids = sorted(self.state.group_dominator)
+        self.state.revoke_group(gids[a % len(gids)])
+
+    @rule(attempts=st.integers(0, 10), seed=st.integers(0, 2**16))
+    def outsider_replay(self, attempts, seed):
+        deployed = set(self.state.deployed)
+        report = self.state.simulate_adversary(AdversaryProfile.outsider(),
+                                               attempts, seed)
+        assert report.decrypted == [] and report.admissions == 0
+        assert self.state.deployed == deployed
+
+    # The invariants assert on small values only: pytest's report of a
+    # failed assert would print every object named in it, graph included,
+    # on each of the shrinker's many runs.
+
+    @invariant()
+    def active_set_is_dominated(self):
+        state = self.state
+        doms = state.cluster_map.dominator_set()
+        undominated = [v for v in state.deployed - state.cluster_map.unreachable()
+                       if v not in doms and not state.graph.neighbors(v) & doms]
+        assert undominated == []
+
+    @invariant()
+    def vault_covers_every_ring_and_the_plan_is_untouched(self):
+        vault = self.state.plan.vault
+        recorded = {k.key_id for k in vault.all_individual_keys.values()}
+        recorded |= {k.key_id for h in vault.group_key_history.values() for k in h}
+        held = {kid for ring in self.state.rings.values() for kid in ring}
+        assert held - recorded == set()
+        assert (self.plan.vault, self.plan.groups) == (self.fresh.vault, self.fresh.groups)
+
+    @invariant()
+    def leavers_hold_no_key_minted_while_out(self):
+        rings = self.state.rings
+        leaked = [v for v, (gid, since) in self.away.items()
+                  if self._minted_since(gid, since) & rings[v].keys()]
+        leaked += [v for v, missed in self.missed.items() if missed & rings[v].keys()]
+        assert leaked == []
+
+    @invariant()
+    def membership_and_views_agree(self):
+        assert_membership_agrees(self.state)
+        assert_views_match_the_live_map(self.state)
+
+
+TestChurnedNetwork = ChurnedNetwork.TestCase
+TestChurnedNetwork.settings = settings(max_examples=100, stateful_step_count=30)
 
 
 def test_empty_trace_has_no_events_and_a_header_only_csv(tmp_path):
