@@ -149,7 +149,6 @@ class DeploymentPlan:
     n: int
     eta: int
     key_bits: int
-    seed: int
     groups: tuple[GroupRecord, ...]
     vault: BaseStationVault
     factory: KeyFactory
@@ -167,14 +166,10 @@ class DeploymentPlan:
         return len(self.groups) + sum(len(g.members) for g in self.groups)
 
     def group_of(self, node: int) -> GroupRecord:
-        return self.groups[self._node_group[node]]
-
-    def __post_init__(self):
-        self._node_group: dict[int, int] = {}
-        for g in self.groups:
-            self._node_group[g.dominator] = g.group_id
-            for m in g.members:
-                self._node_group[m] = g.group_id
+        """The group node was planned into; `build_plan` chunks ids in order."""
+        if not 0 <= node < self.n:
+            raise KeyError(node)
+        return self.groups[node // (self.eta + 1)]
 
 
 def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
@@ -208,7 +203,7 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
             individual_keys=individual,
         ))
     return DeploymentPlan(
-        n=n, eta=eta, key_bits=key_bits, seed=seed,
+        n=n, eta=eta, key_bits=key_bits,
         groups=tuple(groups), vault=vault, factory=factory,
     )
 

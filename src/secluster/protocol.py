@@ -21,9 +21,10 @@ nothing).  Every membership change goes through three steps, each the
 only writer of its facts: `_enroll`/`_withdraw` (deployment, membership
 and dominator), `_rekey` (the group's key history and rekey log) and
 `_deliver` (a key sealed to its receivers, who then hold it).  The
-dominator set and the mediators are read from the dominator record, so
-they describe the live network.  An adversary can be injected to
-measure what the key discipline actually leaks.
+ranks, the dominator set and the mediators are read from the dominator
+record, so they describe the live network; `ClusterMap.ranks` builds a
+dict on each read, so a caller reads it once.  An adversary can be
+injected to measure what the key discipline actually leaks.
 
 Everything is deterministic: ties break toward smaller node ids, rounds
 are processed in sorted order, and key material comes from the plan's
@@ -132,15 +133,25 @@ class ClusterMap:
     """Outcome of cluster formation plus the membership-change history.
 
     `dominator_of` is the one record of who leads whom in the live network;
-    d is a live dominator iff `dominator_of.get(d) == d`.  The dominator
-    set and the mediators are derived from it on read, so they follow churn.
+    d is a live dominator iff `dominator_of.get(d) == d`.  The ranks, the
+    dominator set and the mediators are derived from it on read, so they
+    follow churn; each read builds them afresh, so read them once.
     """
 
     graph: UnitDiskGraph = field(repr=False, compare=False)
-    ranks: dict[int, Rank]
     dominator_of: dict[int, int]  # deployed nodes only; absent for UNREACHABLE
     orphan_events: list[OrphanEvent]
     rekey_log: list[RekeyEvent]
+
+    @property
+    def ranks(self) -> dict[int, Rank]:
+        """Each deployed node's rank: GDos for a live dominator formation
+        promoted, GD for any other, Os for the rest (UNREACHABLE included)."""
+        promoted = {e.node for e in self.orphan_events if e.resolution == "PROMOTED"}
+        ranks = dict.fromkeys(self.unreachable(), Rank.OS)
+        for v, d in self.dominator_of.items():
+            ranks[v] = Rank.OS if v != d else Rank.GDOS if v in promoted else Rank.GD
+        return ranks
 
     def dominator_set(self) -> frozenset[int]:
         """The live dominators."""
@@ -256,9 +267,7 @@ class NetworkState:
         self._nonce_counter = 0
 
         self.cluster_map = ClusterMap(
-            graph=graph, ranks={}, dominator_of={},
-            orphan_events=[], rekey_log=[],
-        )
+            graph=graph, dominator_of={}, orphan_events=[], rekey_log=[])
 
         self._predistribute()
 
@@ -287,7 +296,6 @@ class NetworkState:
     def _enroll(self, node: int, gid: int) -> None:
         """Make node a deployed ordinary member of group gid."""
         self.deployed.add(node)
-        self.cluster_map.ranks[node] = Rank.OS
         self.cluster_map.dominator_of[node] = self.group_dominator[gid]
         self.group_members[gid].add(node)
 
@@ -373,7 +381,6 @@ class NetworkState:
 
         for g in plan.groups:
             if g.dominator in self.deployed:
-                cm.ranks[g.dominator] = Rank.GD
                 cm.dominator_of[g.dominator] = g.dominator
 
         # round 1: join requests; s is on its planned group's access list
@@ -381,14 +388,13 @@ class NetworkState:
         self._round = 1
         approvals: dict[int, list[int]] = {gid: [] for gid in self.group_dominator}
         for s in sorted(self.deployed):
-            if cm.ranks.get(s) is Rank.GD:
+            if cm.dominator_of.get(s) == s:
                 continue
-            cm.ranks[s] = Rank.OS
             gid = plan.group_of(s).group_id
             self._send(Kind.JOIN_REQ, s, self.individual_key(s),
                        f"JOIN_REQ|{s}".encode(), nbrs[s], gid)
             gd = self.group_dominator[gid]
-            if cm.ranks.get(gd) is Rank.GD and gd in self.graph.neighbors(s):
+            if cm.dominator_of.get(gd) == gd and gd in self.graph.neighbors(s):
                 approvals[gid].append(s)
 
         # round 2: join approvals under the group key
@@ -407,12 +413,11 @@ class NetworkState:
         # round 3: orphan error floods and dominator reports
         self._round = 3
         gid_of = self._gid_of_dominator
-        orphans = sorted(s for s in self.deployed
-                         if cm.ranks.get(s) is Rank.OS and s not in cm.dominator_of)
+        orphans = sorted(self.deployed - cm.dominator_of.keys())
         reports: dict[int, list[int]] = {}  # orphan -> dominators in range, by id
         reach: dict[int, int] = {}  # node -> size of its component in nbrs
         for s in orphans:
-            gds = reports[s] = [nb for nb in nbrs[s] if cm.ranks.get(nb) is Rank.GD]
+            gds = reports[s] = [nb for nb in nbrs[s] if cm.dominator_of.get(nb) == nb]
             # the orphan heard the approvals of these; its own dominator is not
             # in range, so it could open none of them
             heard = [gd for gd in gds if approvals[gid_of[gd]]]
@@ -448,7 +453,6 @@ class NetworkState:
                 new_key = self.plan.factory.derive(f"group:{gid}")
                 self._open_group(gid, s, new_key)
                 self._deliver(Kind.REKEY_TO_NEW, BS_ID, gid, new_key, [(ind, [s])])
-                cm.ranks[s] = Rank.GDOS
                 cm.dominator_of[s] = s
                 cm.orphan_events.append(OrphanEvent(s, "PROMOTED"))
             else:
@@ -703,10 +707,10 @@ def write_clustermap_csv(cm: ClusterMap, path: Path | str) -> None:
         w.writerow(["node_id", "rank", "dominator", "is_mediator",
                     "orphan_resolution"])
         mediators = cm.mediators()
-        for node in sorted(cm.ranks):
+        for node, rank in sorted(cm.ranks.items()):
             w.writerow([
                 node,
-                cm.ranks[node].value,
+                rank.value,
                 cm.dominator_of.get(node, -1),
                 "true" if node in mediators else "false",
                 resolution.get(node, ""),

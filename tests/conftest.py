@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from secluster import keying, protocol, udg
 from secluster.analysis import derive_seed
-from secluster.protocol import Placement, Rank
+from secluster.protocol import Placement
 
 settings.register_profile("deterministic", deadline=None, derandomize=True,
                           database=None)
@@ -53,7 +53,7 @@ def _churned_form_network(placement_name, n=300, seed=1):
     confirmed = join_first(lambda v, gid: gid != own(v) and gid < len(plan.groups))
     join_first(lambda v, gid: gid >= len(plan.groups))
     cm = state.cluster_map
-    assert state.leave_node(min(v for v in cm.dominator_of if cm.ranks[v] is Rank.OS))
+    assert state.leave_node(min(v for v, d in cm.dominator_of.items() if d != v))
     stranded = sorted(state.group_members[confirmed])
     state.revoke_group(confirmed)
     refused = [(v, hears(v)[0]) for v in stranded if hears(v)]

@@ -202,6 +202,7 @@ def test_c8_protocol_soundness():
                                               placement, seed)
                 state = protocol.form_network(g, plan, placement, seed)
                 cm = state.cluster_map
+                ranks = cm.ranks
                 report = analysis.formation_validity(state)
                 assert report.is_dominating, (placement.describe(), n, seed)
                 assert isinstance(report.is_wcds, bool)
@@ -212,8 +213,7 @@ def test_c8_protocol_soundness():
                     for dom in foreign:
                         assert dom != own
                         assert dom in g.neighbors(node)
-                        assert cm.ranks[dom] in (protocol.Rank.GD,
-                                                 protocol.Rank.GDOS)
+                        assert ranks[dom] in (protocol.Rank.GD, protocol.Rank.GDOS)
                 checked += 1
     assert checked == 60
 

@@ -200,7 +200,8 @@ def test_uniform_sweep_counts_promotions():
 # -- formation validity ----------------------------------------------------------
 
 def churned_state(seed):
-    """A formed network with held-back nodes, then joins, leaves and a revocation.
+    """A formed network with held-back nodes, then joins, leaves and a
+    revocation; returned with the set of nodes held back from formation.
 
     Size, density, eta and placement are drawn from the seed, so across
     seeds the states include UNREACHABLE orphans, promoted groups, joins on
@@ -226,13 +227,13 @@ def churned_state(seed):
         if groups and rng.random() < 0.7:
             state.join_node(v, rng.choice(groups))
     cm = state.cluster_map
-    members = sorted(v for v in cm.dominator_of if cm.ranks[v] is protocol.Rank.OS)
+    members = sorted(v for v, d in cm.dominator_of.items() if d != v)
     for v in rng.sample(members, min(len(members), rng.randrange(0, 4))):
         state.leave_node(v)
     live = [gid for gid in sorted(state.group_dominator) if state._gid_valid(gid)]
     if live and rng.random() < 0.4:
         state.revoke_group(rng.choice(live))
-    return state
+    return state, held
 
 
 def reference_validity(state):
@@ -259,11 +260,11 @@ def reference_validity(state):
 def test_formation_validity_matches_networkx_on_churned_networks():
     seen = Counter()
     for seed in range(80):
-        state = churned_state(seed)
+        state, held = churned_state(seed)
         report = analysis.formation_validity(state)
         assert report == reference_validity(state), seed
         cm = state.cluster_map
-        seen["held back"] += len(cm.ranks) < state.plan.n
+        seen["held back"] += len(held)
         seen["unreachable"] += bool(cm.unreachable())
         seen["joined"] += any(e.cause == "join" for e in cm.rekey_log)
         seen["joined a promoted group"] += any(

@@ -28,7 +28,6 @@ import pytest
 
 from secluster import protocol
 from secluster.cli import main
-from secluster.protocol import Rank
 from secluster.trace import FloodEvent
 
 FORM_DIGESTS = {
@@ -77,8 +76,8 @@ ADVERSARY_DIGESTS = {
 }
 # write_clustermap_csv of churned_form_network(placement)
 CHURNED_CLUSTERMAP_DIGESTS = {
-    "uniform": "0aa4e9bcf64ee26e3e69757b0c2212afa0effab95a24f4294fed232b2824c242",
-    "clustered": "ca1b95eb5ee23c4ba321522993df7eaf1f162cb2ea8c889eb06c0a0b01a975f7",
+    "uniform": "5daad717a607b13533e7d8ed06566837e5d5bb7de4c739cc0529f632bb8f8800",
+    "clustered": "c7947701dc38e5d343fef2ebd5140e26f818b38e9ca4358d1e10c06a4681fb93",
 }
 GENERATE_DIGESTS = {  # generate --n 500 --seed 3
     "nodes.csv": "13e610c204775c1771d58c3f7370a83aa2234f9e39b9ad8785586b0c99b91224",
@@ -182,7 +181,7 @@ def adversary_profiles(state):
     """Outsider; the lowest-numbered grouped ordinary sensor; and the first
     adopter still in a group, which holds a foreign individual key."""
     cm = state.cluster_map
-    spy = min(v for v in cm.dominator_of if cm.ranks[v] is Rank.OS)
+    spy = min(v for v, d in cm.dominator_of.items() if d != v)
     adopter = next(e.adopter for e in cm.orphan_events
                    if e.resolution == "ADOPTED" and e.adopter in cm.dominator_of)
     return [protocol.AdversaryProfile.outsider(),

@@ -40,6 +40,13 @@ def test_remainder_group_is_bare_gd():
     last = plan.groups[-1]
     assert last.dominator == 100
     assert last.members == ()
+    # every id lies in its own group, and an id outside 0..n-1 has none
+    for v in range(101):
+        g = plan.group_of(v)
+        assert v == g.dominator or v in g.members
+    for v in (-1, 101):
+        with pytest.raises(KeyError):
+            plan.group_of(v)
 
 
 def test_all_keys_distinct():

@@ -74,8 +74,7 @@ def churned_uniform_network():
             if (v not in state.deployed and state._gid_valid(gid)
                     and v in g.neighbors(state.group_dominator[gid])):
                 state.join_node(v, gid)
-    members = [v for v in sorted(state.cluster_map.dominator_of)
-               if state.cluster_map.ranks[v] is Rank.OS]
+    members = sorted(v for v, d in state.cluster_map.dominator_of.items() if d != v)
     for v in members[:3]:
         assert state.leave_node(v)
     return state
@@ -89,8 +88,7 @@ def test_ideal_single_group():
     assert cm.dominator_set() == {0}
     assert cm.dominator_of == {0: 0, 1: 0, 2: 0, 3: 0}
     assert cm.orphan_events == []
-    assert cm.ranks[0] is Rank.GD
-    assert all(cm.ranks[i] is Rank.OS for i in (1, 2, 3))
+    assert cm.ranks == {0: Rank.GD, 1: Rank.OS, 2: Rank.OS, 3: Rank.OS}
 
 
 def test_formation_message_sequence():
@@ -162,14 +160,25 @@ def test_orphan_promoted_when_no_gd_in_range():
     assert 3 in cm.dominator_set()
 
 
-def test_isolated_orphan_unreachable():
+def test_isolated_orphan_unreachable(tmp_path):
     plan = keying.build_plan(4, 1, 128, seed=9)
     g = udg.from_positions(
         [Point(0, 0), Point(1, 0), Point(100, 0), Point(500, 500)], 2.0)
-    cm = form_network(g, plan, Placement.uniform(), seed=1).cluster_map
+    state = form_network(g, plan, Placement.uniform(), seed=1)
+    cm = state.cluster_map
     assert cm.orphan_events == [protocol.OrphanEvent(3, "UNREACHABLE")]
     assert 3 not in cm.dominator_of
     assert 3 in cm.unreachable()
+    # it stays a deployed ordinary sensor of no group: it cannot leave,
+    # and it cannot join again
+    assert cm.ranks[3] is Rank.OS
+    protocol.write_clustermap_csv(cm, tmp_path / "clustermap.csv")
+    assert (tmp_path / "clustermap.csv").read_text().splitlines()[-1] == \
+        "3,Os,-1,false,UNREACHABLE"
+    assert not state.leave_node(3)
+    assert not state.join_node(3, 0)
+    assert state.audit_log == ["leave ignored: node 3 is not a group member",
+                               "join denied: node 3 already deployed"]
 
 
 def test_promoted_node_gets_fresh_group_key():
@@ -205,7 +214,9 @@ def test_mediators_and_dominators_follow_leaves_joins_and_revocations(tmp_path):
     assert state.leave_node(1)
     assert 1 not in cm.mediators()
     protocol.write_clustermap_csv(cm, tmp_path / "cm.csv")
-    assert (tmp_path / "cm.csv").read_text().splitlines()[2] == "1,Os,-1,false,"
+    # a node that has left is no longer deployed, so it has no row
+    rows = (tmp_path / "cm.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "2", "3"]
     # node 5 joins group 1 and hears GD 0, so it bridges to group 0 until
     # group 0 is revoked; then no entry names GD 0, and GD 0 is no dominator
     state = join_leave_network()
@@ -466,8 +477,9 @@ def test_key_rings_match_the_join_leave_history():
     # no Os ring ever contains another sensor's individual key
     individual = {state.individual_key(m).key_id: m
                   for g in state.plan.groups for m in g.members}
+    ranks = state.cluster_map.ranks
     for node, ring in state.rings.items():
-        if state.cluster_map.ranks.get(node) in (Rank.GD, Rank.GDOS):
+        if ranks.get(node) in (Rank.GD, Rank.GDOS):
             continue
         for kid in ring:
             owner = individual.get(kid)
@@ -722,6 +734,15 @@ def test_adversary_profiles_name_an_unknown_node_or_group():
         AdversaryProfile.compromised_os(state, 0)  # a dominator
 
 
+def test_compromised_os_refuses_a_leaver_and_a_revoked_member():
+    state = join_leave_network()
+    assert state.leave_node(1)
+    state.revoke_group(1)  # node 4's group
+    for node in (1, 4):
+        with pytest.raises(ValueError, match=f"node {node} "):
+            AdversaryProfile.compromised_os(state, node)
+
+
 def test_a_leaver_rejoins_its_group_without_the_keys_it_missed():
     # group 0 = {gd 0; 1, 2}: node 1 leaves, then node 2 leaves and node 5
     # joins, so group 0 rekeys three times while node 1 is away
@@ -847,7 +868,7 @@ def test_one_plan_forms_the_same_network_twice(tmp_path):
                       if v in g.neighbors(state.group_dominator[gid]))
         assert state.join_node(v, gid)
         cm = state.cluster_map
-        assert state.leave_node(min(v for v in cm.dominator_of if cm.ranks[v] is Rank.OS))
+        assert state.leave_node(min(v for v, d in cm.dominator_of.items() if d != v))
         report = state.simulate_adversary(
             AdversaryProfile.compromised_gd(state, gid), 200, seed=0)
         protocol.write_trace_csv(state.trace, tmp_path / name)

@@ -127,8 +127,16 @@ def assert_membership_agrees(state):
         for m in members:
             assert m in state.deployed
             assert cm.dominator_of[m] == state.group_dominator[gid]
+    # the ranks follow the live map: one per deployed node, the non-Os ones
+    # are the live dominators and GDos marks the live promoted ones
+    ranks = cm.ranks
+    assert set(ranks) ^ state.deployed == set()
+    assert {v for v, r in ranks.items() if r is not Rank.OS} == cm.dominator_set()
+    promoted = {gd for gid, gd in state.group_dominator.items()
+                if gid >= len(state.plan.groups) and cm.dominator_of.get(gd) == gd}
+    assert {v for v, r in ranks.items() if r is Rank.GDOS} == promoted
     for v in state.deployed:
-        if cm.ranks[v] is Rank.OS and v in cm.dominator_of:
+        if ranks[v] is Rank.OS and v in cm.dominator_of:
             assert [gid for gid, ms in state.group_members.items() if v in ms] == \
                 [state.group_of_node(v)]
     histories = state.plan.vault.group_key_history
@@ -195,7 +203,7 @@ def test_the_golden_churned_network_seals_each_envelope_once(churned_form_networ
     state = churned_form_network(placement)
     assert any(type(rec) is FloodEvent for rec in state.trace.records)
     cm = state.cluster_map
-    spy = min(v for v in cm.dominator_of if cm.ranks[v] is Rank.OS)
+    spy = min(v for v, d in cm.dominator_of.items() if d != v)
     state.simulate_adversary(AdversaryProfile.compromised_os(state, spy), 200, seed=0)
     assert state.leave_node(spy)
     assert_each_envelope_sealed_once(state)
