@@ -18,7 +18,8 @@ helper `AdjacencyGraph` below qualify).  Like the greedy builders, which
 work on an adjacency plus a vertex set, the verifier `classify` takes a
 graph plus a vertex set V and judges the subgraph induced by V in place,
 without copying or relabelling it; `is_dominating`, `is_cds` and `is_wcds`
-are its three verdicts over the whole graph.
+are its three verdicts over the whole graph.  Its connectivity checks and
+the baselines' split into components walk with `udg.walk`.
 
 The greedy baselines (Guha & Khuller, "Approximation algorithms for
 connected dominating sets", 1998) keep each vertex's gain, the number of
@@ -44,6 +45,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
+
+from .udg import connected_components, walk
 
 VertexSet = frozenset[int]
 
@@ -113,18 +116,6 @@ def _check_members(g, s: Iterable[int]) -> frozenset[int]:
     return members
 
 
-def _reach(start: int, step) -> set[int]:
-    # Vertices reachable from start, where step(v) gives v's neighbours.
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in step(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def classify(g, s: Iterable[int], within: Optional[Iterable[int]] = None) -> DomsetReport:
     """Classify s as a DS, CDS and WCDS of g over the vertex set `within`.
 
@@ -152,11 +143,11 @@ def classify(g, s: Iterable[int], within: Optional[Iterable[int]] = None) -> Dom
         return DomsetReport(len(members), dom, dom, dom)
     lo = min(members)
     # CDS: the subgraph induced by s is connected.
-    cds = len(_reach(lo, lambda v: g.neighbors(v) & members)) == len(members)
+    cds = len(walk({v: g.neighbors(v) & members for v in members}, lo)) == len(members)
     # WCDS: N[s], here all of V, is connected by the edges that touch s.  A
     # CDS is one, since every vertex of V hangs off a connected s.
-    wcds = cds or len(_reach(lo, lambda v: g.neighbors(v) & (
-        covered if v in members else members))) == size
+    wcds = cds or len(walk({v: g.neighbors(v) & (covered if v in members else members)
+                            for v in covered}, lo)) == size
     return DomsetReport(len(members), dom, cds, wcds)
 
 
@@ -340,10 +331,6 @@ def greedy_cds_baseline(g, variant: GreedyVariant) -> VertexSet:
     builder = _greedy_variant_one if variant is GreedyVariant.I else _greedy_variant_two
     adj = [g.neighbors(v) for v in range(g.n)]
     result: set[int] = set()
-    seen: set[int] = set()
-    for start in range(g.n):
-        if start not in seen:
-            comp = _reach(start, adj.__getitem__)
-            seen |= comp
-            result |= builder(adj, comp)
+    for comp in connected_components(g):
+        result |= builder(adj, comp)
     return frozenset(result)

@@ -57,10 +57,9 @@ from .trace import (  # noqa: F401
     Kind,
     Trace,
     TraceEvent,
-    flood_order,
     write_trace_csv,
 )
-from .udg import UnitDiskGraph, Point, from_positions, generate_uniform
+from .udg import UnitDiskGraph, Point, from_positions, generate_uniform, walk
 
 BS_ID = -1  # the base station is a logical entity, not a graph node
 # nonce of forged requests; the network's counter starts at 1, so never yields it
@@ -96,7 +95,7 @@ class Placement:
 
     @classmethod
     def clustered(cls, rho: Optional[float] = None) -> "Placement":
-        if rho is not None and rho <= 0:
+        if rho is not None and not rho > 0:  # NaN fails too
             raise ValueError("rho must be > 0")
         return cls(PlacementMode.CLUSTERED, rho)
 
@@ -467,7 +466,7 @@ class NetworkState:
         # expanded from nbrs when read.  `reach` caches component sizes, so
         # each component that holds an orphan is walked once per formation.
         if origin not in reach:
-            component = flood_order(nbrs, origin)
+            component = walk(nbrs, origin)
             reach.update(dict.fromkeys(component, len(component)))
         env = self._seal(kind, origin, key, plaintext)
         self.trace.append(FloodEvent(self._round, env, group_id, reach[origin], nbrs))
@@ -665,6 +664,8 @@ def deploy_graph(plan: DeploymentPlan, width: float, height: float,
     clamped to the field (clamping only shrinks distances, so members stay
     within rho of their dominator).
     """
+    if not (width > 0 and height > 0):
+        raise ValueError("field dimensions must be > 0")
     if placement.mode is PlacementMode.UNIFORM:
         return generate_uniform(plan.n, width, height, radius, seed)
 

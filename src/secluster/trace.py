@@ -3,9 +3,10 @@
 A local broadcast is one `TraceEvent`.  A blind flood puts one
 transmission on the air for every node of its origin's component, so it
 is stored as one `FloodEvent` and expanded into its origin broadcast and
-relays only when read, from the neighbourhood snapshot it holds.  A
-`Trace` therefore takes memory in proportion to the messages sent, not
-to the transmissions, and knows its length without expanding anything.
+relays only when read, by a `udg.walk` over the neighbourhood snapshot it
+holds.  A `Trace` therefore takes memory in proportion to the messages
+sent, not to the transmissions, and knows its length without expanding
+anything.
 
 `Envelope` and `TraceEvent` are immutable named tuples: one is built for
 every message sent, and a tuple is built in half the time of a frozen
@@ -18,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
+
+from .udg import walk
 
 
 class Kind(Enum):
@@ -55,30 +58,16 @@ class TraceEvent(NamedTuple):
     transmitter: int  # who put it on the air (relays differ from sender)
 
 
-def flood_order(nbrs: dict[int, tuple[int, ...]], origin: int) -> list[int]:
-    """Every node a blind flood from `origin` reaches over `nbrs`, in the
-    order they transmit: the origin, then breadth first, each node's
-    neighbours in tuple order."""
-    order, reached = [origin], {origin}
-    add, append = reached.add, order.append
-    for v in order:  # the list grows while it is walked
-        for nb in nbrs[v]:
-            if nb not in reached:
-                add(nb)
-                append(nb)
-    return order
-
-
 @dataclass(frozen=True)
 class FloodEvent:
     """One blind flood, stored once.
 
     It stands for the origin's broadcast and a relay of the same envelope
-    by every other node of the origin's component, in `flood_order` over
-    `nbrs`; each transmitter's receivers are its `nbrs` tuple.  `nbrs` is
-    the formation-time deployed neighbourhood map, shared by that
-    formation's floods and never changed, so later joins and leaves do
-    not change what a flood expands to.  `reach` is the component's size:
+    by every other node of the origin's component, in `udg.walk` order
+    over `nbrs`; each transmitter's receivers are its `nbrs` tuple.
+    `nbrs` is the formation-time deployed neighbourhood map, shared by
+    that formation's floods and never changed, so later joins and leaves
+    do not change what a flood expands to.  `reach` is the component's size:
     the number of transmissions the flood put on the air.
     """
 
@@ -91,11 +80,8 @@ class FloodEvent:
     def events(self) -> Iterator[TraceEvent]:
         """The flood's transmissions, origin broadcast first."""
         nbrs, env = self.nbrs, self.envelope
-        for t in flood_order(nbrs, env.sender):
+        for t in walk(nbrs, env.sender):
             yield TraceEvent(self.round, env, nbrs[t], self.group_id, t)
-
-
-Record = Union[TraceEvent, FloodEvent]
 
 
 class Trace:
@@ -107,10 +93,10 @@ class Trace:
     """
 
     def __init__(self) -> None:
-        self.records: list[Record] = []
+        self.records: list[TraceEvent | FloodEvent] = []
         self._len = 0
 
-    def append(self, record: Record) -> None:
+    def append(self, record: TraceEvent | FloodEvent) -> None:
         self.records.append(record)
         self._len += record.reach if type(record) is FloodEvent else 1
 
@@ -148,7 +134,7 @@ def write_trace_csv(trace: Trace, path: Path | str) -> None:
                     snapshot, tails = rec.nbrs, {}
                 rnd, rows = f"{rec.round},", []
                 kind_fp = f",{kind_value[env.kind]},{env.key_fingerprint},"
-                for t in flood_order(snapshot, env.sender):
+                for t in walk(snapshot, env.sender):
                     tail = tails.get(t)
                     if tail is None:
                         tail = tails[t] = (str(t), ";".join(map(str, snapshot[t])) + "\n")

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -157,32 +157,44 @@ def radius_for_expected_degree(n: int, width: float, height: float,
     return math.sqrt(d_avg * width * height / (math.pi * (n - 1)))
 
 
-def is_connected(g: UnitDiskGraph) -> bool:
-    """True iff the proximity graph has a single connected component.
+def walk(nbrs, start: int) -> list[int]:
+    """Every node reachable from `start` over `nbrs`, in breadth-first order:
+    `start` first, then each reached node's neighbours in the order
+    `nbrs[v]` yields them.  `nbrs` is anything indexable by node id (a list
+    of neighbour sets, a dict of neighbour tuples).  This is the library's
+    one graph traversal: blind floods, components and the domination
+    verifiers all walk with it."""
+    order, reached = [start], {start}
+    add, append = reached.add, order.append
+    for v in order:  # the list grows while it is walked
+        for w in nbrs[v]:
+            if w not in reached:
+                add(w)
+                append(w)
+    return order
+
+
+def is_connected(g) -> bool:
+    """True iff the graph has a single connected component.
 
     The empty graph counts as connected.
     """
     return len(connected_components(g)) <= 1
 
 
-def connected_components(g: UnitDiskGraph) -> list[set[int]]:
-    """Connected components as sets of node ids, ordered by smallest member."""
+def connected_components(g) -> list[set[int]]:
+    """Connected components as sets of node ids, ordered by smallest member.
+
+    `g` is any graph with an integer field `n` and a method `neighbors(i)`.
+    """
+    nbrs = [g.neighbors(v) for v in range(g.n)]
     seen: set[int] = set()
     comps = []
     for s in range(g.n):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
+        if s not in seen:
+            comp = set(walk(nbrs, s))
+            seen |= comp
+            comps.append(comp)
     return comps
 
 
@@ -230,12 +242,3 @@ def read_graph_csv(nodes_path: Path | str, edges_path: Path | str,
                          "positions at the given radius")
     return g
 
-
-def mean_degree_over_seeds(n: int, width: float, height: float, radius: float,
-                           seeds: Iterable[int]) -> float:
-    """Average degree measured over several generated graphs (one per seed)."""
-    vals = [generate_uniform(n, width, height, radius, s).average_degree()
-            for s in seeds]
-    if not vals:
-        raise ValueError("at least one seed required")
-    return sum(vals) / len(vals)

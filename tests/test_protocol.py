@@ -313,6 +313,20 @@ def test_clustered_placement_stays_in_field():
         assert 0 <= p.y <= 80
 
 
+@pytest.mark.parametrize("placement", [Placement.uniform(), Placement.clustered(5.0)])
+@pytest.mark.parametrize("width, height", [(-10, 100), (100, 0), (float("nan"), 100)])
+def test_deploy_graph_rejects_a_field_without_area(placement, width, height):
+    plan = keying.build_plan(20, 3, 128, seed=5)
+    with pytest.raises(ValueError, match="field dimensions must be > 0"):
+        protocol.deploy_graph(plan, width, height, 20, placement, seed=1)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+def test_clustered_placement_rejects_a_non_positive_rho(rho):
+    with pytest.raises(ValueError, match="rho must be > 0"):
+        Placement.clustered(rho)
+
+
 def test_clustered_ideal_fill_hits_eq2_count():
     for n, eta, expect in ((100, 9, 10), (60, 5, 10), (101, 9, 11)):
         plan = keying.build_plan(n, eta, 128, seed=n)

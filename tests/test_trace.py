@@ -32,12 +32,17 @@ class EagerFloodState(NetworkState):
 @st.composite
 def network_case(draw):
     """A random UDG, the arguments of its plan, and some nodes held back
-    from formation."""
+    from formation.
+
+    Coordinates and radius are whole metres: up to 80 float coordinates
+    shrink so slowly that a failing `TestChurnedNetwork` could use up
+    hypothesis's five-minute shrink budget and still report 31 nodes.
+    """
     n = draw(st.integers(2, 40))
-    side = draw(st.floats(5.0, 60.0))
-    pts = [Point(*draw(st.tuples(st.floats(0, side), st.floats(0, side))))
+    side = draw(st.integers(5, 60))
+    pts = [Point(float(draw(st.integers(0, side))), float(draw(st.integers(0, side))))
            for _ in range(n)]
-    radius = draw(st.floats(2.0, 20.0))
+    radius = float(draw(st.integers(2, 20)))
     eta = draw(st.integers(0, 6))
     seed = draw(st.integers(0, 2**16))
     held = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))

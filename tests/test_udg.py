@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from secluster import udg
+from secluster.domsets import AdjacencyGraph
 from secluster.udg import Point
 
 
@@ -171,7 +172,8 @@ def test_average_degree_band_target_six():
     5.27..5.37; boundary effects pull the realized mean below the target).
     """
     r = udg.radius_for_expected_degree(100, 500, 500, 6.0)
-    mean = udg.mean_degree_over_seeds(100, 500, 500, r, range(100))
+    mean = sum(udg.generate_uniform(100, 500, 500, r, seed).average_degree()
+               for seed in range(100)) / 100
     assert 4.5 <= mean <= 7.5
 
 
@@ -229,3 +231,17 @@ def test_connected_components_agree_with_networkx(n, d_avg, seed):
     ref.add_edges_from(g.edges())
     assert udg.connected_components(g) == sorted(nx.connected_components(ref), key=min)
     assert udg.is_connected(g) == nx.is_connected(ref)
+
+
+def test_walk_is_breadth_first_in_neighbour_order():
+    nbrs = {0: (2, 1), 1: (0, 3), 2: (0,), 3: (1, 4), 4: (3,), 5: ()}
+    assert udg.walk(nbrs, 0) == [0, 2, 1, 3, 4]
+    assert udg.walk(nbrs, 3) == [3, 1, 4, 0, 2]
+    assert udg.walk(nbrs, 5) == [5]
+
+
+def test_connected_components_take_any_graph_with_neighbors():
+    g = AdjacencyGraph(6, [(0, 4), (4, 2), (3, 5)])
+    assert udg.connected_components(g) == [{0, 2, 4}, {1}, {3, 5}]
+    assert not udg.is_connected(g)
+    assert udg.is_connected(AdjacencyGraph.path(4))
