@@ -16,9 +16,9 @@ detectable failure, never silent garbage), which is the only property the
 simulation observes.  Its keystream is SHA-256 of `ks|`, the secret, the
 nonce and an 8-byte big-endian block counter, 32 bytes per block, XORed
 onto the message; its tag is the first 16 bytes of SHA-256 of `tag|`, the
-secret, the nonce and the ciphertext.  Every message sent costs one seal,
-so `encrypt` builds the keystream prefix once and joins its blocks in one
-pass.
+secret, the nonce and the ciphertext.  An envelope costs one seal, on
+the first read of its payload (`trace.Envelope`), so `encrypt` builds the
+keystream prefix once and joins its blocks in one pass.
 """
 
 from __future__ import annotations

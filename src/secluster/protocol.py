@@ -329,11 +329,11 @@ class NetworkState:
                 self._grant(r, key)
 
     def _seal(self, kind: Kind, sender: int, key: Key, plaintext: bytes) -> Envelope:
-        """Seal plaintext under key with the network's next nonce; the only
-        writer of the nonce sequence."""
+        """Record the sealing inputs of plaintext under key with the
+        network's next nonce; the only writer of the nonce sequence.  The
+        envelope builds its ciphertext when its payload is first read."""
         self._nonce_counter += 1
-        return Envelope(sender, kind, key.key_id, encrypt(
-            key, self._nonce_counter.to_bytes(NONCE_BYTES, "big"), plaintext))
+        return Envelope(sender, kind, key, self._nonce_counter, plaintext)
 
     def _send(self, kind: Kind, sender: int, key: Key, plaintext: bytes,
               receivers: Iterable[int], group_id: Optional[int]) -> Envelope:

@@ -279,6 +279,16 @@ class ChurnedNetwork(RuleBasedStateMachine):
             self.missed.setdefault(v, set()).update(pending)
 
     @rule(a=st.integers(0, 10**6))
+    def join_revoked(self, a):
+        # a node out of the network that a revoked dominator hears asks to
+        # join its group; `join` draws such a pair too rarely to rely on
+        state, g = self.state, self.state.graph
+        pairs = [(v, gid) for gid in sorted(state.revoked_groups)
+                 for v in sorted(g.neighbors(state.group_dominator[gid]) - state.deployed)]
+        if pairs:
+            assert not state.join_node(*pairs[a % len(pairs)])
+
+    @rule(a=st.integers(0, 10**6))
     def leave(self, a):
         # any deployed node: only a group member leaves, dominators and
         # UNREACHABLE orphans are refused
@@ -336,6 +346,13 @@ class ChurnedNetwork(RuleBasedStateMachine):
         assert leaked == []
 
     @invariant()
+    def revoked_groups_stay_empty(self):
+        # a revoked group is silent for good: no join may land in it
+        state = self.state
+        assert [gid for gid in sorted(state.revoked_groups)
+                if state.group_members[gid]] == []
+
+    @invariant()
     def membership_and_views_agree(self):
         assert_membership_agrees(self.state)
         assert_views_match_the_live_map(self.state)
@@ -368,3 +385,31 @@ def test_uniform_formation_stores_one_record_per_flood():
     comp_size = {v: len(c) for c in udg.connected_components(g) for v in c}
     assert all(r.reach == comp_size[r.envelope.sender] for r in floods)
     assert len(state.trace) == len(state.trace.records) + sum(r.reach - 1 for r in floods)
+
+
+def test_an_envelope_is_sealed_on_its_first_read_only(monkeypatch, tmp_path):
+    seals = []
+
+    def counting_encrypt(key, nonce, plaintext):
+        seals.append(nonce)
+        return keying.encrypt(key, nonce, plaintext)
+
+    monkeypatch.setattr("secluster.trace.encrypt", counting_encrypt)
+    n = 100
+    plan = keying.build_plan(n, 9, 128, seed=3)
+    radius = udg.radius_for_expected_degree(n, 500, 500, 8.0)
+    g = protocol.deploy_graph(plan, 500, 500, radius, Placement.uniform(), seed=3)
+    state = protocol.form_network(g, plan, Placement.uniform(), seed=3)
+    records = state.trace.records
+    assert any(type(rec) is FloodEvent for rec in records)
+    # formation and both artifacts never open an envelope
+    protocol.write_trace_csv(state.trace, tmp_path / "trace.csv")
+    protocol.write_clustermap_csv(state.cluster_map, tmp_path / "clustermap.csv")
+    assert seals == []
+
+    # the first read seals each record's envelope once; a second read
+    # returns the cached bytes
+    payloads = [rec.envelope.payload for rec in records]
+    assert len(seals) == len(records)
+    assert all(rec.envelope.payload is p for rec, p in zip(records, payloads))
+    assert len(seals) == len(records)
