@@ -118,8 +118,7 @@ def run_experiment_cell(n: int, eta: int, avg_degree: float,
     greedy_one = domsets.greedy_cds_baseline(graph, domsets.GreedyVariant.I)
     greedy_two = domsets.greedy_cds_baseline(graph, domsets.GreedyVariant.II)
 
-    alpha = plan.gd_count
-    beta = plan.os_count
+    storage = storage_curves([n], [eta], key_bits)[0]
     return ExperimentRow(
         seed=seed,
         n=n,
@@ -130,9 +129,9 @@ def run_experiment_cell(n: int, eta: int, avg_degree: float,
         dominators_greedy_I=len(greedy_one),
         dominators_greedy_II=len(greedy_two),
         wcds_valid=report.is_wcds,
-        distinct_keys=plan.distinct_key_count(),
-        gd_storage_bits=keying.storage_gd_bits(eta, key_bits),
-        network_storage_bits=keying.storage_network_bits(alpha, beta, eta, key_bits),
+        distinct_keys=storage.distinct_keys,
+        gd_storage_bits=storage.gd_storage_bits,
+        network_storage_bits=storage.network_storage_bits,
     )
 
 

@@ -17,10 +17,11 @@ After formation the network is live: nodes can join (group key rotates,
 delivered to the newcomer under its individual key and to the old members
 under the previous group key) or leave (group key rotates, delivered to
 each remaining member under its individual key so the leaver learns
-nothing).  Every membership change goes through three steps, each the
-only writer of its facts: `_enroll`/`_withdraw` (deployment, membership
-and dominator), `_rekey` (the group's key history and rekey log) and
-`_deliver` (a key sealed to its receivers, who then hold it).  The
+nothing).  Formation and every membership change go through steps, each
+the only writer of its facts: `_open_group` (a group, its lead and its
+first key), `_enroll`/`_withdraw` (deployment, membership, dominator),
+`_rekey` (the next key and the rekey log), `_deliver` (a key sealed to
+its receivers, who then hold it) and `_adjudicate` (orphan verdicts).  The
 ranks, the dominator set and the mediators are read from the dominator
 record, so they describe the live network; `ClusterMap.ranks` builds a
 dict on each read, so a caller reads it once.  An adversary can be
@@ -242,8 +243,7 @@ class NetworkState:
         # the network records the keys it mints in a vault of its own, so the
         # caller's plan is never written and can form any number of networks
         self.plan = replace(plan, vault=BaseStationVault(
-            dict(plan.vault.all_individual_keys),
-            {gid: list(h) for gid, h in plan.vault.group_key_history.items()}))
+            dict(plan.vault.all_individual_keys)))
         self.deployed: set[int] = (set(range(graph.n)) if deployed is None
                                    else set(deployed))
         for v in self.deployed:
@@ -285,11 +285,13 @@ class NetworkState:
                 self._grant(g.dominator, g.individual_keys[m])
 
     def _open_group(self, gid: int, dominator: int, key: Key) -> None:
-        # planned and promoted groups alike start empty under their first key
-        self.plan.vault.group_key_history.setdefault(gid, [key])
+        # the one writer of lead entries and of each key history's first key
+        self.plan.vault.group_key_history[gid] = [key]
         self.group_dominator[gid] = dominator
         self._gid_of_dominator[dominator] = gid
         self.group_members[gid] = set()
+        if dominator in self.deployed:
+            self.cluster_map.dominator_of[dominator] = dominator
         self._grant(dominator, key)
 
     def _enroll(self, node: int, gid: int) -> None:
@@ -372,36 +374,27 @@ class NetworkState:
 
     def form(self) -> ClusterMap:
         cm = self.cluster_map
-        plan = self.plan
         # deployed does not change during formation, so each node's sorted
         # deployed neighbourhood is built once and shared by every round
         nbrs = {v: tuple(sorted(self.graph.neighbors(v) & self.deployed))
                 for v in self.deployed}
 
-        for g in plan.groups:
-            if g.dominator in self.deployed:
-                cm.dominator_of[g.dominator] = g.dominator
-
         # round 1: join requests; s is on its planned group's access list
         # only, so only its own dominator, if deployed in range, approves it
         self._round = 1
-        approvals: dict[int, list[int]] = {gid: [] for gid in self.group_dominator}
+        approvals: dict[int, list[int]] = {}  # approving groups only
         for s in sorted(self.deployed):
             if cm.dominator_of.get(s) == s:
                 continue
-            gid = plan.group_of(s).group_id
+            gid = self.plan.group_of(s).group_id
             self._send(Kind.JOIN_REQ, s, self.individual_key(s),
                        f"JOIN_REQ|{s}".encode(), nbrs[s], gid)
-            gd = self.group_dominator[gid]
-            if cm.dominator_of.get(gd) == gd and gd in self.graph.neighbors(s):
-                approvals[gid].append(s)
+            if self.group_dominator[gid] in nbrs[s]:
+                approvals.setdefault(gid, []).append(s)
 
         # round 2: join approvals under the group key
         self._round = 2
-        for gid in sorted(approvals):
-            approved = approvals[gid]
-            if not approved:
-                continue
+        for gid, approved in sorted(approvals.items()):
             gd = self.group_dominator[gid]
             plaintext = ("JOIN_APRV|" + ",".join(str(v) for v in approved)).encode()
             self._send(Kind.JOIN_APRV, gd, self._current_key(gid), plaintext,
@@ -409,31 +402,40 @@ class NetworkState:
             for s in approved:
                 self._enroll(s, gid)
 
+        self._adjudicate(self.deployed - cm.dominator_of.keys(), nbrs,
+                         {self.group_dominator[gid] for gid in approvals})
+        return cm
+
+    def _adjudicate(self, orphans: Collection[int], nbrs: dict[int, tuple[int, ...]],
+                    approving: Collection[int]) -> None:
+        """Rounds 3-4 for the deployed nodes in `orphans`, which no dominator
+        enrolled; `approving` holds the dominators that sent a JOIN_APRV."""
+        cm = self.cluster_map
+        gid_of = self._gid_of_dominator
+
         # round 3: orphan error floods and dominator reports
         self._round = 3
-        gid_of = self._gid_of_dominator
-        orphans = sorted(self.deployed - cm.dominator_of.keys())
         reports: dict[int, list[int]] = {}  # orphan -> dominators in range, by id
         reach: dict[int, int] = {}  # node -> size of its component in nbrs
-        for s in orphans:
+        for s in sorted(orphans):
             gds = reports[s] = [nb for nb in nbrs[s] if cm.dominator_of.get(nb) == nb]
             # the orphan heard the approvals of these; its own dominator is not
             # in range, so it could open none of them
-            heard = [gd for gd in gds if approvals[gid_of[gd]]]
+            heard = [gd for gd in gds if gd in approving]
             plaintext = ("GD_ERR|" + str(s) + "|"
                          + ",".join(str(g) for g in heard)).encode()
             self._flood(Kind.GD_ERR, s, self.individual_key(s), plaintext,
-                        plan.group_of(s).group_id, nbrs, reach)
+                        self.plan.group_of(s).group_id, nbrs, reach)
             for gd in gds:
                 self._send(Kind.ORP_ERR, gd, self._current_key(gid_of[gd]),
                            f"ORP_ERR|{s}".encode(), [BS_ID], gid_of[gd])
 
         # round 4: base-station verdicts
         self._round = 4
-        for s in orphans:
+        for s, gds in reports.items():  # in id order, as they reported
             ind = self.individual_key(s)
-            if reports[s]:
-                adopter = min(reports[s],
+            if gds:
+                adopter = min(gds,
                               key=lambda g: (len(self.group_members[gid_of[g]]), g))
                 gid = gid_of[adopter]
                 # The adopter command names the orphan but never carries its
@@ -452,11 +454,9 @@ class NetworkState:
                 new_key = self.plan.factory.derive(f"group:{gid}")
                 self._open_group(gid, s, new_key)
                 self._deliver(Kind.REKEY_TO_NEW, BS_ID, gid, new_key, [(ind, [s])])
-                cm.dominator_of[s] = s
                 cm.orphan_events.append(OrphanEvent(s, "PROMOTED"))
             else:
                 cm.orphan_events.append(OrphanEvent(s, "UNREACHABLE"))
-        return cm
 
     def _flood(self, kind: Kind, origin: int, key: Key, plaintext: bytes,
                group_id: Optional[int], nbrs: dict[int, tuple[int, ...]],

@@ -2,7 +2,11 @@
 
 Hypothesis runs derandomized, with no deadline and no example database, so
 every run of the suite tries the same examples and a slow shared host
-cannot fail a test on time alone.
+cannot fail a test on time alone.  A derandomized run ignores
+`--hypothesis-seed`, so a mutation check that sweeps seeds selects the
+`explore` profile, which draws its examples from the seed:
+
+    pytest --hypothesis-profile=explore --hypothesis-seed=N
 """
 
 import pytest
@@ -13,6 +17,8 @@ from secluster.analysis import derive_seed
 from secluster.protocol import Placement
 
 settings.register_profile("deterministic", deadline=None, derandomize=True,
+                          database=None)
+settings.register_profile("explore", deadline=None, derandomize=False,
                           database=None)
 settings.load_profile("deterministic")
 

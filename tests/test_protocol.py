@@ -126,6 +126,27 @@ def test_plan_graph_size_mismatch_rejected():
         form_network(g, plan, Placement.uniform(), seed=1).cluster_map
 
 
+def test_a_networks_plan_forms_the_network_its_source_plan_forms():
+    # the first network rekeys group 0 and promotes orphans into new groups;
+    # a second network formed from its plan starts every key history afresh
+    n, seed = 300, 1
+    plan = keying.build_plan(n, 9, 128, analysis.derive_seed("plan", seed))
+    radius = udg.radius_for_expected_degree(n, 500, 500, 6.0)
+    g = protocol.deploy_graph(plan, 500, 500, radius, Placement.uniform(),
+                              analysis.derive_seed("graph", seed))
+    deployed = {v for v in range(n) if v % 7 != 3}
+    state = form_network(g, plan, Placement.uniform(), seed, deployed)
+    assert any(e.resolution == "PROMOTED" for e in state.cluster_map.orphan_events)
+    assert state.leave_node(min(state.group_members[0]))
+    again, fresh = (form_network(g, p, Placement.uniform(), seed, deployed)
+                    for p in (state.plan, plan))
+    assert again.group_key == fresh.group_key
+    assert again.plan.vault == fresh.plan.vault
+    assert again.rings == fresh.rings
+    key = again.group_key[0].key_id
+    assert all(key in again.rings[m] for m in again.group_members[0])
+
+
 def test_orphan_adopted_by_foreign_gd():
     # os 3's own GD (2) is far away; foreign gd 0 is adjacent
     plan = keying.build_plan(4, 1, 128, seed=9)

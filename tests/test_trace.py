@@ -241,6 +241,33 @@ def test_the_golden_churned_network_reads_its_views_from_the_live_map(
     assert_views_match_the_live_map(state)
 
 
+@given(network_case())
+def test_formation_adjudicates_each_orphan_by_the_leads_in_its_range(case):
+    """The verdict rule of formation, where a lead is a deployed planned
+    dominator: the orphans are the deployed non-leads whose own lead is
+    out of range, in id order; each is adopted by a lead in its range if
+    there is one, else promoted if it has a deployed neighbour, else
+    unreachable."""
+    g, plan_args, held = case
+    plan = keying.build_plan(*plan_args)
+    deployed = set(range(g.n)) - held
+    state = NetworkState(g, plan, deployed=deployed)
+    state.form()
+    leads = {grp.dominator for grp in plan.groups} & deployed
+    orphans = [v for v in sorted(deployed - leads)
+               if plan.group_of(v).dominator not in g.neighbors(v) & leads]
+    events = state.cluster_map.orphan_events
+    assert [e.node for e in events] == orphans
+    for e in events:
+        in_range = g.neighbors(e.node) & leads
+        if in_range:
+            assert e.resolution == "ADOPTED" and e.adopter in in_range
+        elif g.neighbors(e.node) & deployed:
+            assert e == protocol.OrphanEvent(e.node, "PROMOTED")
+        else:
+            assert e == protocol.OrphanEvent(e.node, "UNREACHABLE")
+
+
 class ChurnedNetwork(RuleBasedStateMachine):
     """Joins, leaves, revocations and outsider replays on a small network,
     with the membership invariants checked after every step."""
