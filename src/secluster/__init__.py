@@ -22,7 +22,6 @@ from .domsets import (
     is_dominating,
     is_wcds,
     min_set_exhaustive,
-    star_of,
 )
 from .keying import (
     DeploymentPlan,

@@ -37,38 +37,26 @@ def ideal_domset_size(n: int, eta: int) -> int:
     return -(-n // (eta + 1))
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Connectivity-threshold edge probability for an n-cluster overlay.
+def threshold_p(n: int, p_c: float) -> float:
+    """Edge probability at which an n-node random graph connects w.p. p_c.
 
-    `p_raw` is the asymptotic formula value, which legitimately exits [0,1]
-    for small n or extreme targets; `p` is clamped and `in_range` flags
-    whether clamping occurred.
+    This is the asymptotic formula (ln n - ln(-ln p_c)) / n, unclamped: for
+    small n or extreme targets it legitimately leaves [0, 1].
     """
-
-    p_raw: float
-    p: float
-    in_range: bool
-
-
-def threshold_p(n: int, p_c: float) -> ThresholdResult:
-    """Edge probability at which an n-node random graph connects w.p. p_c."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0.0 < p_c < 1.0:
         raise ValueError("p_c must be in (0, 1)")
-    raw = (math.log(n) - math.log(-math.log(p_c))) / n
-    clamped = min(max(raw, 0.0), 1.0)
-    return ThresholdResult(p_raw=raw, p=clamped, in_range=raw == clamped)
+    return (math.log(n) - math.log(-math.log(p_c))) / n
 
 
 def expected_gd_degree(n: int, p_c: float) -> float:
     """Expected inter-cluster degree of a dominator at the threshold.
 
-    Equals (n-1) times the raw threshold probability, so the decomposition
+    Equals (n-1) times the threshold probability, so the decomposition
     is exact by construction.
     """
-    return (n - 1) * threshold_p(n, p_c).p_raw
+    return (n - 1) * threshold_p(n, p_c)
 
 
 @dataclass(frozen=True)
@@ -209,15 +197,15 @@ class ConnectivityRow:
 
 def connectivity_curves(n_range: Sequence[int],
                         p_c_values: Sequence[float]) -> list[ConnectivityRow]:
-    """Threshold probability and expected dominator degree per (n, p_c)."""
+    """Per (n, p_c): `threshold_p` as `p`, `expected_gd_degree` as `d`, and
+    `in_range`, whether that unclamped `p` lies in [0, 1]."""
     rows = []
     for n in n_range:
         for p_c in p_c_values:
-            t = threshold_p(n, p_c)
-            rows.append(ConnectivityRow(
-                n=n, p_c=p_c, p=t.p_raw, d=(n - 1) * t.p_raw,
-                in_range=t.in_range,
-            ))
+            p = threshold_p(n, p_c)
+            rows.append(ConnectivityRow(n=n, p_c=p_c, p=p,
+                                        d=expected_gd_degree(n, p_c),
+                                        in_range=0.0 <= p <= 1.0))
     return rows
 
 

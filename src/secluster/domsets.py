@@ -170,13 +170,6 @@ def is_wcds(g, s: Iterable[int]) -> bool:
     return classify(g, s).is_wcds
 
 
-def star_of(g, v: int) -> VertexSet:
-    """Closed neighborhood of v: the vertex itself plus everything adjacent."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} not a valid node id (n={g.n})")
-    return frozenset(g.neighbors(v)) | {v}
-
-
 _VERIFIERS = {
     SetKind.DS: is_dominating,
     SetKind.CDS: is_cds,

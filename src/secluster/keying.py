@@ -153,18 +153,6 @@ class DeploymentPlan:
     vault: BaseStationVault
     factory: KeyFactory
 
-    @property
-    def gd_count(self) -> int:
-        return len(self.groups)
-
-    @property
-    def os_count(self) -> int:
-        return self.n - len(self.groups)
-
-    def distinct_key_count(self) -> int:
-        """Group keys plus individual keys; equals n under this partition."""
-        return len(self.groups) + sum(len(g.members) for g in self.groups)
-
     def group_of(self, node: int) -> GroupRecord:
         """The group node was planned into; `build_plan` chunks ids in order."""
         if not 0 <= node < self.n:

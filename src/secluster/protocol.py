@@ -373,6 +373,9 @@ class NetworkState:
     # -- formation ---------------------------------------------------------
 
     def form(self) -> ClusterMap:
+        # a second pass would adjudicate the UNREACHABLE nodes again
+        if self._round != 0:
+            raise RuntimeError("the network has already formed or changed")
         cm = self.cluster_map
         # deployed does not change during formation, so each node's sorted
         # deployed neighbourhood is built once and shared by every round

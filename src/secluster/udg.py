@@ -53,9 +53,6 @@ class UnitDiskGraph:
             raise IndexError(f"node id {i} out of range for graph with n={self.n}")
         return self.adjacency[i]
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, each edge once with src < dst."""
         out = []
@@ -215,30 +212,3 @@ def write_graph_csv(g: UnitDiskGraph, nodes_path: Path | str,
         w.writerow(["src", "dst"])
         for i, j in g.edges():
             w.writerow([i, j])
-
-
-def read_graph_csv(nodes_path: Path | str, edges_path: Path | str,
-                   radius: float) -> UnitDiskGraph:
-    """Reconstruct a graph from the CSV pair written by write_graph_csv.
-
-    Adjacency is re-derived from the positions and the given radius, then
-    checked against the stored edge list; a mismatch means the files do not
-    describe a unit-disk graph at this radius.
-    """
-    positions: list[Point] = []
-    with open(nodes_path, newline="") as f:
-        for row in csv.DictReader(f):
-            i = int(row["node_id"])
-            if i != len(positions):
-                raise ValueError(f"node ids must be dense and ordered, got {i}")
-            positions.append(Point(float(row["x"]), float(row["y"])))
-    g = from_positions(positions, radius)
-    stored: list[tuple[int, int]] = []
-    with open(edges_path, newline="") as f:
-        for row in csv.DictReader(f):
-            stored.append((int(row["src"]), int(row["dst"])))
-    if stored != g.edges():
-        raise ValueError("edge list does not match adjacency derived from "
-                         "positions at the given radius")
-    return g
-

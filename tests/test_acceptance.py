@@ -88,7 +88,7 @@ def test_c3_storage_formulas():
 @criterion(4, "connectivity threshold and expected degree match the oracle")
 def test_c4_connectivity_analysis():
     # oracle values computed independently at high precision
-    p = analysis.threshold_p(100, 0.999).p_raw
+    p = analysis.threshold_p(100, 0.999)
     d = analysis.expected_gd_degree(100, 0.999)
     assert abs(p - 0.11512425256511808) / 0.11512425256511808 <= 1e-9
     assert abs(d - 11.39730100394669) / 11.39730100394669 <= 1e-9
@@ -124,12 +124,15 @@ def test_c5_dominator_sweep_ordering():
 def test_c6_distinct_keys():
     for n in range(20, 201):
         plan = keying.build_plan(n, 9, 128, seed=n)
-        assert plan.distinct_key_count() == n
+        vault = plan.vault
+        keys = {k.secret for k in vault.all_individual_keys.values()}
+        keys |= {k.secret for h in vault.group_key_history.values() for k in h}
+        assert len(keys) == n
     for n in range(20, 201, 10):
         # full groups: exact alpha/beta split
         plan = keying.build_plan(n, 9, 128, seed=n)
-        assert plan.gd_count == n // 10
-        assert plan.os_count == n - n // 10
+        assert len(plan.groups) == n // 10
+        assert len(plan.vault.all_individual_keys) == n - n // 10
         row = analysis.storage_curves([n], [9], 128)[0]
         assert row.distinct_keys == n
 

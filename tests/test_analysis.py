@@ -39,26 +39,27 @@ def test_ideal_domset_size_validation():
 
 def test_threshold_second_term_vanishes_at_special_target():
     # P_c = 1/e makes ln(-ln(P_c)) = 0, leaving ln(n)/n
-    t = threshold_p(10, math.exp(-1))
-    assert t.p_raw == pytest.approx(math.log(10) / 10, rel=1e-12)
-    assert t.in_range
+    assert threshold_p(10, math.exp(-1)) == pytest.approx(math.log(10) / 10,
+                                                          rel=1e-12)
 
 
 def test_threshold_frozen_values():
-    assert threshold_p(100, 0.999).p_raw == pytest.approx(
+    assert threshold_p(100, 0.999) == pytest.approx(
         0.11512425256511808, rel=1e-12)
-    assert threshold_p(1000, 0.9).p_raw == pytest.approx(
+    assert threshold_p(1000, 0.9) == pytest.approx(
         0.0091581226062945823, rel=1e-12)
 
 
 def test_threshold_clamps_with_flag():
-    t = threshold_p(2, 0.999)  # raw value ~3.8
-    assert not t.in_range
-    assert t.p == 1.0
-    assert t.p_raw > 1.0
-    ok = threshold_p(100, 0.9)
+    # the formula leaves [0, 1] at small n; the fig12 row says so and keeps
+    # the formula's value
+    [row] = connectivity_curves([2], [0.999])
+    assert row.p == threshold_p(2, 0.999) > 1.0  # about 3.8
+    assert not row.in_range
+    assert row.d == expected_gd_degree(2, 0.999) == row.p
+    [ok] = connectivity_curves([100], [0.9])
     assert ok.in_range
-    assert ok.p == ok.p_raw
+    assert ok.p == threshold_p(100, 0.9)
 
 
 def test_threshold_validation():
@@ -85,7 +86,7 @@ def test_degree_decomposes_into_threshold_times_n_minus_one():
         n = rng.randrange(2, 5000)
         p_c = rng.uniform(1e-6, 1 - 1e-6)
         d = expected_gd_degree(n, p_c)
-        assert d == pytest.approx((n - 1) * threshold_p(n, p_c).p_raw,
+        assert d == pytest.approx((n - 1) * threshold_p(n, p_c),
                                   rel=1e-12, abs=1e-300)
 
 

@@ -17,7 +17,6 @@ from secluster.domsets import (
     is_dominating,
     is_wcds,
     min_set_exhaustive,
-    star_of,
 )
 
 P6 = AdjacencyGraph.path(6)
@@ -52,14 +51,14 @@ def _reference_one(g, nodes):
         best = None
         best_gain = -1
         for v in frontier:
-            gain = len((star_of(g, v) & node_set) - covered)
+            gain = len(((g.neighbors(v) | {v}) & node_set) - covered)
             if gain > best_gain:
                 best, best_gain = v, gain
         if best is None or best_gain == 0:
             chosen.update(node_set - covered)
             break
         chosen.add(best)
-        covered |= star_of(g, best) & node_set
+        covered |= (g.neighbors(best) | {best}) & node_set
     return chosen
 
 
@@ -113,11 +112,11 @@ def _reference_two(g, nodes):
         for v in nodes:
             if v in chosen:
                 continue
-            gain = len((star_of(g, v) & node_set) - covered)
+            gain = len(((g.neighbors(v) | {v}) & node_set) - covered)
             if gain > best_gain:
                 best, best_gain = v, gain
         chosen.add(best)
-        covered |= star_of(g, best) & node_set
+        covered |= (g.neighbors(best) | {best}) & node_set
     while True:
         fragments = _reference_fragments(g, chosen)
         if len(fragments) <= 1:
@@ -215,13 +214,6 @@ def test_empty_set_never_dominates_nonempty_graph():
 def test_invalid_member_rejected():
     with pytest.raises(ValueError):
         is_dominating(P6, {6})
-
-
-def test_star_of():
-    lone = AdjacencyGraph(1, [])
-    assert star_of(lone, 0) == {0}
-    assert star_of(K15, 0) == {0, 1, 2, 3, 4, 5}
-    assert star_of(P6, 2) == {1, 2, 3}
 
 
 # -- exhaustive oracle -------------------------------------------------------

@@ -23,15 +23,16 @@ def test_single_group_plan():
     g = plan.groups[0]
     assert g.dominator == 0
     assert g.members == tuple(range(1, 10))
-    assert plan.distinct_key_count() == 10  # 9 individual + 1 group
+    # 9 individual keys + 1 group key
+    assert len(plan.vault.all_individual_keys) == 9
+    assert len(plan.vault.group_key_history) == 1
 
 
 def test_hundred_nodes_ten_groups():
     plan = build_plan(100, 9, 128, seed=1)
     assert len(plan.groups) == 10
-    assert plan.gd_count == 10
-    assert plan.os_count == 90
-    assert plan.distinct_key_count() == 100
+    assert len(plan.vault.group_key_history) == 10
+    assert len(plan.vault.all_individual_keys) == 90
 
 
 def test_remainder_group_is_bare_gd():
@@ -75,8 +76,8 @@ def test_vault_covers_everything():
         for m, k in g.individual_keys.items():
             assert plan.vault.all_individual_keys[m] == k
     # and nothing else: one history per group, one key per ordinary sensor
-    assert len(plan.vault.group_key_history) == plan.gd_count
-    assert len(plan.vault.all_individual_keys) == plan.os_count
+    assert len(plan.vault.group_key_history) == len(plan.groups)
+    assert len(plan.vault.all_individual_keys) == 30 - len(plan.groups)
 
 
 def test_plan_is_deterministic():
