@@ -16,7 +16,6 @@ from .udg import (
 from .domsets import (
     AdjacencyGraph,
     GreedyVariant,
-    SetKind,
     greedy_cds_baseline,
     is_cds,
     is_dominating,

@@ -123,10 +123,6 @@ def run_experiment_cell(n: int, eta: int, avg_degree: float,
     )
 
 
-def _cell_args(args) -> ExperimentRow:
-    return run_experiment_cell(*args)
-
-
 def sweep_domset_sizes(n_range: Sequence[int], avg_degree: float, eta: int,
                        placement: protocol.Placement, seeds: int,
                        width: float = DEFAULT_FIELD, height: float = DEFAULT_FIELD,
@@ -145,9 +141,9 @@ def sweep_domset_sizes(n_range: Sequence[int], avg_degree: float, eta: int,
             for n in n_range for s in range(seeds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_cell_args, grid))
+            rows = list(pool.map(run_experiment_cell, *zip(*grid)))
     else:
-        rows = [run_experiment_cell(*args) for args in grid]
+        rows = list(map(run_experiment_cell, *zip(*grid)))
     rows.sort(key=lambda r: (r.n, r.seed))
     return rows
 

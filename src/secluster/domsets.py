@@ -18,8 +18,9 @@ helper `AdjacencyGraph` below qualify).  Like the greedy builders, which
 work on an adjacency plus a vertex set, the verifier `classify` takes a
 graph plus a vertex set V and judges the subgraph induced by V in place,
 without copying or relabelling it; `is_dominating`, `is_cds` and `is_wcds`
-are its three verdicts over the whole graph.  Its connectivity checks and
-the baselines' split into components walk with `udg.walk`.
+are its three verdicts over the whole graph, and `min_set_exhaustive`
+takes any such verdict.  Its connectivity checks and the baselines' split
+into components walk with `udg.walk`.
 
 The greedy baselines (Guha & Khuller, "Approximation algorithms for
 connected dominating sets", 1998) keep each vertex's gain, the number of
@@ -44,7 +45,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .udg import connected_components, walk
 
@@ -52,12 +53,6 @@ VertexSet = frozenset[int]
 
 # Subset enumeration is exponential; refuse graphs where 2^n is unreasonable.
 EXHAUSTIVE_NODE_LIMIT = 20
-
-
-class SetKind(Enum):
-    DS = "DS"
-    CDS = "CDS"
-    WCDS = "WCDS"
 
 
 class GreedyVariant(Enum):
@@ -102,7 +97,6 @@ class AdjacencyGraph:
 class DomsetReport:
     """Classification of one vertex set against all three verifiers."""
 
-    set_size: int
     is_dominating: bool
     is_cds: bool
     is_wcds: bool
@@ -140,7 +134,7 @@ def classify(g, s: Iterable[int], within: Optional[Iterable[int]] = None) -> Dom
         covered &= verts
     dom = len(covered) == size
     if not dom or len(members) <= 1:
-        return DomsetReport(len(members), dom, dom, dom)
+        return DomsetReport(dom, dom, dom)
     lo = min(members)
     # CDS: the subgraph induced by s is connected.
     cds = len(walk({v: g.neighbors(v) & members for v in members}, lo)) == len(members)
@@ -148,7 +142,7 @@ def classify(g, s: Iterable[int], within: Optional[Iterable[int]] = None) -> Dom
     # CDS is one, since every vertex of V hangs off a connected s.
     wcds = cds or len(walk({v: g.neighbors(v) & (covered if v in members else members)
                             for v in covered}, lo)) == size
-    return DomsetReport(len(members), dom, cds, wcds)
+    return DomsetReport(dom, cds, wcds)
 
 
 def is_dominating(g, s: Iterable[int]) -> bool:
@@ -170,15 +164,8 @@ def is_wcds(g, s: Iterable[int]) -> bool:
     return classify(g, s).is_wcds
 
 
-_VERIFIERS = {
-    SetKind.DS: is_dominating,
-    SetKind.CDS: is_cds,
-    SetKind.WCDS: is_wcds,
-}
-
-
-def min_set_exhaustive(g, kind: SetKind) -> Optional[VertexSet]:
-    """Minimum-cardinality set of the requested kind, by subset enumeration.
+def min_set_exhaustive(g, verdict: Callable[..., bool]) -> Optional[VertexSet]:
+    """Minimum-cardinality s with `verdict(g, s)`, by subset enumeration.
 
     Subsets are enumerated in increasing cardinality and, within one
     cardinality, in lexicographic member order, so the first hit is both
@@ -190,13 +177,12 @@ def min_set_exhaustive(g, kind: SetKind) -> Optional[VertexSet]:
     if g.n > EXHAUSTIVE_NODE_LIMIT:
         raise ValueError(
             f"exhaustive search limited to n <= {EXHAUSTIVE_NODE_LIMIT}, got n={g.n}")
-    verifier = _VERIFIERS[kind]
     if g.n == 0:
         return frozenset()
     for k in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), k):
             s = frozenset(combo)
-            if verifier(g, s):
+            if verdict(g, s):
                 return s
     return None
 

@@ -40,15 +40,14 @@ class DecryptError(Exception):
 
 @dataclass(frozen=True)
 class Key:
-    """A symmetric key: opaque secret plus a public fingerprint."""
+    """A symmetric key: opaque secret plus public fingerprint; bits = 8 * len(secret)."""
 
     key_id: str
-    bits: int
     secret: bytes
 
-    def __post_init__(self):
-        if len(self.secret) * 8 != self.bits:
-            raise ValueError("secret length does not match key bits")
+    @property
+    def bits(self) -> int:
+        return len(self.secret) * 8
 
 
 def fingerprint(secret: bytes) -> str:
@@ -79,7 +78,7 @@ class KeyFactory:
         if prev is not None and prev != label:
             raise RuntimeError(f"fingerprint collision between {prev!r} and {label!r}")
         self._issued[kid] = label
-        return Key(key_id=kid, bits=self.key_bits, secret=secret)
+        return Key(key_id=kid, secret=secret)
 
 
 def _keystream(prefix: bytes, length: int) -> bytes:

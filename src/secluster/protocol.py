@@ -228,7 +228,7 @@ def _parse_key_payload(plaintext: bytes) -> Optional[Key]:
         return None
     _, kid, secret_hex, _note = plaintext.split(b"|", 3)
     secret = bytes.fromhex(secret_hex.decode())
-    return Key(key_id=kid.decode(), bits=len(secret) * 8, secret=secret)
+    return Key(key_id=kid.decode(), secret=secret)
 
 
 class NetworkState:
@@ -476,9 +476,6 @@ class NetworkState:
 
     # -- membership dynamics -----------------------------------------------
 
-    def _audit(self, message: str) -> None:
-        self.audit_log.append(message)
-
     def _gid_valid(self, group_id: int) -> bool:
         # operational iff its dominator is live: deployed and not revoked
         gd = self.group_dominator.get(group_id)
@@ -488,19 +485,19 @@ class NetworkState:
         """Deploy a pre-provisioned node into a group.  True iff admitted."""
         self._round += 1
         if not self._gid_valid(target_group):
-            self._audit(f"join denied: group {target_group} not operational")
+            self.audit_log.append(f"join denied: group {target_group} not operational")
             return False
         gd = self.group_dominator[target_group]
         if new_node in self.deployed:
-            self._audit(f"join denied: node {new_node} already deployed")
+            self.audit_log.append(f"join denied: node {new_node} already deployed")
             return False
         ind = self.individual_key(new_node)
         if ind is None:
             # unknown id or a node provisioned as a dominator; nothing to verify
-            self._audit(f"join denied: node {new_node} has no individual key")
+            self.audit_log.append(f"join denied: node {new_node} has no individual key")
             return False
         if new_node not in self.graph.neighbors(gd):
-            self._audit(f"join denied: node {new_node} out of range of GD {gd}")
+            self.audit_log.append(f"join denied: node {new_node} out of range of GD {gd}")
             return False
 
         self._send(Kind.JOIN_REQ, new_node, ind, f"JOIN_REQ|{new_node}".encode(),
@@ -514,13 +511,13 @@ class NetworkState:
             self._send(Kind.ORP_ERR, gd, self._current_key(target_group),
                        f"ORP_ERR|{new_node}".encode(), [BS_ID], target_group)
             if ind.key_id in self.revoked_key_ids:
-                self._audit(f"join denied: BS rejected node {new_node}")
+                self.audit_log.append(f"join denied: BS rejected node {new_node}")
                 return False
             self._send(Kind.REKEY_TO_NEW, BS_ID, self._current_key(target_group),
                        f"CONFIRM|{new_node}".encode(), [gd], target_group)
             self._grant(gd, ind)
         elif ind.key_id in self.revoked_key_ids:
-            self._audit(f"join denied: node {new_node} key revoked")
+            self.audit_log.append(f"join denied: node {new_node} key revoked")
             return False
 
         old_key, new_key = self._rekey(target_group, "join")
@@ -534,11 +531,11 @@ class NetworkState:
         """Withdraw a member from its group.  True iff a rekey happened."""
         self._round += 1
         if self.cluster_map.dominator_of.get(node) == node:
-            self._audit(f"leave denied: node {node} is a dominator")
+            self.audit_log.append(f"leave denied: node {node} is a dominator")
             return False
         gid = self.group_of_node(node)
-        if node not in self.deployed or gid is None:
-            self._audit(f"leave ignored: node {node} is not a group member")
+        if gid is None:
+            self.audit_log.append(f"leave ignored: node {node} is not a group member")
             return False
         gd = self.group_dominator[gid]
         self._send(Kind.LEAVE, node, self.individual_key(node),
@@ -556,22 +553,23 @@ class NetworkState:
         The group key and every member individual key the dominator held are
         revoked; the group goes silent.  Re-forming the stranded members is a
         dominator-failure protocol and out of scope.  Revoking a group
-        again only records that in the audit log.
+        again, or one that does not exist, changes nothing and takes no
+        round; it only records that in the audit log.
         """
         if group_id in self.revoked_groups:
-            self._audit(f"revoke ignored: group {group_id} already revoked")
+            self.audit_log.append(f"revoke ignored: group {group_id} already revoked")
+            return
+        if group_id not in self.group_dominator:
+            self.audit_log.append(f"revoke ignored: no group {group_id}")
             return
         self._round += 1
-        if group_id not in self.group_dominator:
-            self._audit(f"revoke ignored: no group {group_id}")
-            return
         self.revoked_groups.add(group_id)
         gd = self.group_dominator[group_id]
         # the dominator holds the group key and every member's individual key
         self.revoked_key_ids.update(self.rings[gd])
         for v in [*self.group_members[group_id], gd]:
             self._withdraw(v, group_id)
-        self._audit(f"group {group_id} revoked by BS")
+        self.audit_log.append(f"group {group_id} revoked by BS")
 
     # -- adversary ---------------------------------------------------------
 
@@ -685,7 +683,7 @@ def deploy_graph(plan: DeploymentPlan, width: float, height: float,
             x = min(max(ax + dist * math.cos(theta), 0.0), width)
             y = min(max(ay + dist * math.sin(theta), 0.0), height)
             positions[m] = Point(x, y)
-    return from_positions([p for p in positions], radius)
+    return from_positions(positions, radius)
 
 
 def form_network(g: UnitDiskGraph, plan: DeploymentPlan, placement: Placement,

@@ -12,6 +12,8 @@ from pathlib import Path
 from typing import Sequence
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_PANEL_WIDTH, _PANEL_HEIGHT = 460, 340
+_TICK_TARGET = 5  # ticks per axis that `_nice_ticks` aims for
 
 
 @dataclass(frozen=True)
@@ -20,11 +22,8 @@ class Series:
     points: tuple[tuple[float, float], ...]
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    span = hi - lo
-    raw = span / target
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / _TICK_TARGET
     mag = 10.0 ** int(f"{raw:e}".split("e")[1])
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= m * mag:
@@ -125,19 +124,18 @@ def _render_panel(panel: Panel, ox: float, oy: float, w: float, h: float) -> lis
     return out
 
 
-def write_chart(panels: Sequence[Panel], path: Path | str,
-                panel_width: int = 460, panel_height: int = 340) -> None:
+def write_chart(panels: Sequence[Panel], path: Path | str) -> None:
     """Write one SVG containing the given panels side by side."""
-    total_w = panel_width * len(panels)
+    total_w = _PANEL_WIDTH * len(panels)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
-        f'height="{panel_height}" viewBox="0 0 {total_w} {panel_height}" '
+        f'height="{_PANEL_HEIGHT}" viewBox="0 0 {total_w} {_PANEL_HEIGHT}" '
         f'font-family="Helvetica,Arial,sans-serif">',
-        f'<rect x="0" y="0" width="{total_w}" height="{panel_height}" fill="#ffffff"/>',
+        f'<rect x="0" y="0" width="{total_w}" height="{_PANEL_HEIGHT}" fill="#ffffff"/>',
     ]
     for i, panel in enumerate(panels):
-        parts.extend(_render_panel(panel, i * panel_width, 0.0,
-                                   panel_width, panel_height))
+        parts.extend(_render_panel(panel, i * _PANEL_WIDTH, 0.0,
+                                   _PANEL_WIDTH, _PANEL_HEIGHT))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 

@@ -10,7 +10,7 @@ import time
 
 from secluster import analysis, domsets, keying, protocol, udg
 from secluster.cli import main as cli_main
-from secluster.domsets import SetKind, min_set_exhaustive
+from secluster.domsets import is_cds, is_dominating, is_wcds, min_set_exhaustive
 from secluster.protocol import AdversaryProfile, Placement
 from secluster.udg import Point
 
@@ -34,7 +34,7 @@ def test_c1_size_ladder():
     start = time.monotonic()
     c6 = domsets.AdjacencyGraph.cycle(6)
     sizes = tuple(len(min_set_exhaustive(c6, k))
-                  for k in (SetKind.DS, SetKind.WCDS, SetKind.CDS))
+                  for k in (is_dominating, is_wcds, is_cds))
     assert sizes == (2, 3, 4)
 
     checked = 0
@@ -45,9 +45,9 @@ def test_c1_size_ladder():
         seed += 1
         if not udg.is_connected(g):
             continue
-        ds = min_set_exhaustive(g, SetKind.DS)
-        wcds = min_set_exhaustive(g, SetKind.WCDS)
-        cds = min_set_exhaustive(g, SetKind.CDS)
+        ds = min_set_exhaustive(g, is_dominating)
+        wcds = min_set_exhaustive(g, is_wcds)
+        cds = min_set_exhaustive(g, is_cds)
         assert ds is not None and wcds is not None and cds is not None
         assert len(ds) <= len(wcds) <= len(cds), f"ladder violated at seed {seed - 1}"
         checked += 1

@@ -170,7 +170,7 @@ def test_sweep_cross_checked_against_exhaustive_oracle():
     g = protocol.deploy_graph(plan, 500, 500, radius,
                               protocol.Placement.clustered(),
                               analysis.derive_seed("graph", row.seed, 20))
-    min_ds = domsets.min_set_exhaustive(g, domsets.SetKind.DS)
+    min_ds = domsets.min_set_exhaustive(g, domsets.is_dominating)
     assert row.dominators_ours >= len(min_ds)
 
 
@@ -251,7 +251,6 @@ def reference_validity(state):
     weak.add_edges_from((u, v) for u, v in ref.edges() if u in doms or v in doms)
     dominating = nx.is_dominating_set(ref, doms)
     return domsets.DomsetReport(
-        set_size=len(doms),
         is_dominating=dominating,
         is_cds=dominating and (len(doms) <= 1 or nx.is_connected(ref.subgraph(doms))),
         is_wcds=dominating and (len(doms) <= 1 or nx.is_connected(weak)),

@@ -10,7 +10,6 @@ from secluster.domsets import (
     AdjacencyGraph,
     DomsetReport,
     GreedyVariant,
-    SetKind,
     classify,
     greedy_cds_baseline,
     is_cds,
@@ -214,43 +213,50 @@ def test_empty_set_never_dominates_nonempty_graph():
 def test_invalid_member_rejected():
     with pytest.raises(ValueError):
         is_dominating(P6, {6})
+    for edges in ([(0, 3)], [(-1, 0)], [(1, 1)]):
+        with pytest.raises(ValueError):
+            AdjacencyGraph(3, edges)
+    for v in (3, -1):
+        with pytest.raises(IndexError):
+            AdjacencyGraph.path(3).neighbors(v)
 
 
 # -- exhaustive oracle -------------------------------------------------------
 
 def test_c6_minimum_sizes():
-    assert len(min_set_exhaustive(C6, SetKind.DS)) == 2
-    assert len(min_set_exhaustive(C6, SetKind.WCDS)) == 3
-    assert len(min_set_exhaustive(C6, SetKind.CDS)) == 4
+    assert len(min_set_exhaustive(C6, is_dominating)) == 2
+    assert len(min_set_exhaustive(C6, is_wcds)) == 3
+    assert len(min_set_exhaustive(C6, is_cds)) == 4
 
 
 def test_star_minimum_is_center():
-    for kind in SetKind:
-        assert min_set_exhaustive(K15, kind) == {0}
+    for verdict in (is_dominating, is_cds, is_wcds):
+        assert min_set_exhaustive(K15, verdict) == {0}
 
 
 def test_p4_minimums_and_tiebreak():
     p4 = AdjacencyGraph.path(4)
-    assert min_set_exhaustive(p4, SetKind.DS) == {0, 2}
-    assert min_set_exhaustive(p4, SetKind.CDS) == {1, 2}
+    assert min_set_exhaustive(p4, is_dominating) == {0, 2}
+    assert min_set_exhaustive(p4, is_cds) == {1, 2}
 
 
 def test_size_guard():
     big = AdjacencyGraph.path(21)
     with pytest.raises(ValueError):
-        min_set_exhaustive(big, SetKind.DS)
+        min_set_exhaustive(big, is_dominating)
+    # the empty graph is dominated by the empty set, for every verdict
+    for verdict in (is_dominating, is_cds, is_wcds):
+        assert min_set_exhaustive(AdjacencyGraph(0, []), verdict) == frozenset()
 
 
 def test_disconnected_graph_has_no_cds_or_wcds():
     g = AdjacencyGraph(4, [(0, 1), (2, 3)])
-    assert min_set_exhaustive(g, SetKind.CDS) is None
-    assert min_set_exhaustive(g, SetKind.WCDS) is None
-    assert min_set_exhaustive(g, SetKind.DS) == {0, 2}
+    assert min_set_exhaustive(g, is_cds) is None
+    assert min_set_exhaustive(g, is_wcds) is None
+    assert min_set_exhaustive(g, is_dominating) == {0, 2}
 
 
 def test_oracle_results_pass_their_own_verifier():
-    verifiers = {SetKind.DS: is_dominating, SetKind.CDS: is_cds,
-                 SetKind.WCDS: is_wcds}
     found = 0
     seed = 0
     while found < 40:
@@ -259,10 +265,10 @@ def test_oracle_results_pass_their_own_verifier():
         if g is None:
             continue
         found += 1
-        for kind, verify in verifiers.items():
-            s = min_set_exhaustive(g, kind)
+        for verdict in (is_dominating, is_cds, is_wcds):
+            s = min_set_exhaustive(g, verdict)
             assert s is not None
-            assert verify(g, s)
+            assert verdict(g, s)
 
 
 def test_size_ladder_on_random_graphs():
@@ -275,9 +281,9 @@ def test_size_ladder_on_random_graphs():
         if g is None:
             continue
         found += 1
-        ds = min_set_exhaustive(g, SetKind.DS)
-        wcds = min_set_exhaustive(g, SetKind.WCDS)
-        cds = min_set_exhaustive(g, SetKind.CDS)
+        ds = min_set_exhaustive(g, is_dominating)
+        wcds = min_set_exhaustive(g, is_wcds)
+        cds = min_set_exhaustive(g, is_cds)
         assert len(ds) <= len(wcds) <= len(cds)
 
 
@@ -382,7 +388,6 @@ def reference_report(g, s, within):
     weak.add_edges_from((u, v) for u, v in ref.edges() if u in s or v in s)
     dominating = nx.is_dominating_set(ref, s)
     return DomsetReport(
-        set_size=len(s),
         is_dominating=dominating,
         is_cds=dominating and (len(s) <= 1 or nx.is_connected(ref.subgraph(s))),
         is_wcds=dominating and (len(s) <= 1 or nx.is_connected(weak)),
@@ -407,16 +412,16 @@ def test_classify_within_agrees_with_networkx(g, data):
 
 def test_classify_within_edge_cases():
     # an empty vertex set is dominated, even by the empty set
-    assert classify(P6, set(), set()) == DomsetReport(0, True, True, True)
-    assert classify(AdjacencyGraph(0, []), set()) == DomsetReport(0, True, True, True)
-    assert classify(P6, set(), {2, 3}) == DomsetReport(0, False, False, False)
+    assert classify(P6, set(), set()) == DomsetReport(True, True, True)
+    assert classify(AdjacencyGraph(0, []), set()) == DomsetReport(True, True, True)
+    assert classify(P6, set(), {2, 3}) == DomsetReport(False, False, False)
     # P6 restricted to {0, 1, 2} is a path dominated by its middle vertex
-    assert classify(P6, {1}, {0, 1, 2}) == DomsetReport(1, True, True, True)
+    assert classify(P6, {1}, {0, 1, 2}) == DomsetReport(True, True, True)
     # without vertex 5, {1, 3} is a WCDS of 0-1-2-3-4 (edge 1-2 joins the stars)
-    assert classify(P6, {1, 3}, range(5)) == DomsetReport(2, True, False, True)
-    assert classify(P6, {1, 3}) == DomsetReport(2, False, False, False)
+    assert classify(P6, {1, 3}, range(5)) == DomsetReport(True, False, True)
+    assert classify(P6, {1, 3}) == DomsetReport(False, False, False)
     # edges leaving `within` do not count: 2 and 4 meet only through 3
-    assert classify(P6, {2, 4}, {1, 2, 4, 5}) == DomsetReport(2, True, False, False)
+    assert classify(P6, {2, 4}, {1, 2, 4, 5}) == DomsetReport(True, False, False)
 
 
 def test_classify_rejects_members_outside_within():

@@ -127,6 +127,18 @@ def test_storage_network_examples():
     assert storage_network_bits(1, 0, 0, 128) == 128
 
 
+@pytest.mark.parametrize("formula, args", [
+    (storage_gd_bits, (-1, 128)),
+    (storage_gd_bits, (5, 0)),
+    (storage_os_bits, (-64,)),
+    (storage_network_bits, (-1, 90, 9, 128)),
+    (storage_network_bits, (10, -1, 9, 128)),
+])
+def test_storage_formulas_reject_out_of_range_inputs(formula, args):
+    with pytest.raises(ValueError):
+        formula(*args)
+
+
 def test_storage_decomposition_identity():
     """Network storage = alpha * per-GD + beta * per-Os, for random tuples."""
     rng = random.Random(77)
@@ -164,6 +176,9 @@ def test_tampered_payload_fails():
     blob[10] ^= 0xFF
     with pytest.raises(DecryptError):
         decrypt(key, bytes(blob))
+    # a blob shorter than its nonce and tag cannot be split at all
+    with pytest.raises(DecryptError, match="too short"):
+        decrypt(key, bytes(blob[:keying.NONCE_BYTES + 15]))
 
 
 @pytest.mark.parametrize("length", [0, 4, 7, 9, 16])

@@ -124,6 +124,10 @@ def test_plan_graph_size_mismatch_rejected():
     plan = keying.build_plan(5, 3, 128, seed=7)
     with pytest.raises(ValueError):
         form_network(g, plan, Placement.uniform(), seed=1).cluster_map
+    _, plan = ideal_group()
+    for v in (4, -1):
+        with pytest.raises(ValueError, match=f"deployed node {v} not in graph"):
+            protocol.NetworkState(g, plan, deployed=[0, v])
 
 
 def test_a_networks_plan_forms_the_network_its_source_plan_forms():
@@ -162,7 +166,9 @@ def test_a_network_forms_once():
     assert state.cluster_map.orphan_events == events
     assert len(state.trace.records) == records
 
-    # a join, leave or revocation, even a refused one, also rules formation out
+    # a join or leave, even a refused one, or a revocation also rules
+    # formation out; revoking no group at all does not
+    # (test_revoking_an_unknown_group_changes_nothing)
     for churn in (lambda s: s.join_node(5, 0), lambda s: s.leave_node(1),
                   lambda s: s.revoke_group(0)):
         unformed = protocol.NetworkState(g, plan, deployed=set(range(n)) - {5})
@@ -783,6 +789,23 @@ def test_a_second_revocation_only_writes_the_audit_log():
                                     "revoke ignored: group 1 already revoked"]
     assert (membership_record(state), set(state.revoked_groups),
             set(state.revoked_key_ids), state._round, len(state.trace.records)) == before
+
+
+def test_revoking_an_unknown_group_changes_nothing():
+    # it takes no round, so an unformed network still forms, and forms as
+    # one that was never asked to revoke
+    plan = keying.build_plan(80, 9, 128, seed=1)
+    radius = udg.radius_for_expected_degree(80, 500, 500, 4.0)
+    g = protocol.deploy_graph(plan, 500, 500, radius, Placement.uniform(), seed=1)
+    state = protocol.NetworkState(g, plan)
+    gid = len(plan.groups) + 5
+    state.revoke_group(gid)
+    assert state.audit_log == [f"revoke ignored: no group {gid}"]
+    state.form()
+    fresh = form_network(g, plan, Placement.uniform(), seed=1)
+    assert state.cluster_map.unreachable()
+    assert membership_record(state) == membership_record(fresh)
+    assert state.trace.records == fresh.trace.records
 
 
 def test_adversary_profiles_name_an_unknown_node_or_group():

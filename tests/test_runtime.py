@@ -37,7 +37,7 @@ def test_the_package_exports_exactly_these_names():
     assert exported == [
         "AdjacencyGraph", "AdversaryProfile", "ClusterMap", "DeploymentPlan",
         "ExperimentRow", "GreedyVariant", "Key", "NetworkState", "Placement",
-        "Point", "SetKind", "UnitDiskGraph", "build_plan", "deploy_graph",
+        "Point", "UnitDiskGraph", "build_plan", "deploy_graph",
         "expected_gd_degree", "form_network", "generate_uniform",
         "greedy_cds_baseline", "ideal_domset_size", "is_cds", "is_connected",
         "is_dominating", "is_wcds", "min_set_exhaustive",

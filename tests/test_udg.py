@@ -151,6 +151,12 @@ def test_generate_validates_arguments():
         udg.generate_uniform(5, 10, 10, 0, seed=0)
     with pytest.raises(ValueError):
         udg.radius_for_expected_degree(1, 10, 10, 6)
+    for d_avg, side in [(0, 10), (-6, 10), (6, 0), (6, -10)]:
+        with pytest.raises(ValueError):
+            udg.radius_for_expected_degree(5, side, 10, d_avg)
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="radius must be > 0"):
+            udg.from_positions([Point(0, 0), Point(1, 0)], radius)
 
 
 def test_connectivity_cases():
