@@ -90,21 +90,28 @@ def formation_validity(state: protocol.NetworkState) -> domsets.DomsetReport:
     return domsets.classify(state.graph, cm.dominator_set(), active)
 
 
+def realize(n: int, eta: int, radius: float, placement: protocol.Placement, seed: int,
+            width: float, height: float, key_bits: int) -> protocol.NetworkState:
+    """Plan, land and form the network of sweep cell (n, seed): the one path
+    from a seed to a formed network.  Formation draws no random numbers, so
+    only the plan and the landing get a stage seed."""
+    plan = keying.build_plan(n, eta, key_bits, derive_seed("plan", seed, n))
+    graph = protocol.deploy_graph(plan, width, height, radius, placement,
+                                  derive_seed("graph", seed, n))
+    return protocol.form_network(graph, plan, placement, seed)
+
+
 def run_experiment_cell(n: int, eta: int, avg_degree: float,
                         placement: protocol.Placement, seed: int,
                         width: float = DEFAULT_FIELD, height: float = DEFAULT_FIELD,
                         key_bits: int = DEFAULT_KEY_BITS) -> ExperimentRow:
     """Generate, form, verify, and account one (n, seed) sweep cell."""
     radius = udg.radius_for_expected_degree(n, width, height, avg_degree)
-    plan = keying.build_plan(n, eta, key_bits, derive_seed("plan", seed, n))
-    graph = protocol.deploy_graph(plan, width, height, radius, placement,
-                                  derive_seed("graph", seed, n))
-    state = protocol.form_network(graph, plan, placement,
-                                  derive_seed("form", seed, n))
+    state = realize(n, eta, radius, placement, seed, width, height, key_bits)
     report = formation_validity(state)
 
-    greedy_one = domsets.greedy_cds_baseline(graph, domsets.GreedyVariant.I)
-    greedy_two = domsets.greedy_cds_baseline(graph, domsets.GreedyVariant.II)
+    greedy_one = domsets.greedy_cds_baseline(state.graph, domsets.GreedyVariant.I)
+    greedy_two = domsets.greedy_cds_baseline(state.graph, domsets.GreedyVariant.II)
 
     storage = storage_curves([n], [eta], key_bits)[0]
     return ExperimentRow(

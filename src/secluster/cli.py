@@ -3,7 +3,9 @@
 Subcommands:
 
   generate   drop sensors on the field and export the proximity graph
-  form       pre-distribute keys, run secure cluster formation, export maps
+  form       pre-distribute keys, run secure cluster formation, export maps;
+             `--n N --seed S --avg-degree D --rho-fraction 1` re-forms the
+             sweep row (D, N, S), since both build through `analysis.realize`
   sweep      full experiment grid: dominator-count comparison plus the
              key-count, storage, and connectivity datasets and figures
   analyze    the closed-form subset of sweep (no simulation)
@@ -101,17 +103,13 @@ def cmd_generate(args, parser) -> int:
 def cmd_form(args, parser) -> int:
     radius = _radius(args, parser)
     placement = _placement(args, radius * args.rho_fraction)
-    plan = keying.build_plan(args.n, args.eta, args.key_bits,
-                             analysis.derive_seed("plan", args.seed))
-    g = protocol.deploy_graph(plan, args.width, args.height, radius, placement,
-                              analysis.derive_seed("graph", args.seed))
-    state = protocol.form_network(g, plan, placement,
-                                  analysis.derive_seed("form", args.seed))
+    state = analysis.realize(args.n, args.eta, radius, placement, args.seed,
+                             args.width, args.height, args.key_bits)
     cm = state.cluster_map
     report = analysis.formation_validity(state)
 
     out = _out_dir(args)
-    keying.write_plan_csv(plan, out / "plan.csv")
+    keying.write_plan_csv(state.plan, out / "plan.csv")
     protocol.write_clustermap_csv(cm, out / "clustermap.csv")
     protocol.write_trace_csv(state.trace, out / "trace.csv")
 

@@ -102,7 +102,7 @@ class Placement:
 
     def describe(self) -> str:
         if self.mode is PlacementMode.CLUSTERED:
-            rho = "radius" if self.rho is None else f"{self.rho:g}"
+            rho = "radius" if self.rho is None else repr(self.rho)
             return f"CLUSTERED(rho={rho})"
         return "UNIFORM"
 

@@ -58,10 +58,11 @@ class Panel:
     series: tuple[Series, ...]
 
 
-def _render_panel(panel: Panel, ox: float, oy: float, w: float, h: float) -> list[str]:
+def _render_panel(panel: Panel, ox: float) -> list[str]:
+    """The panel whose top left corner is (ox, 0)."""
     ml, mr, mt, mb = 56.0, 16.0, 30.0, 44.0
-    px, py = ox + ml, oy + mt
-    pw, ph = w - ml - mr, h - mt - mb
+    px, py = ox + ml, mt
+    pw, ph = _PANEL_WIDTH - ml - mr, _PANEL_HEIGHT - mt - mb
 
     xs = [p[0] for s in panel.series for p in s.points]
     ys = [p[1] for s in panel.series for p in s.points]
@@ -83,7 +84,7 @@ def _render_panel(panel: Panel, ox: float, oy: float, w: float, h: float) -> lis
     out = []
     out.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(pw)}" '
                f'height="{_fmt(ph)}" fill="#fafafa" stroke="#444" stroke-width="1"/>')
-    out.append(f'<text x="{_fmt(px + pw / 2)}" y="{_fmt(oy + 18)}" '
+    out.append(f'<text x="{_fmt(px + pw / 2)}" y="18" '
                f'text-anchor="middle" font-size="13" font-weight="bold">{panel.title}</text>')
 
     for t in _nice_ticks(x_lo, x_hi):
@@ -134,8 +135,7 @@ def write_chart(panels: Sequence[Panel], path: Path | str) -> None:
         f'<rect x="0" y="0" width="{total_w}" height="{_PANEL_HEIGHT}" fill="#ffffff"/>',
     ]
     for i, panel in enumerate(panels):
-        parts.extend(_render_panel(panel, i * _PANEL_WIDTH, 0.0,
-                                   _PANEL_WIDTH, _PANEL_HEIGHT))
+        parts.extend(_render_panel(panel, i * _PANEL_WIDTH))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 

@@ -129,8 +129,6 @@ def generate_uniform(n: int, width: float, height: float, radius: float,
         raise ValueError("n must be >= 1")
     if width <= 0 or height <= 0:
         raise ValueError("field dimensions must be > 0")
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
     rng = random.Random(seed)
     pts = tuple(Point(rng.uniform(0.0, width), rng.uniform(0.0, height))
                 for _ in range(n))

@@ -24,12 +24,16 @@ settings.load_profile("deterministic")
 
 
 def _churned_form_network(placement_name, n=300, seed=1):
-    """The network `form --n 300 --placement <placement_name> --seed 1`
-    builds, with every v % 7 == 3 held back from formation, then a fixed
-    script: a join onto the access list, a join the base station confirms,
-    a join into a promoted group, a leave, the revocation of the confirmed
-    join's group, and a refused join by each of its stranded members that
-    hears an operational dominator."""
+    """An n=300, degree-6 network at `form`'s default placements (uniform, or
+    clustered at rho = r/4), planned and landed from the stage seeds
+    `derive_seed("plan", seed)` and `derive_seed("graph", seed)`.  These
+    leave n out, so neither `form` nor a sweep row builds this network; it
+    keeps them so that the digests pinned on it hold.  Every v % 7 == 3 is
+    held back from formation, then a fixed script runs: a join onto the
+    access list, a join the base station confirms, a join into a promoted
+    group, a leave, the revocation of the confirmed join's group, and a
+    refused join by each of its stranded members that hears an operational
+    dominator."""
     radius = udg.radius_for_expected_degree(n, 500.0, 500.0, 6.0)
     placement = (Placement.uniform() if placement_name == "uniform"
                  else Placement.clustered(radius * 0.25))
@@ -37,7 +41,7 @@ def _churned_form_network(placement_name, n=300, seed=1):
     g = protocol.deploy_graph(plan, 500.0, 500.0, radius, placement,
                               derive_seed("graph", seed))
     held = {v for v in range(n) if v % 7 == 3}
-    state = protocol.form_network(g, plan, placement, derive_seed("form", seed),
+    state = protocol.form_network(g, plan, placement, seed,
                                   deployed=set(range(n)) - held)
 
     def hears(v):

@@ -166,10 +166,8 @@ def test_sweep_cross_checked_against_exhaustive_oracle():
     # at n=20 the exhaustive minimum-DS oracle is feasible on the same graph
     row = small_sweep(n_range=[20], seeds=1)[0]
     radius = udg.radius_for_expected_degree(20, 500, 500, 6.0)
-    plan = keying.build_plan(20, 9, 128, analysis.derive_seed("plan", row.seed, 20))
-    g = protocol.deploy_graph(plan, 500, 500, radius,
-                              protocol.Placement.clustered(),
-                              analysis.derive_seed("graph", row.seed, 20))
+    g = analysis.realize(20, 9, radius, protocol.Placement.clustered(), row.seed,
+                         500, 500, 128).graph
     min_ds = domsets.min_set_exhaustive(g, domsets.is_dominating)
     assert row.dominators_ours >= len(min_ds)
 

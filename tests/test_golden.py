@@ -1,8 +1,11 @@
 """Golden digests of every file `secluster form`, `sweep`, `generate` and
 `analyze` write.
 
-The `form` digests and the `sweep.csv` digest were taken from the program
-as it was before floods were stored as single trace records.  The figure,
+The `form` digests were taken once `form` built its network through the
+sweep's one realisation path, whose stage seeds include n (before, `form`
+derived its seeds from the seed alone, so no `form` run re-formed a sweep
+row).  The `sweep.csv` digest was taken from the program as it was before
+floods were stored as single trace records.  The figure,
 `generate` and `analyze` digests were taken from the program as it was
 before the base-station vault kept a single key index and the key rings
 became the only custody record.  The envelope digests, which cover what
@@ -20,6 +23,7 @@ updates them and says why.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -32,24 +36,24 @@ from secluster.trace import FloodEvent
 
 FORM_DIGESTS = {
     ("uniform", 1): {
-        "plan.csv": "407a09ff82c2110e2d88e6679a24ed2d421f1c207caeae328459de4a0780c877",
-        "clustermap.csv": "9e00fa69c96d11c3e41176275b8c60ab0e576a6ad2877e20794c81598dee1667",
-        "trace.csv": "c48d09d3144f0307aa702949c1f71ad593141557bcbb9f0cc52d360c2015b7ca",
+        "plan.csv": "bc95f5c9c251ee3e3fa6aaa36a340a6ebf6e808d38c17216a7ed370cfaee2e0b",
+        "clustermap.csv": "262963a8fdcb9d98d54de800836c4066ed8bd712a593c915306a48866d57786c",
+        "trace.csv": "4e1616be5eefab193bcc4a35fe565b3e18caf1a03537c38003288fc8f834268f",
     },
     ("uniform", 7): {
-        "plan.csv": "c47b98f0c7a144360089cc04893c9de38685f4ed8c8fb3d5b3adc1b90c1db0bc",
-        "clustermap.csv": "d6a28c8ed455f7090fe1e0bfd9bfa6927577e5a2d7177c89e18ffe942d9ef6d7",
-        "trace.csv": "a074119dd85932d4e40cf413c504d2bfc7323c0099eba7cdfc84e3665b253765",
+        "plan.csv": "c80e2a4b0003b70c20dab3b350213a41f4139e17005b226a14d64e0008e17590",
+        "clustermap.csv": "8e05e5c5bdbc75d7eeee38260ad8ef0f1fcbd5a7916e28d79bb547cbf77befc6",
+        "trace.csv": "326b56a3b94ccd0dda9545835c445f2080e3ab37bf698dc0ef1bbdeef775e9cb",
     },
     ("clustered", 1): {
-        "plan.csv": "407a09ff82c2110e2d88e6679a24ed2d421f1c207caeae328459de4a0780c877",
-        "clustermap.csv": "c2e2b5512cb292c4be7d4e06066d4e327410a7fde522246ca15d2340b52dbe05",
-        "trace.csv": "2627ac9088034d753b471510146d5bc23d96a0ab49b373d7ae05012d762793a9",
+        "plan.csv": "bc95f5c9c251ee3e3fa6aaa36a340a6ebf6e808d38c17216a7ed370cfaee2e0b",
+        "clustermap.csv": "e27358b5d5d873f2df1bb57b20024edf11e312a1f477c3b00be0220d04cde750",
+        "trace.csv": "4c506bea30a9c50566d723e61c81befff3f329e39ea6a643c7d13d323d4631e7",
     },
     ("clustered", 7): {
-        "plan.csv": "c47b98f0c7a144360089cc04893c9de38685f4ed8c8fb3d5b3adc1b90c1db0bc",
-        "clustermap.csv": "f6160d6e7d82ddb1d72823d17f0aaf62c5f58c2f781efc9b9c6381108f6c0c00",
-        "trace.csv": "f0f81b092401abe33cdd1d682a78c86cb4d54eb247683063486191a1d5b404dd",
+        "plan.csv": "c80e2a4b0003b70c20dab3b350213a41f4139e17005b226a14d64e0008e17590",
+        "clustermap.csv": "dcd48bc8cd74e3b1c1170f8c8c670e9a7e4bb02151daef235d0dcb285d32fc4e",
+        "trace.csv": "b565b8953df5e3f4d906a3d3471b89ab663a21afc9e450b859bb4dda369f4994",
     },
 }
 SWEEP_CSV_DIGEST = "cfb01a386d6bd1ba6a4a3e3981cf439ec7fa5c7adb3d4550de100ef398a7f30d"
@@ -120,6 +124,22 @@ def test_sweep_writes_the_golden_sweep_csv(sweep_out):
 def test_sweep_writes_the_golden_figures(sweep_out):
     assert digests_of(sweep_out) == {**FIGURE_DIGESTS, "sweep.csv": SWEEP_CSV_DIGEST,
                                      "fig11.svg": SWEEP_FIG11_SVG_DIGEST}
+
+
+@pytest.mark.parametrize(("avg_degree", "n", "seed"), [(6, 40, 5), (12, 100, 6),
+                                                     (6, 200, 7)])
+def test_form_re_forms_a_sweep_row(sweep_out, tmp_path, avg_degree, n, seed):
+    with open(sweep_out / "sweep.csv", newline="") as f:
+        row, = [r for r in csv.DictReader(f)
+                if (r["avg_degree_target"], r["n"], r["seed"]) == (str(avg_degree),
+                                                                 str(n), str(seed))]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(["form", "--n", str(n), "--seed", str(seed), "--avg-degree",
+                     str(avg_degree), "--rho-fraction", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert (f"dominators={row['dominators_ours']} "
+            f"wcds_valid={row['wcds_valid'].capitalize()} ") in printed.getvalue()
 
 
 def test_generate_writes_the_golden_graph(tmp_path):

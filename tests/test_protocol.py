@@ -3,6 +3,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from secluster import analysis, keying, protocol, udg
 from secluster.keying import DecryptError, decrypt
@@ -376,6 +378,15 @@ def test_deploy_graph_rejects_a_field_without_area(placement, width, height):
 def test_clustered_placement_rejects_a_non_positive_rho(rho):
     with pytest.raises(ValueError, match="rho must be > 0"):
         Placement.clustered(rho)
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(12.3456789)
+def test_clustered_placement_names_its_exact_rho(rho):
+    # a sweep row's placement column must re-form the row's landing
+    described = Placement.clustered(rho).describe()
+    assert described.startswith("CLUSTERED(rho=") and described.endswith(")")
+    assert float(described[len("CLUSTERED(rho="):-1]) == rho
 
 
 def test_clustered_ideal_fill_hits_eq2_count():
