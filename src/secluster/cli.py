@@ -119,7 +119,7 @@ def cmd_form(args, parser) -> int:
     print(f"form: n={args.n} eta={args.eta} placement={placement.describe()} "
           f"radius={radius:.3f}")
     print(f"dominators={len(cm.dominator_set())} "
-          f"wcds_valid={report.is_wcds} "
+          f"wcds_valid={str(report.is_wcds).lower()} "
           f"orphans_adopted={by_resolution['ADOPTED']} "
           f"orphans_promoted={by_resolution['PROMOTED']} "
           f"orphans_unreachable={by_resolution['UNREACHABLE']} "

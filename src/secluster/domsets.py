@@ -12,31 +12,29 @@ Three nested notions over an undirected graph:
 Every CDS of a connected graph is a WCDS, and every WCDS is a DS, so
 minimum sizes satisfy |DS| <= |WCDS| <= |CDS|.
 
-All functions take any graph object with an integer field `n` and a method
-`neighbors(i) -> set of int` (both `udg.UnitDiskGraph` and the fixture
-helper `AdjacencyGraph` below qualify).  Like the greedy builders, which
-work on an adjacency plus a vertex set, the verifier `classify` takes a
-graph plus a vertex set V and judges the subgraph induced by V in place,
-without copying or relabelling it; `is_dominating`, `is_cds` and `is_wcds`
-are its three verdicts over the whole graph, and `min_set_exhaustive`
-takes any such verdict.  Its connectivity checks and the baselines' split
-into components walk with `udg.walk`.
+All functions take any graph object with an integer `n` and `adjacency[v]`,
+v's neighbour set (`udg.UnitDiskGraph` and the fixture helper
+`AdjacencyGraph` below both qualify).  Like the greedy builders, which work
+on an adjacency plus a vertex set, the verifier `classify` takes a graph
+plus a vertex set V and judges the subgraph induced by V in place, without
+copying or relabelling it; `is_dominating`, `is_cds` and `is_wcds` are its
+three verdicts over the whole graph, and `min_set_exhaustive` takes any
+such verdict.  Its connectivity checks and the baselines' split into
+components walk with `udg.walk`.
 
 The greedy baselines (Guha & Khuller, "Approximation algorithms for
-connected dominating sets", 1998) keep each vertex's gain, the number of
-still-uncovered vertices in its closed neighbourhood, up to date: covering
-u lowers the gain of every vertex in N[u] by one, which costs O(n + m) over
-a whole run on a graph with m edges.  The next vertex comes from a lazy
-max-heap on (-gain, id), as in Minoux's accelerated greedy: gains only
-fall, so a popped entry whose gain is stale is pushed back with its current
-gain, and the first current entry popped is the largest gain with the
-smallest id, the same tie-break as a full scan in id order.  Each stale pop
-follows a gain decrease, so selection makes O(n + m) heap operations of
-O(log n) each instead of rescanning every candidate at every step.  Greedy
-II's second phase picks each joining path from two more lazy heaps over the
-vertices next to its growing base fragment, which gives the path a
-breadth-first search from that fragment would find, without the search:
-O(m log n) for the whole phase instead of a search per path.
+connected dominating sets", 1998) pick by gain, the number of
+still-uncovered vertices in a closed neighbourhood.  Covering decrements no
+gain: the next vertex comes from a lazy max-heap on (-gain, id), as in
+Minoux's accelerated greedy, and the top's gain is recomputed on pop by one
+set difference, `len(adj[v] - covered) + (v not in covered)`.  Gains only
+fall, so a stored gain only overstates: a stale top goes back with its
+recomputed gain, and the first current top is the largest gain with the
+smallest id, the tie-break of a full scan in id order.  Greedy II's second
+phase picks each joining path from two more lazy heaps over the vertices
+next to its growing base fragment, testing each by set algebra on its
+adjacency; this finds the path a breadth-first search from that fragment
+would, in O(m log n) for the whole phase instead of a search per path.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from .udg import connected_components, walk
 
@@ -65,19 +63,19 @@ class AdjacencyGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
-        self._adj: list[set[int]] = [set() for _ in range(n)]
+        self.adjacency: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError("self loops not allowed")
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+            self.adjacency[u].add(v)
+            self.adjacency[v].add(u)
 
     def neighbors(self, i: int) -> set[int]:
         if not 0 <= i < self.n:
             raise IndexError(f"node id {i} out of range for graph with n={self.n}")
-        return self._adj[i]
+        return self.adjacency[i]
 
     @classmethod
     def path(cls, n: int) -> "AdjacencyGraph":
@@ -110,6 +108,19 @@ def _check_members(g, s: Iterable[int]) -> frozenset[int]:
     return members
 
 
+class _EdgesTouching:
+    # The edges of adj with an end in `members` and both ends in `verts`, as
+    # neighbour sets for `walk`, each filtered only when the walk reads it:
+    # a walk that stops at a small piece pays for that piece alone.
+    __slots__ = ("adj", "members", "verts")
+
+    def __init__(self, adj, members: frozenset[int], verts: Collection[int]):
+        self.adj, self.members, self.verts = adj, members, verts
+
+    def __getitem__(self, v: int) -> set[int]:
+        return self.adj[v] & (self.verts if v in self.members else self.members)
+
+
 def classify(g, s: Iterable[int], within: Optional[Iterable[int]] = None) -> DomsetReport:
     """Classify s as a DS, CDS and WCDS of g over the vertex set `within`.
 
@@ -127,9 +138,8 @@ def classify(g, s: Iterable[int], within: Optional[Iterable[int]] = None) -> Dom
         if not members <= verts:
             raise ValueError(f"vertices {sorted(members - verts)} lie outside `within`")
         size = len(verts)
-    covered = set(members)
-    for v in members:
-        covered.update(g.neighbors(v))
+    adj = g.adjacency
+    covered = set(members).union(*(adj[v] for v in members))
     if within is not None:
         covered &= verts
     dom = len(covered) == size
@@ -137,11 +147,10 @@ def classify(g, s: Iterable[int], within: Optional[Iterable[int]] = None) -> Dom
         return DomsetReport(dom, dom, dom)
     lo = min(members)
     # CDS: the subgraph induced by s is connected.
-    cds = len(walk({v: g.neighbors(v) & members for v in members}, lo)) == len(members)
+    cds = len(walk(_EdgesTouching(adj, members, members), lo)) == len(members)
     # WCDS: N[s], here all of V, is connected by the edges that touch s.  A
     # CDS is one, since every vertex of V hangs off a connected s.
-    wcds = cds or len(walk({v: g.neighbors(v) & (covered if v in members else members)
-                            for v in covered}, lo)) == size
+    wcds = cds or len(walk(_EdgesTouching(adj, members, covered), lo)) == size
     return DomsetReport(dom, cds, wcds)
 
 
@@ -187,58 +196,50 @@ def min_set_exhaustive(g, verdict: Callable[..., bool]) -> Optional[VertexSet]:
     return None
 
 
-def _cover(adj, v: int, covered: set[int], gain: dict[int, int]) -> None:
-    # Cover N[v]; each newly covered u lowers the gain of every vertex in N[u].
-    for u in (v, *adj[v]):
-        if u not in covered:
-            covered.add(u)
-            gain[u] -= 1
-            for w in adj[u]:
-                gain[w] -= 1
-
-
-def _pop_best(heap: list[tuple[int, int]], gain: dict[int, int]) -> int:
-    # Lazy max-heap on (-gain, id): gains only fall, so a popped entry whose
-    # gain is current beats every other entry, and a stale one goes back in.
+def _pop_best(heap: list[tuple[int, int]], adj, covered: set[int]) -> int:
+    # Lazy max-heap on (-gain, id): a stored gain only overstates, so the
+    # top entry whose stored gain is its recomputed one beats every other
+    # entry, and a stale top goes back with its recomputed gain.
     while True:
-        neg, v = heapq.heappop(heap)
-        if -neg == gain[v]:
-            return v
-        heapq.heappush(heap, (-gain[v], v))
+        neg, v = heap[0]
+        gain = len(adj[v] - covered) + (v not in covered)
+        if -neg == gain:
+            return heapq.heappop(heap)[1]
+        heapq.heapreplace(heap, (-gain, v))
 
 
 def _greedy_variant_one(adj, nodes: set[int]) -> set[int]:
     # Grow a connected set from the highest-degree vertex; each step adds the
     # frontier vertex covering the most still-uncovered vertices.
-    gain = {v: len(adj[v]) + 1 for v in nodes}
-    v = max(nodes, key=lambda u: (gain[u], -u))
+    v = max(nodes, key=lambda u: (len(adj[u]), -u))
     chosen: set[int] = set()
     covered: set[int] = set()
     heap: list[tuple[int, int]] = []
     queued = {v}
     while True:
         chosen.add(v)
-        _cover(adj, v, covered, gain)
+        covered.add(v)
+        covered |= adj[v]
         if len(covered) == len(nodes):
             return chosen
-        for w in adj[v]:
-            if w not in queued:
-                queued.add(w)
-                heapq.heappush(heap, (-gain[w], w))
-        v = _pop_best(heap, gain)
+        # v's neighbours are covered now, so only their own neighbours count
+        for w in adj[v] - queued:
+            heapq.heappush(heap, (-len(adj[w] - covered), w))
+        queued |= adj[v]
+        v = _pop_best(heap, adj, covered)
 
 
 def _greedy_variant_two(adj, nodes: set[int]) -> set[int]:
     # Phase 1: plain greedy dominating set (max uncovered coverage).
-    gain = {v: len(adj[v]) + 1 for v in nodes}
-    heap = [(-gain[v], v) for v in nodes]
+    heap = [(-len(adj[v]) - 1, v) for v in nodes]
     heapq.heapify(heap)
     chosen: set[int] = set()
     covered: set[int] = set()
     while len(covered) < len(nodes):
-        v = _pop_best(heap, gain)
+        v = _pop_best(heap, adj, covered)
         chosen.add(v)
-        _cover(adj, v, covered, gain)
+        covered.add(v)
+        covered |= adj[v]
 
     # Phase 2: join the fragments of the induced subgraph along shortest
     # paths in g, each time from the base fragment, the one holding
@@ -260,9 +261,7 @@ def _greedy_variant_two(adj, nodes: set[int]) -> set[int]:
     while True:
         while grow:
             b = grow.pop()
-            for w in adj[b]:
-                if w in base:
-                    continue
+            for w in adj[b] - base:
                 if w in chosen:
                     base.add(w)
                     grow.append(w)
@@ -272,14 +271,13 @@ def _greedy_variant_two(adj, nodes: set[int]) -> set[int]:
                     heapq.heappush(two_step, (b, w))
         if len(base) == len(chosen):
             return chosen
-        v = _first_near(one_step, near, base,
-                        lambda v: any(w in chosen and w not in base for w in adj[v]))
+        v = _first_near(one_step, near, base, lambda v: not adj[v] & chosen <= base)
         if v is not None:
             grow = [v]
         else:
             v = _first_near(two_step, near, base,
-                            lambda v: any(w not in base and w not in near for w in adj[v]))
-            grow = [v, min(w for w in adj[v] if w not in base and w not in near)]
+                            lambda v: not near.keys() >= adj[v] - base)
+            grow = [v, min(adj[v] - base - near.keys())]
         chosen.update(grow)
         base.update(grow)
 
@@ -308,7 +306,7 @@ def greedy_cds_baseline(g, variant: GreedyVariant) -> VertexSet:
     union, so is_cds holds on every component.
     """
     builder = _greedy_variant_one if variant is GreedyVariant.I else _greedy_variant_two
-    adj = [g.neighbors(v) for v in range(g.n)]
+    adj = g.adjacency
     result: set[int] = set()
     for comp in connected_components(g):
         result |= builder(adj, comp)

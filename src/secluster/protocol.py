@@ -250,7 +250,7 @@ class NetworkState:
             if not 0 <= v < graph.n:
                 raise ValueError(f"deployed node {v} not in graph")
 
-        # key rings: node -> {fingerprint: Key}; mutated only through _grant
+        # key rings: node -> {fingerprint: Key}; granted only through _grant(node, *keys)
         self.rings: dict[int, dict[str, Key]] = {}
 
         # current (post-formation) group structure; access lists stay in plan
@@ -272,17 +272,18 @@ class NetworkState:
 
     # -- key plumbing ------------------------------------------------------
 
-    def _grant(self, node: int, key: Key) -> None:
-        self.rings.setdefault(node, {}).setdefault(key.key_id, key)
+    def _grant(self, node: int, *keys: Key) -> None:
+        ring = self.rings.setdefault(node, {})
+        for key in keys:
+            ring.setdefault(key.key_id, key)
 
     def _predistribute(self) -> None:
         # Offline phase: every node in the plan gets its keys, deployed or not.
         for g in self.plan.groups:
             self._open_group(g.group_id, g.dominator, g.group_key)
             for m in g.members:
-                self._grant(m, g.individual_keys[m])
-                self._grant(m, g.group_key)
-                self._grant(g.dominator, g.individual_keys[m])
+                self._grant(m, g.individual_keys[m], g.group_key)
+            self._grant(g.dominator, *g.individual_keys.values())
 
     def _open_group(self, gid: int, dominator: int, key: Key) -> None:
         # the one writer of lead entries and of each key history's first key
@@ -320,7 +321,7 @@ class NetworkState:
         return old, new
 
     def _deliver(self, kind: Kind, sender: int, gid: int, key: Key,
-                 copies: Iterable[tuple[Key, Collection[int]]]) -> None:
+                 copies: Iterable[tuple[Key, tuple[int, ...]]]) -> None:
         """Send group gid's key once per `(under, receivers)` of `copies`,
         sealed under `under`; every receiver holds it.  The plaintext is the
         same in every copy, so it is built once."""
@@ -338,11 +339,11 @@ class NetworkState:
         return Envelope(sender, kind, key, self._nonce_counter, plaintext)
 
     def _send(self, kind: Kind, sender: int, key: Key, plaintext: bytes,
-              receivers: Iterable[int], group_id: Optional[int]) -> Envelope:
-        """Seal plaintext and record its broadcast by sender."""
+              receivers: tuple[int, ...], group_id: Optional[int]) -> Envelope:
+        """Seal plaintext and record its broadcast by sender to `receivers`,
+        a tuple in ascending id order, which is recorded as given."""
         env = self._seal(kind, sender, key, plaintext)
-        self.trace.append(TraceEvent(self._round, env, tuple(sorted(receivers)),
-                                     group_id, sender))
+        self.trace.append(TraceEvent(self._round, env, receivers, group_id, sender))
         return env
 
     def group_of_node(self, node: int) -> Optional[int]:
@@ -379,8 +380,8 @@ class NetworkState:
         cm = self.cluster_map
         # deployed does not change during formation, so each node's sorted
         # deployed neighbourhood is built once and shared by every round
-        nbrs = {v: tuple(sorted(self.graph.neighbors(v) & self.deployed))
-                for v in self.deployed}
+        adj, deployed = self.graph.adjacency, self.deployed
+        nbrs = {v: tuple(sorted(adj[v] & deployed)) for v in deployed}
 
         # round 1: join requests; s is on its planned group's access list
         # only, so only its own dominator, if deployed in range, approves it
@@ -431,7 +432,7 @@ class NetworkState:
                         self.plan.group_of(s).group_id, nbrs, reach)
             for gd in gds:
                 self._send(Kind.ORP_ERR, gd, self._current_key(gid_of[gd]),
-                           f"ORP_ERR|{s}".encode(), [BS_ID], gid_of[gd])
+                           f"ORP_ERR|{s}".encode(), (BS_ID,), gid_of[gd])
 
         # round 4: base-station verdicts
         self._round = 4
@@ -446,17 +447,17 @@ class NetworkState:
                 # would be readable by every group member.  The key itself is
                 # provisioned over the protected BS channel (bookkeeping).
                 self._send(Kind.REKEY_TO_NEW, BS_ID, self._current_key(gid),
-                           f"ADOPT|{s}".encode(), [adopter], gid)
+                           f"ADOPT|{s}".encode(), (adopter,), gid)
                 self._grant(adopter, ind)
                 self._deliver(Kind.REKEY_TO_NEW, BS_ID, gid, self._current_key(gid),
-                              [(ind, [s])])
+                              [(ind, (s,))])
                 self._enroll(s, gid)
                 cm.orphan_events.append(OrphanEvent(s, "ADOPTED", adopter))
             elif nbrs[s]:
                 gid = len(self.group_dominator)  # group ids are dense
                 new_key = self.plan.factory.derive(f"group:{gid}")
                 self._open_group(gid, s, new_key)
-                self._deliver(Kind.REKEY_TO_NEW, BS_ID, gid, new_key, [(ind, [s])])
+                self._deliver(Kind.REKEY_TO_NEW, BS_ID, gid, new_key, [(ind, (s,))])
                 cm.orphan_events.append(OrphanEvent(s, "PROMOTED"))
             else:
                 cm.orphan_events.append(OrphanEvent(s, "UNREACHABLE"))
@@ -501,7 +502,8 @@ class NetworkState:
             return False
 
         self._send(Kind.JOIN_REQ, new_node, ind, f"JOIN_REQ|{new_node}".encode(),
-                   self.graph.neighbors(new_node) & self.deployed, target_group)
+                   tuple(sorted(self.graph.adjacency[new_node] & self.deployed)),
+                   target_group)
 
         if not self._on_access_list(new_node, target_group):
             # GD escalates the unknown id; BS confirms legitimacy and supplies
@@ -509,21 +511,21 @@ class NetworkState:
             # confirmation only names the node; the key itself moves over the
             # protected BS channel, never inside group-keyed traffic.
             self._send(Kind.ORP_ERR, gd, self._current_key(target_group),
-                       f"ORP_ERR|{new_node}".encode(), [BS_ID], target_group)
+                       f"ORP_ERR|{new_node}".encode(), (BS_ID,), target_group)
             if ind.key_id in self.revoked_key_ids:
                 self.audit_log.append(f"join denied: BS rejected node {new_node}")
                 return False
             self._send(Kind.REKEY_TO_NEW, BS_ID, self._current_key(target_group),
-                       f"CONFIRM|{new_node}".encode(), [gd], target_group)
+                       f"CONFIRM|{new_node}".encode(), (gd,), target_group)
             self._grant(gd, ind)
         elif ind.key_id in self.revoked_key_ids:
             self.audit_log.append(f"join denied: node {new_node} key revoked")
             return False
 
         old_key, new_key = self._rekey(target_group, "join")
-        self._deliver(Kind.REKEY_TO_NEW, gd, target_group, new_key, [(ind, [new_node])])
+        self._deliver(Kind.REKEY_TO_NEW, gd, target_group, new_key, [(ind, (new_node,))])
         self._deliver(Kind.REKEY_BCAST, gd, target_group, new_key,
-                      [(old_key, self.group_members[target_group])])
+                      [(old_key, tuple(sorted(self.group_members[target_group])))])
         self._enroll(new_node, target_group)
         return True
 
@@ -539,11 +541,11 @@ class NetworkState:
             return False
         gd = self.group_dominator[gid]
         self._send(Kind.LEAVE, node, self.individual_key(node),
-                   f"LEAVE|{node}".encode(), [gd], gid)
+                   f"LEAVE|{node}".encode(), (gd,), gid)
         self._withdraw(node, gid)
         _old_key, new_key = self._rekey(gid, "leave")
         self._deliver(Kind.REKEY_TO_NEW, gd, gid, new_key,
-                      [(self.individual_key(m), [m])
+                      [(self.individual_key(m), (m,))
                        for m in sorted(self.group_members[gid])])
         return True
 

@@ -180,9 +180,9 @@ def is_connected(g) -> bool:
 def connected_components(g) -> list[set[int]]:
     """Connected components as sets of node ids, ordered by smallest member.
 
-    `g` is any graph with an integer field `n` and a method `neighbors(i)`.
+    `g` is any graph with an integer `n` and `adjacency[v]`, v's neighbour set.
     """
-    nbrs = [g.neighbors(v) for v in range(g.n)]
+    nbrs = g.adjacency
     seen: set[int] = set()
     comps = []
     for s in range(g.n):

@@ -359,6 +359,34 @@ def test_greedy_matches_reference_on_disconnected_graphs(g):
         assert greedy_cds_baseline(g, var) == reference_greedy(g, var)
 
 
+def grid_lattice(side):
+    """The side x side grid graph, node r * side + c at row r, column c."""
+    return AdjacencyGraph(side * side,
+                          [(r * side + c, r * side + c + 1)
+                           for r in range(side) for c in range(side - 1)]
+                          + [(r * side + c, (r + 1) * side + c)
+                             for r in range(side - 1) for c in range(side)])
+
+
+# Graphs full of tied gains, where only the tie-break toward the smaller id
+# decides each pick: every inner grid vertex and every cycle vertex starts
+# with the same gain, and the two stars' centres (0, and 9 after its
+# leaves) have the same degree.
+TIED_GAINS = {
+    "grid6x6": grid_lattice(6),
+    "cycle12": AdjacencyGraph.cycle(12),
+    "two_stars": AdjacencyGraph(10, [(0, v) for v in range(1, 5)]
+                                + [(9, v) for v in range(5, 9)]),
+}
+
+
+@pytest.mark.parametrize("variant", list(GreedyVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("name", sorted(TIED_GAINS))
+def test_greedy_matches_reference_on_tied_gains(name, variant):
+    g = TIED_GAINS[name]
+    assert greedy_cds_baseline(g, variant) == reference_greedy(g, variant)
+
+
 @given(st.one_of(random_udgs(), random_graphs()))
 def test_greedy_is_a_cds_of_every_component_by_networkx(g):
     ref = to_networkx(g)

@@ -214,6 +214,46 @@ def test_the_golden_churned_network_seals_each_envelope_once(churned_form_networ
     assert_each_envelope_sealed_once(state)
 
 
+def assert_receivers_ascend(state):
+    """Every transmission's receivers are a tuple in ascending id order:
+    `_send` records the tuple its caller passes, without sorting it."""
+    for ev in state.trace:
+        assert type(ev.receivers) is tuple
+        assert all(a < b for a, b in zip(ev.receivers, ev.receivers[1:])), ev
+
+
+@pytest.mark.parametrize("placement, kinds", [
+    # orphans flood, their dominators in range report, and the base station
+    # sends adoptions and promotions
+    (Placement.uniform(), {Kind.GD_ERR, Kind.ORP_ERR, Kind.REKEY_TO_NEW}),
+    (Placement.clustered(), {Kind.JOIN_REQ, Kind.JOIN_APRV}),
+], ids=["uniform", "clustered"])
+def test_formation_records_receivers_in_ascending_order(placement, kinds):
+    n = 300
+    plan = keying.build_plan(n, 9, 128, seed=5)
+    radius = udg.radius_for_expected_degree(n, 500, 500, 8.0)
+    g = protocol.deploy_graph(plan, 500, 500, radius, placement, seed=5)
+    state = protocol.form_network(g, plan, placement, seed=5)
+    assert {rec.envelope.kind for rec in state.trace.records} >= kinds
+    assert_receivers_ascend(state)
+
+
+@pytest.mark.parametrize("placement", ["uniform", "clustered"])
+def test_the_golden_churned_network_records_receivers_in_ascending_order(
+        churned_form_network, placement):
+    state = churned_form_network(placement)
+    kinds = {rec.envelope.kind for rec in state.trace.records}
+    assert {Kind.REKEY_BCAST, Kind.LEAVE, Kind.ORP_ERR} <= kinds
+    assert_receivers_ascend(state)
+
+
+@given(churn_case())
+def test_a_churned_network_records_receivers_in_ascending_order(case):
+    g, plan_args, held, ops = case
+    assert_receivers_ascend(churned(NetworkState, g, keying.build_plan(*plan_args),
+                                    held, ops))
+
+
 def assert_views_match_the_live_map(state):
     """dominator_set() and mediators() equal a recomputation, pair by pair,
     from the graph, the deployed set and dominator_of."""

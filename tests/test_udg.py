@@ -243,7 +243,7 @@ def test_walk_is_breadth_first_in_neighbour_order():
     assert udg.walk(nbrs, 5) == [5]
 
 
-def test_connected_components_take_any_graph_with_neighbors():
+def test_connected_components_take_any_graph_with_adjacency():
     g = AdjacencyGraph(6, [(0, 4), (4, 2), (3, 5)])
     assert udg.connected_components(g) == [{0, 2, 4}, {1}, {3, 5}]
     assert not udg.is_connected(g)
