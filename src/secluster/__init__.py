@@ -2,7 +2,7 @@
 
 Simulates offline key pre-distribution, rank assignment, and the
 message-level cluster-formation protocol over unit-disk proximity graphs,
-with dominating-set verifiers and the closed-form storage/connectivity
+with a dominating-set verifier and the closed-form storage/connectivity
 analysis alongside.
 """
 
@@ -13,15 +13,7 @@ from .udg import (
     is_connected,
     radius_for_expected_degree,
 )
-from .domsets import (
-    AdjacencyGraph,
-    GreedyVariant,
-    greedy_cds_baseline,
-    is_cds,
-    is_dominating,
-    is_wcds,
-    min_set_exhaustive,
-)
+from .domsets import GreedyVariant, greedy_cds_baseline
 from .keying import (
     DeploymentPlan,
     Key,

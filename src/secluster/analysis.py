@@ -103,8 +103,7 @@ def realize(n: int, eta: int, radius: float, placement: protocol.Placement, seed
 
 def run_experiment_cell(n: int, eta: int, avg_degree: float,
                         placement: protocol.Placement, seed: int,
-                        width: float = DEFAULT_FIELD, height: float = DEFAULT_FIELD,
-                        key_bits: int = DEFAULT_KEY_BITS) -> ExperimentRow:
+                        width: float, height: float, key_bits: int) -> ExperimentRow:
     """Generate, form, verify, and account one (n, seed) sweep cell."""
     radius = udg.radius_for_expected_degree(n, width, height, avg_degree)
     state = realize(n, eta, radius, placement, seed, width, height, key_bits)

@@ -216,9 +216,9 @@ def _add_sensors(p: argparse.ArgumentParser) -> None:
 
 
 def _add_field(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--width", type=_positive, default=500.0,
+    p.add_argument("--width", type=_positive, default=analysis.DEFAULT_FIELD,
                    help="field width in m (default: %(default)s)")
-    p.add_argument("--height", type=_positive, default=500.0,
+    p.add_argument("--height", type=_positive, default=analysis.DEFAULT_FIELD,
                    help="field height in m (default: %(default)s)")
 
 
@@ -229,7 +229,7 @@ def _add_group_keys(p: argparse.ArgumentParser, formulas_only: bool = False) -> 
             else {"type": int, "choices": keying.SUPPORTED_KEY_BITS})
     p.add_argument("--eta", type=_int_at_least(0), default=9,
                    help="ordinary sensors per group (default: %(default)s)")
-    p.add_argument("--key-bits", default=128, **bits,
+    p.add_argument("--key-bits", default=analysis.DEFAULT_KEY_BITS, **bits,
                    help="symmetric key length (default: %(default)s)")
 
 

@@ -1,4 +1,4 @@
-"""Dominating-set variants: verifiers, an exhaustive oracle, greedy baselines.
+"""Dominating-set variants: one verifier and the greedy baselines.
 
 Three nested notions over an undirected graph:
 
@@ -13,14 +13,11 @@ Every CDS of a connected graph is a WCDS, and every WCDS is a DS, so
 minimum sizes satisfy |DS| <= |WCDS| <= |CDS|.
 
 All functions take any graph object with an integer `n` and `adjacency[v]`,
-v's neighbour set (`udg.UnitDiskGraph` and the fixture helper
-`AdjacencyGraph` below both qualify).  Like the greedy builders, which work
-on an adjacency plus a vertex set, the verifier `classify` takes a graph
-plus a vertex set V and judges the subgraph induced by V in place, without
-copying or relabelling it; `is_dominating`, `is_cds` and `is_wcds` are its
-three verdicts over the whole graph, and `min_set_exhaustive` takes any
-such verdict.  Its connectivity checks and the baselines' split into
-components walk with `udg.walk`.
+v's neighbour set, such as `udg.UnitDiskGraph`.  Like the greedy builders,
+which work on an adjacency plus a vertex set, the verifier `classify`
+takes a graph plus a vertex set V and judges the subgraph induced by V in
+place, without copying or relabelling it.  Its connectivity checks and the
+baselines' split into components walk with `udg.walk`.
 
 The greedy baselines (Guha & Khuller, "Approximation algorithms for
 connected dominating sets", 1998) pick by gain, the number of
@@ -40,55 +37,16 @@ would, in O(m log n) for the whole phase instead of a search per path.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Collection, Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .udg import connected_components, walk
-
-VertexSet = frozenset[int]
-
-# Subset enumeration is exponential; refuse graphs where 2^n is unreasonable.
-EXHAUSTIVE_NODE_LIMIT = 20
 
 
 class GreedyVariant(Enum):
     I = "I"
     II = "II"
-
-
-class AdjacencyGraph:
-    """Minimal undirected graph for hand-built fixtures (paths, cycles, stars)."""
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        self.n = n
-        self.adjacency: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError("self loops not allowed")
-            self.adjacency[u].add(v)
-            self.adjacency[v].add(u)
-
-    def neighbors(self, i: int) -> set[int]:
-        if not 0 <= i < self.n:
-            raise IndexError(f"node id {i} out of range for graph with n={self.n}")
-        return self.adjacency[i]
-
-    @classmethod
-    def path(cls, n: int) -> "AdjacencyGraph":
-        return cls(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def cycle(cls, n: int) -> "AdjacencyGraph":
-        return cls(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
-    def star(cls, leaves: int) -> "AdjacencyGraph":
-        """K(1,leaves) with the center at node 0."""
-        return cls(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 @dataclass(frozen=True)
@@ -121,28 +79,23 @@ class _EdgesTouching:
         return self.adj[v] & (self.verts if v in self.members else self.members)
 
 
-def classify(g, s: Iterable[int], within: Optional[Iterable[int]] = None) -> DomsetReport:
+def classify(g, s: Iterable[int], within: Iterable[int]) -> DomsetReport:
     """Classify s as a DS, CDS and WCDS of g over the vertex set `within`.
 
-    Only the vertices V of `within` (every vertex of g when None) and the
-    edges between them count, so a subgraph is judged in place.  Members of
-    s must lie in V.  N[s] ∩ V is computed once: s dominates iff it is all
-    of V, an empty V counts as dominated, and a dominating set of at most
-    one vertex is connected in both senses.
+    Only the vertices V of `within` and the edges between them count, so a
+    subgraph is judged in place; `range(g.n)` judges the whole graph.
+    Members of s must lie in V.  N[s] ∩ V is computed once: s dominates iff
+    it is all of V, an empty V counts as dominated, and a dominating set of
+    at most one vertex is connected in both senses.
     """
     members = _check_members(g, s)
-    if within is None:
-        size = g.n
-    else:
-        verts = _check_members(g, within)
-        if not members <= verts:
-            raise ValueError(f"vertices {sorted(members - verts)} lie outside `within`")
-        size = len(verts)
+    verts = _check_members(g, within)
+    if not members <= verts:
+        raise ValueError(f"vertices {sorted(members - verts)} lie outside `within`")
     adj = g.adjacency
     covered = set(members).union(*(adj[v] for v in members))
-    if within is not None:
-        covered &= verts
-    dom = len(covered) == size
+    covered &= verts
+    dom = len(covered) == len(verts)
     if not dom or len(members) <= 1:
         return DomsetReport(dom, dom, dom)
     lo = min(members)
@@ -150,50 +103,8 @@ def classify(g, s: Iterable[int], within: Optional[Iterable[int]] = None) -> Dom
     cds = len(walk(_EdgesTouching(adj, members, members), lo)) == len(members)
     # WCDS: N[s], here all of V, is connected by the edges that touch s.  A
     # CDS is one, since every vertex of V hangs off a connected s.
-    wcds = cds or len(walk(_EdgesTouching(adj, members, covered), lo)) == size
+    wcds = cds or len(walk(_EdgesTouching(adj, members, covered), lo)) == len(verts)
     return DomsetReport(dom, cds, wcds)
-
-
-def is_dominating(g, s: Iterable[int]) -> bool:
-    """True iff every vertex of g is in s or adjacent to a member of s."""
-    return classify(g, s).is_dominating
-
-
-def is_cds(g, s: Iterable[int]) -> bool:
-    """True iff s dominates g and the subgraph induced by s is connected."""
-    return classify(g, s).is_cds
-
-
-def is_wcds(g, s: Iterable[int]) -> bool:
-    """True iff s dominates g and the weakly induced subgraph is connected.
-
-    The weakly induced subgraph has vertex set N[s] (members plus all their
-    neighbors) and every edge of g with at least one endpoint in s.
-    """
-    return classify(g, s).is_wcds
-
-
-def min_set_exhaustive(g, verdict: Callable[..., bool]) -> Optional[VertexSet]:
-    """Minimum-cardinality s with `verdict(g, s)`, by subset enumeration.
-
-    Subsets are enumerated in increasing cardinality and, within one
-    cardinality, in lexicographic member order, so the first hit is both
-    minimum-size and the lexicographically smallest winner.  Returns None
-    when no valid set exists (CDS/WCDS on a disconnected graph).  Guarded
-    to g.n <= EXHAUSTIVE_NODE_LIMIT; this is an oracle for desk-scale
-    graphs, not an algorithm.
-    """
-    if g.n > EXHAUSTIVE_NODE_LIMIT:
-        raise ValueError(
-            f"exhaustive search limited to n <= {EXHAUSTIVE_NODE_LIMIT}, got n={g.n}")
-    if g.n == 0:
-        return frozenset()
-    for k in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), k):
-            s = frozenset(combo)
-            if verdict(g, s):
-                return s
-    return None
 
 
 def _pop_best(heap: list[tuple[int, int]], adj, covered: set[int]) -> int:
@@ -294,7 +205,7 @@ def _first_near(heap: list[tuple[int, int]], near: dict[int, int], base: set[int
     return None
 
 
-def greedy_cds_baseline(g, variant: GreedyVariant) -> VertexSet:
+def greedy_cds_baseline(g, variant: GreedyVariant) -> frozenset[int]:
     """Greedy connected-dominating-set heuristic, per connected component.
 
     These are documented stand-ins used for relative comparison only.
@@ -303,7 +214,7 @@ def greedy_cds_baseline(g, variant: GreedyVariant) -> VertexSet:
     vertices.  Variant II first builds a greedy dominating set, then joins
     its fragments along shortest paths.  All ties break toward the smaller
     node id.  On a disconnected graph the result is the per-component
-    union, so is_cds holds on every component.
+    union, a CDS of every component.
     """
     builder = _greedy_variant_one if variant is GreedyVariant.I else _greedy_variant_two
     adj = g.adjacency

@@ -40,14 +40,10 @@ class DecryptError(Exception):
 
 @dataclass(frozen=True)
 class Key:
-    """A symmetric key: opaque secret plus public fingerprint; bits = 8 * len(secret)."""
+    """A symmetric key: opaque secret plus public fingerprint."""
 
     key_id: str
     secret: bytes
-
-    @property
-    def bits(self) -> int:
-        return len(self.secret) * 8
 
 
 def fingerprint(secret: bytes) -> str:

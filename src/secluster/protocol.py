@@ -644,8 +644,9 @@ class NetworkState:
 
         # dominator-side validation: the target, an operational group, admits
         # an undeployed node on its access list whose request opens under its
-        # individual key
-        if claimed in self.deployed or not self._on_access_list(claimed, target_group):
+        # individual key, unless that key is revoked, as join_node refuses it
+        if (claimed in self.deployed or not self._on_access_list(claimed, target_group)
+                or real.key_id in self.revoked_key_ids):
             return False
         try:
             decrypt(real, payload)

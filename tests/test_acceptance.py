@@ -8,9 +8,9 @@ import functools
 import random
 import time
 
-from secluster import analysis, domsets, keying, protocol, udg
+from oracle import cycle, is_cds, is_dominating, is_wcds, min_set_exhaustive
+from secluster import analysis, keying, protocol, udg
 from secluster.cli import main as cli_main
-from secluster.domsets import is_cds, is_dominating, is_wcds, min_set_exhaustive
 from secluster.protocol import AdversaryProfile, Placement
 from secluster.udg import Point
 
@@ -32,7 +32,7 @@ def criterion(number, title):
 @criterion(1, "size ladder |DS| <= |WCDS| <= |CDS| on 200 graphs, C6 = (2,3,4)")
 def test_c1_size_ladder():
     start = time.monotonic()
-    c6 = domsets.AdjacencyGraph.cycle(6)
+    c6 = cycle(6)
     sizes = tuple(len(min_set_exhaustive(c6, k))
                   for k in (is_dominating, is_wcds, is_cds))
     assert sizes == (2, 3, 4)

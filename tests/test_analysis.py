@@ -6,6 +6,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
+from oracle import is_dominating, min_set_exhaustive
 from secluster import analysis, domsets, keying, protocol, udg
 from secluster.analysis import (
     connectivity_curves,
@@ -168,7 +169,7 @@ def test_sweep_cross_checked_against_exhaustive_oracle():
     radius = udg.radius_for_expected_degree(20, 500, 500, 6.0)
     g = analysis.realize(20, 9, radius, protocol.Placement.clustered(), row.seed,
                          500, 500, 128).graph
-    min_ds = domsets.min_set_exhaustive(g, domsets.is_dominating)
+    min_ds = min_set_exhaustive(g, is_dominating)
     assert row.dominators_ours >= len(min_ds)
 
 

@@ -5,22 +5,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from secluster import udg
-from secluster.domsets import (
-    AdjacencyGraph,
-    DomsetReport,
-    GreedyVariant,
-    classify,
-    greedy_cds_baseline,
+from oracle import (
+    Graph,
+    cycle,
     is_cds,
     is_dominating,
     is_wcds,
     min_set_exhaustive,
+    path,
+    star,
 )
+from secluster import udg
+from secluster.domsets import DomsetReport, GreedyVariant, classify, greedy_cds_baseline
 
-P6 = AdjacencyGraph.path(6)
-C6 = AdjacencyGraph.cycle(6)
-K15 = AdjacencyGraph.star(5)
+P6 = path(6)
+C6 = cycle(6)
+K15 = star(5)
+
+
+def whole(g, s):
+    """classify's report for s over all of g."""
+    return classify(g, s, range(g.n))
 
 
 # -- reference greedy: a full scan of every candidate at every step -----------
@@ -39,30 +44,30 @@ def _reach(adj, start):
 
 def _reference_one(g, nodes):
     node_set = set(nodes)
-    start = max(nodes, key=lambda v: (len(g.neighbors(v) & node_set), -v))
+    start = max(nodes, key=lambda v: (len(g.adjacency[v] & node_set), -v))
     chosen = {start}
-    covered = {start} | (g.neighbors(start) & node_set)
+    covered = {start} | (g.adjacency[start] & node_set)
     while covered != node_set:
         frontier = sorted(
-            v for c in chosen for v in g.neighbors(c)
+            v for c in chosen for v in g.adjacency[c]
             if v in node_set and v not in chosen
         )
         best = None
         best_gain = -1
         for v in frontier:
-            gain = len(((g.neighbors(v) | {v}) & node_set) - covered)
+            gain = len(((g.adjacency[v] | {v}) & node_set) - covered)
             if gain > best_gain:
                 best, best_gain = v, gain
         if best is None or best_gain == 0:
             chosen.update(node_set - covered)
             break
         chosen.add(best)
-        covered |= (g.neighbors(best) | {best}) & node_set
+        covered |= (g.adjacency[best] | {best}) & node_set
     return chosen
 
 
 def _reference_fragments(g, chosen):
-    adj = {v: g.neighbors(v) & chosen for v in chosen}
+    adj = {v: g.adjacency[v] & chosen for v in chosen}
     remaining = set(chosen)
     frags = []
     while remaining:
@@ -80,7 +85,7 @@ def _reference_path(g, node_set, base, chosen):
     while frontier and target is None:
         nxt = []
         for v in frontier:
-            for w in sorted(g.neighbors(v) & node_set):
+            for w in sorted(g.adjacency[v] & node_set):
                 if w in parent:
                     continue
                 parent[w] = v
@@ -111,11 +116,11 @@ def _reference_two(g, nodes):
         for v in nodes:
             if v in chosen:
                 continue
-            gain = len(((g.neighbors(v) | {v}) & node_set) - covered)
+            gain = len(((g.adjacency[v] | {v}) & node_set) - covered)
             if gain > best_gain:
                 best, best_gain = v, gain
         chosen.add(best)
-        covered |= (g.neighbors(best) | {best}) & node_set
+        covered |= (g.adjacency[best] | {best}) & node_set
     while True:
         fragments = _reference_fragments(g, chosen)
         if len(fragments) <= 1:
@@ -130,7 +135,7 @@ def _reference_two(g, nodes):
 def reference_greedy(g, variant):
     """The greedy baselines as first written, kept as the reference."""
     builder = _reference_one if variant is GreedyVariant.I else _reference_two
-    adj = {v: g.neighbors(v) for v in range(g.n)}
+    adj = g.adjacency
     result = set()
     remaining = set(range(g.n))
     while remaining:
@@ -155,14 +160,14 @@ def random_graphs(draw):
     """Arbitrary, often disconnected, graphs with isolated vertices."""
     n = draw(st.integers(1, 30))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    return AdjacencyGraph(n, [(u, v) for u, v in draw(st.lists(pairs, max_size=60))
-                              if u != v])
+    return Graph(n, [(u, v) for u, v in draw(st.lists(pairs, max_size=60))
+                     if u != v])
 
 
 def to_networkx(g):
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
-    ref.add_edges_from((v, w) for v in range(g.n) for w in g.neighbors(v))
+    ref.add_edges_from((v, w) for v in range(g.n) for w in g.adjacency[v])
     return ref
 
 
@@ -177,48 +182,39 @@ def random_connected_udg(seed, n_max=10):
 # -- verifiers ---------------------------------------------------------------
 
 def test_star_center_dominates():
-    assert is_dominating(K15, {0})
-    assert is_cds(K15, {0})
-    assert is_wcds(K15, {0})
+    assert whole(K15, {0}) == DomsetReport(True, True, True)
 
 
 def test_path_domination():
-    assert is_dominating(P6, {1, 4})
+    assert whole(P6, {1, 4}).is_dominating
     # node 5 is adjacent only to node 4
-    assert not is_dominating(P6, {0, 3})
+    assert not whole(P6, {0, 3}).is_dominating
 
 
 def test_path_cds():
-    assert not is_cds(P6, {1, 4})  # induced subgraph has no edges
-    assert is_cds(P6, {1, 2, 3, 4})
+    assert not whole(P6, {1, 4}).is_cds  # induced subgraph has no edges
+    assert whole(P6, {1, 2, 3, 4}).is_cds
 
 
 def test_path_wcds_split():
     # edge (2,3) has no endpoint in {1,4}, so the weakly induced graph
     # splits into {0,1,2} and {3,4,5}
-    assert not is_wcds(P6, {1, 4})
+    assert not whole(P6, {1, 4}).is_wcds
 
 
 def test_cycle_wcds():
     # every edge of C6 has an endpoint in the alternating set
-    assert is_wcds(C6, {0, 2, 4})
+    assert whole(C6, {0, 2, 4}).is_wcds
 
 
 def test_empty_set_never_dominates_nonempty_graph():
-    assert not is_dominating(P6, set())
-    assert not is_cds(P6, set())
-    assert not is_wcds(P6, set())
+    assert whole(P6, set()) == DomsetReport(False, False, False)
 
 
 def test_invalid_member_rejected():
-    with pytest.raises(ValueError):
-        is_dominating(P6, {6})
-    for edges in ([(0, 3)], [(-1, 0)], [(1, 1)]):
+    for s in ({6}, {-1}):
         with pytest.raises(ValueError):
-            AdjacencyGraph(3, edges)
-    for v in (3, -1):
-        with pytest.raises(IndexError):
-            AdjacencyGraph.path(3).neighbors(v)
+            whole(P6, s)
 
 
 # -- exhaustive oracle -------------------------------------------------------
@@ -235,22 +231,22 @@ def test_star_minimum_is_center():
 
 
 def test_p4_minimums_and_tiebreak():
-    p4 = AdjacencyGraph.path(4)
+    p4 = path(4)
     assert min_set_exhaustive(p4, is_dominating) == {0, 2}
     assert min_set_exhaustive(p4, is_cds) == {1, 2}
 
 
 def test_size_guard():
-    big = AdjacencyGraph.path(21)
+    big = path(21)
     with pytest.raises(ValueError):
         min_set_exhaustive(big, is_dominating)
     # the empty graph is dominated by the empty set, for every verdict
     for verdict in (is_dominating, is_cds, is_wcds):
-        assert min_set_exhaustive(AdjacencyGraph(0, []), verdict) == frozenset()
+        assert min_set_exhaustive(Graph(0, []), verdict) == frozenset()
 
 
 def test_disconnected_graph_has_no_cds_or_wcds():
-    g = AdjacencyGraph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     assert min_set_exhaustive(g, is_cds) is None
     assert min_set_exhaustive(g, is_wcds) is None
     assert min_set_exhaustive(g, is_dominating) == {0, 2}
@@ -300,10 +296,11 @@ def test_cds_implies_wcds_implies_ds():
         members = frozenset(v for v in range(g.n) if rng.random() < 0.5)
         if not members:
             continue
-        if is_cds(g, members):
-            assert is_wcds(g, members)
-        if is_wcds(g, members):
-            assert is_dominating(g, members)
+        report = whole(g, members)
+        if report.is_cds:
+            assert report.is_wcds
+        if report.is_wcds:
+            assert report.is_dominating
 
 
 # -- greedy baselines --------------------------------------------------------
@@ -316,7 +313,7 @@ def test_greedy_star_is_center():
 def test_greedy_path_satisfies_cds():
     for var in GreedyVariant:
         s = greedy_cds_baseline(P6, var)
-        assert is_cds(P6, s)
+        assert whole(P6, s).is_cds
 
 
 def test_greedy_on_random_udg_contract():
@@ -326,13 +323,13 @@ def test_greedy_on_random_udg_contract():
     for var in GreedyVariant:
         s = greedy_cds_baseline(g, var)
         assert len(s) <= g.n
-        # is_cds must hold per connected component
+        # s must be a CDS of each connected component
         for comp in udg.connected_components(g):
             assert classify(g, s & comp, comp).is_cds
 
 
 def test_greedy_handles_disconnected_graph():
-    g = AdjacencyGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     for var in GreedyVariant:
         s = greedy_cds_baseline(g, var)
         assert s & {0, 1, 2}
@@ -361,11 +358,11 @@ def test_greedy_matches_reference_on_disconnected_graphs(g):
 
 def grid_lattice(side):
     """The side x side grid graph, node r * side + c at row r, column c."""
-    return AdjacencyGraph(side * side,
-                          [(r * side + c, r * side + c + 1)
-                           for r in range(side) for c in range(side - 1)]
-                          + [(r * side + c, (r + 1) * side + c)
-                             for r in range(side - 1) for c in range(side)])
+    return Graph(side * side,
+                 [(r * side + c, r * side + c + 1)
+                  for r in range(side) for c in range(side - 1)]
+                 + [(r * side + c, (r + 1) * side + c)
+                    for r in range(side - 1) for c in range(side)])
 
 
 # Graphs full of tied gains, where only the tie-break toward the smaller id
@@ -374,9 +371,9 @@ def grid_lattice(side):
 # leaves) have the same degree.
 TIED_GAINS = {
     "grid6x6": grid_lattice(6),
-    "cycle12": AdjacencyGraph.cycle(12),
-    "two_stars": AdjacencyGraph(10, [(0, v) for v in range(1, 5)]
-                                + [(9, v) for v in range(5, 9)]),
+    "cycle12": cycle(12),
+    "two_stars": Graph(10, [(0, v) for v in range(1, 5)]
+                       + [(9, v) for v in range(5, 9)]),
 }
 
 
@@ -403,9 +400,10 @@ def test_verifiers_agree_with_networkx(g, data):
     ref = to_networkx(g)
     s = data.draw(st.sets(st.integers(0, g.n - 1)))
     dominating = nx.is_dominating_set(ref, s)
-    assert is_dominating(g, s) == dominating
-    assert is_cds(g, s) == (dominating and (len(s) <= 1
-                                            or nx.is_connected(ref.subgraph(s))))
+    report = whole(g, s)
+    assert report.is_dominating == dominating
+    assert report.is_cds == (dominating and (len(s) <= 1
+                                             or nx.is_connected(ref.subgraph(s))))
 
 
 def reference_report(g, s, within):
@@ -425,10 +423,7 @@ def reference_report(g, s, within):
 @given(random_graphs(), st.data())
 def test_classify_agrees_with_networkx(g, data):
     s = data.draw(st.sets(st.integers(0, g.n - 1)))
-    expected = reference_report(g, s, range(g.n))
-    assert classify(g, s) == expected
-    assert classify(g, s, range(g.n)) == expected
-    assert is_wcds(g, s) == expected.is_wcds
+    assert whole(g, s) == reference_report(g, s, range(g.n))
 
 
 @given(random_graphs(), st.data())
@@ -441,13 +436,13 @@ def test_classify_within_agrees_with_networkx(g, data):
 def test_classify_within_edge_cases():
     # an empty vertex set is dominated, even by the empty set
     assert classify(P6, set(), set()) == DomsetReport(True, True, True)
-    assert classify(AdjacencyGraph(0, []), set()) == DomsetReport(True, True, True)
+    assert whole(Graph(0, []), set()) == DomsetReport(True, True, True)
     assert classify(P6, set(), {2, 3}) == DomsetReport(False, False, False)
     # P6 restricted to {0, 1, 2} is a path dominated by its middle vertex
     assert classify(P6, {1}, {0, 1, 2}) == DomsetReport(True, True, True)
     # without vertex 5, {1, 3} is a WCDS of 0-1-2-3-4 (edge 1-2 joins the stars)
     assert classify(P6, {1, 3}, range(5)) == DomsetReport(True, False, True)
-    assert classify(P6, {1, 3}) == DomsetReport(False, False, False)
+    assert whole(P6, {1, 3}) == DomsetReport(False, False, False)
     # edges leaving `within` do not count: 2 and 4 meet only through 3
     assert classify(P6, {2, 4}, {1, 2, 4, 5}) == DomsetReport(True, False, False)
 
@@ -458,4 +453,4 @@ def test_classify_rejects_members_outside_within():
     with pytest.raises(ValueError):
         classify(P6, {1}, {1, 6})
     with pytest.raises(ValueError):
-        classify(P6, {6})
+        classify(P6, {6}, range(7))

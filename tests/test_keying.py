@@ -102,7 +102,6 @@ def test_unsupported_key_length_rejected():
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_supported_key_lengths(bits):
     plan = build_plan(6, 2, bits, seed=0)
-    assert plan.groups[0].group_key.bits == bits
     assert len(plan.groups[0].group_key.secret) == bits // 8
 
 

@@ -946,6 +946,67 @@ def test_forged_join_never_claims_a_deployed_node():
     assert 2 not in state.deployed
 
 
+
+def test_forged_join_refuses_a_revoked_key_as_join_node_does():
+    # Node 4 is planned in group 0 and adopted into group 19, whose
+    # dominator therefore holds its individual key.  Revoking group 19
+    # withdraws node 4 and revokes that key, so a forged join claiming
+    # node 4 into group 0 must be refused, as join_node refuses it.
+    radius = udg.radius_for_expected_degree(200, 500, 500, 6.0)
+    state = analysis.realize(200, 9, radius, Placement.uniform(), 0, 500, 500, 128)
+    event = next(e for e in state.cluster_map.orphan_events if e.resolution == "ADOPTED")
+    assert (event.node, state.group_of_node(4)) == (4, 19)
+    assert state.plan.group_of(4).group_id == 0
+    profile = AdversaryProfile.compromised_gd(state, 19)
+    state.revoke_group(19)
+    assert state.individual_key(4).key_id in state.revoked_key_ids & profile.held_keys
+    report = state.simulate_adversary(profile, 20000, seed=1)
+    assert (4, 0) in {(a.claimed_id, a.target_group) for a in report.attempts}
+    assert report.admissions == 0
+
+
+@st.composite
+def churned_small_networks(draw):
+    """A small UDG with some nodes held back from formation, then one leave
+    and one revocation, each drawn at random (a leave may be refused)."""
+    n = draw(st.integers(8, 40))
+    radius = udg.radius_for_expected_degree(n, 100, 100, draw(st.floats(3.0, 8.0)))
+    placement = draw(st.sampled_from([Placement.uniform(), Placement.clustered(radius / 4)]))
+    seed = draw(st.integers(0, 2 ** 16))
+    plan = keying.build_plan(n, draw(st.integers(1, 5)), 128, seed)
+    g = protocol.deploy_graph(plan, 100, 100, radius, placement, seed)
+    held = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    state = form_network(g, plan, placement, seed, deployed=set(range(n)) - held)
+    state.leave_node(draw(st.integers(0, n - 1)))
+    state.revoke_group(draw(st.sampled_from(sorted(state.group_dominator))))
+    return state
+
+
+@given(churned_small_networks(), st.data())
+def test_forged_join_admission_is_exactly_predicted(state, data):
+    # An attempt is admitted iff the claimed node is undeployed, on the
+    # target's planned access list, and its individual key is held by the
+    # adversary and not revoked.  Replay learns only group keys, so the
+    # individual keys the adversary holds are the profile's.
+    sensors = sorted(v for v, rank in state.cluster_map.ranks.items() if rank is Rank.OS)
+    profiles = [AdversaryProfile.outsider(),
+                AdversaryProfile.compromised_gd(
+                    state, data.draw(st.sampled_from(sorted(state.group_dominator))))]
+    if sensors:
+        profiles.append(AdversaryProfile.compromised_os(
+            state, data.draw(st.sampled_from(sensors))))
+    for profile in profiles:
+        report = state.simulate_adversary(profile, 200, data.draw(st.integers(0, 99)))
+        for a in report.attempts:
+            key = state.individual_key(a.claimed_id)
+            predicted = (a.claimed_id not in state.deployed
+                         and key is not None
+                         and state.plan.group_of(a.claimed_id).group_id == a.target_group
+                         and key.key_id in profile.held_keys
+                         and key.key_id not in state.revoked_key_ids)
+            assert a.admitted == predicted, (profile.mode, a)
+
+
 def test_one_plan_forms_the_same_network_twice(tmp_path):
     placement = Placement.uniform()
     plan = keying.build_plan(80, 9, 128, seed=0)

@@ -35,13 +35,11 @@ def test_the_package_exports_exactly_these_names():
                       if not name.startswith("_")
                       and not isinstance(value, types.ModuleType))
     assert exported == [
-        "AdjacencyGraph", "AdversaryProfile", "ClusterMap", "DeploymentPlan",
-        "ExperimentRow", "GreedyVariant", "Key", "NetworkState", "Placement",
-        "Point", "UnitDiskGraph", "build_plan", "deploy_graph",
-        "expected_gd_degree", "form_network", "generate_uniform",
-        "greedy_cds_baseline", "ideal_domset_size", "is_cds", "is_connected",
-        "is_dominating", "is_wcds", "min_set_exhaustive",
-        "radius_for_expected_degree", "storage_curves", "storage_gd_bits",
+        "AdversaryProfile", "ClusterMap", "DeploymentPlan", "ExperimentRow",
+        "GreedyVariant", "Key", "NetworkState", "Placement", "Point",
+        "UnitDiskGraph", "build_plan", "deploy_graph", "expected_gd_degree",
+        "form_network", "generate_uniform", "greedy_cds_baseline",
+        "ideal_domset_size", "is_connected", "radius_for_expected_degree", "storage_curves", "storage_gd_bits",
         "storage_network_bits", "storage_os_bits", "sweep_domset_sizes",
         "threshold_p",
     ]

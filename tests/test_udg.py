@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle import Graph, path
 from secluster import udg
-from secluster.domsets import AdjacencyGraph
 from secluster.udg import Point
 
 
@@ -244,7 +244,7 @@ def test_walk_is_breadth_first_in_neighbour_order():
 
 
 def test_connected_components_take_any_graph_with_adjacency():
-    g = AdjacencyGraph(6, [(0, 4), (4, 2), (3, 5)])
+    g = Graph(6, [(0, 4), (4, 2), (3, 5)])
     assert udg.connected_components(g) == [{0, 2, 4}, {1}, {3, 5}]
     assert not udg.is_connected(g)
-    assert udg.is_connected(AdjacencyGraph.path(4))
+    assert udg.is_connected(path(4))
