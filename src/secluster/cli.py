@@ -128,7 +128,7 @@ def cmd_form(args, parser) -> int:
     return 0
 
 
-def _series(rows, by: str, label: str, x: str, y: str) -> list[svgplot.Series]:
+def _series(rows, by: str, label: str, x: str, y: str) -> tuple[svgplot.Series, ...]:
     """One (x, y) series per distinct value of column `by`, in first-seen order.
 
     `label` is a format string given that value.
@@ -136,31 +136,33 @@ def _series(rows, by: str, label: str, x: str, y: str) -> list[svgplot.Series]:
     points: dict = {}
     for r in rows:
         points.setdefault(getattr(r, by), []).append((getattr(r, x), getattr(r, y)))
-    return [svgplot.Series(label.format(k), tuple(pts)) for k, pts in points.items()]
+    return tuple(svgplot.Series(label.format(k), tuple(pts)) for k, pts in points.items())
 
 
 def _closed_form_figures(args, n_values: list[int], out: Path) -> None:
     """fig9 (key count over n_values), fig10 (storage) and fig12 (connectivity)."""
     rows = analysis.storage_curves(n_values, [args.eta], args.key_bits)
     analysis.write_table(analysis.StorageRow, rows, out / "fig9.csv")
-    svgplot.line_chart(_series(rows, "eta", "eta={}", "n", "distinct_keys"),
-                       "Distinct keys required vs network size",
-                       "number of sensors", "distinct keys", out / "fig9.svg")
+    svgplot.write_chart([svgplot.Panel(
+        "Distinct keys required vs network size", "number of sensors",
+        "distinct keys", _series(rows, "eta", "eta={}", "n", "distinct_keys"))],
+        out / "fig9.svg")
 
     rows = [r for bits in args.key_bits_list
             for r in analysis.storage_curves([max(n_values)], args.eta_values, bits)]
     analysis.write_table(analysis.StorageRow, rows, out / "fig10.csv")
-    svgplot.line_chart(_series(rows, "key_bits", "k={} bits", "eta", "gd_storage_bits"),
-                       "Dominator key storage vs group size",
-                       "ordinary sensors per group", "storage (bits)",
-                       out / "fig10.svg")
+    svgplot.write_chart([svgplot.Panel(
+        "Dominator key storage vs group size", "ordinary sensors per group",
+        "storage (bits)",
+        _series(rows, "key_bits", "k={} bits", "eta", "gd_storage_bits"))],
+        out / "fig10.svg")
 
     rows = analysis.connectivity_curves(args.curve_n, args.p_c)
     analysis.write_table(analysis.ConnectivityRow, rows, out / "fig12.csv")
-    svgplot.line_chart(_series(rows, "p_c", "Pc={:g}", "n", "d"),
-                       "Expected dominator degree for connectivity",
-                       "number of clusters", "expected degree",
-                       out / "fig12.svg")
+    svgplot.write_chart([svgplot.Panel(
+        "Expected dominator degree for connectivity", "number of clusters",
+        "expected degree", _series(rows, "p_c", "Pc={:g}", "n", "d"))],
+        out / "fig12.svg")
 
 
 def cmd_sweep(args, parser) -> int:

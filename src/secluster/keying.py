@@ -17,8 +17,7 @@ simulation observes.  Its keystream is SHA-256 of `ks|`, the secret, the
 nonce and an 8-byte big-endian block counter, 32 bytes per block, XORed
 onto the message; its tag is the first 16 bytes of SHA-256 of `tag|`, the
 secret, the nonce and the ciphertext.  An envelope costs one seal, on
-the first read of its payload (`trace.Envelope`), so `encrypt` builds the
-keystream prefix once and joins its blocks in one pass.
+the first read of its payload (`trace.Envelope`).
 """
 
 from __future__ import annotations
@@ -77,11 +76,19 @@ class KeyFactory:
         return Key(key_id=kid, secret=secret)
 
 
-def _keystream(prefix: bytes, length: int) -> bytes:
-    """SHA-256(prefix + counter) blocks for counters 0, 1, ..., joined; at
-    least `length` bytes."""
-    return b"".join([hashlib.sha256(prefix + i.to_bytes(8, "big")).digest()
-                     for i in range((length + 31) >> 5)])
+def _xor_stream(secret: bytes, nonce: bytes, data: bytes) -> bytes:
+    """data XOR the keystream of (secret, nonce): SHA-256 blocks of `ks|`,
+    secret, nonce and counter, joined in one pass, cut to data's length and
+    applied as one big-integer XOR."""
+    n, prefix = len(data), b"ks|" + secret + nonce
+    stream = b"".join([hashlib.sha256(prefix + i.to_bytes(8, "big")).digest()
+                       for i in range((n + 31) >> 5)])
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
+
+
+def _tag(secret: bytes, nonce: bytes, ct: bytes) -> bytes:
+    return hashlib.sha256(b"tag|" + secret + nonce + ct).digest()[:_TAG_LEN]
 
 
 def encrypt(key: Key, nonce: bytes, plaintext: bytes) -> bytes:
@@ -92,13 +99,8 @@ def encrypt(key: Key, nonce: bytes, plaintext: bytes) -> bytes:
     """
     if len(nonce) != NONCE_BYTES:
         raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
-    secret, n = key.secret, len(plaintext)
-    # one big-integer XOR with the stream cut to the plaintext's length
-    stream = _keystream(b"ks|" + secret + nonce, n)
-    ct = (int.from_bytes(plaintext, "big")
-          ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
-    tag = hashlib.sha256(b"tag|" + secret + nonce + ct).digest()[:_TAG_LEN]
-    return nonce + ct + tag
+    ct = _xor_stream(key.secret, nonce, plaintext)
+    return nonce + ct + _tag(key.secret, nonce, ct)
 
 
 def decrypt(key: Key, blob: bytes) -> bytes:
@@ -106,11 +108,9 @@ def decrypt(key: Key, blob: bytes) -> bytes:
     if len(blob) < NONCE_BYTES + _TAG_LEN:
         raise DecryptError("ciphertext too short")
     nonce, ct, tag = (blob[:NONCE_BYTES], blob[NONCE_BYTES:-_TAG_LEN], blob[-_TAG_LEN:])
-    secret, n = key.secret, len(ct)
-    if tag != hashlib.sha256(b"tag|" + secret + nonce + ct).digest()[:_TAG_LEN]:
+    if tag != _tag(key.secret, nonce, ct):
         raise DecryptError("authentication tag mismatch")
-    stream = _keystream(b"ks|" + secret + nonce, n)
-    return (int.from_bytes(ct, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
+    return _xor_stream(key.secret, nonce, ct)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Message-passing simulation of secure cluster formation.
 
-Formation runs in four synchronous rounds over the proximity graph:
+Building a `NetworkState` forms the network: every planned node gets its
+pre-distributed keys, then formation runs in four synchronous rounds over
+the proximity graph:
 
 1. every ordinary sensor local-broadcasts a join request under its
    individual key;
@@ -21,7 +23,8 @@ nothing).  Formation and every membership change go through steps, each
 the only writer of its facts: `_open_group` (a group, its lead and its
 first key), `_enroll`/`_withdraw` (deployment, membership, dominator),
 `_rekey` (the next key and the rekey log), `_deliver` (a key sealed to
-its receivers, who then hold it) and `_adjudicate` (orphan verdicts).  The
+its receivers, who then hold it), `_vouch` (the base station hands a
+dominator a node's individual key) and `_adjudicate` (orphan verdicts).  The
 ranks, the dominator set and the mediators are read from the dominator
 record, so they describe the live network; `ClusterMap.ranks` builds a
 dict on each read, so a caller reads it once.  An adversary can be
@@ -269,6 +272,7 @@ class NetworkState:
             graph=graph, dominator_of={}, orphan_events=[], rekey_log=[])
 
         self._predistribute()
+        self._form()
 
     # -- key plumbing ------------------------------------------------------
 
@@ -373,10 +377,8 @@ class NetworkState:
 
     # -- formation ---------------------------------------------------------
 
-    def form(self) -> ClusterMap:
-        # a second pass would adjudicate the UNREACHABLE nodes again
-        if self._round != 0:
-            raise RuntimeError("the network has already formed or changed")
+    def _form(self) -> None:
+        """Rounds 1-4 over the deployed nodes; the constructor's last step."""
         cm = self.cluster_map
         # deployed does not change during formation, so each node's sorted
         # deployed neighbourhood is built once and shared by every round
@@ -408,7 +410,6 @@ class NetworkState:
 
         self._adjudicate(self.deployed - cm.dominator_of.keys(), nbrs,
                          {self.group_dominator[gid] for gid in approvals})
-        return cm
 
     def _adjudicate(self, orphans: Collection[int], nbrs: dict[int, tuple[int, ...]],
                     approving: Collection[int]) -> None:
@@ -442,13 +443,7 @@ class NetworkState:
                 adopter = min(gds,
                               key=lambda g: (len(self.group_members[gid_of[g]]), g))
                 gid = gid_of[adopter]
-                # The adopter command names the orphan but never carries its
-                # individual key: raw key material inside group-keyed traffic
-                # would be readable by every group member.  The key itself is
-                # provisioned over the protected BS channel (bookkeeping).
-                self._send(Kind.REKEY_TO_NEW, BS_ID, self._current_key(gid),
-                           f"ADOPT|{s}".encode(), (adopter,), gid)
-                self._grant(adopter, ind)
+                self._vouch(adopter, gid, s, "ADOPT")
                 self._deliver(Kind.REKEY_TO_NEW, BS_ID, gid, self._current_key(gid),
                               [(ind, (s,))])
                 self._enroll(s, gid)
@@ -461,6 +456,16 @@ class NetworkState:
                 cm.orphan_events.append(OrphanEvent(s, "PROMOTED"))
             else:
                 cm.orphan_events.append(OrphanEvent(s, "UNREACHABLE"))
+
+    def _vouch(self, gd: int, gid: int, node: int, word: str) -> None:
+        """The base station vouches for node to gd, dominator of group gid,
+        which then holds node's individual key."""
+        # The command only names the node: raw key material inside
+        # group-keyed traffic would be readable by every group member.  The
+        # key itself moves over the protected BS channel (bookkeeping).
+        self._send(Kind.REKEY_TO_NEW, BS_ID, self._current_key(gid),
+                   f"{word}|{node}".encode(), (gd,), gid)
+        self._grant(gd, self.individual_key(node))
 
     def _flood(self, kind: Kind, origin: int, key: Key, plaintext: bytes,
                group_id: Optional[int], nbrs: dict[int, tuple[int, ...]],
@@ -507,17 +512,13 @@ class NetworkState:
 
         if not self._on_access_list(new_node, target_group):
             # GD escalates the unknown id; BS confirms legitimacy and supplies
-            # the individual key (rejecting revoked material).  The over-the-air
-            # confirmation only names the node; the key itself moves over the
-            # protected BS channel, never inside group-keyed traffic.
+            # the individual key, rejecting revoked material
             self._send(Kind.ORP_ERR, gd, self._current_key(target_group),
                        f"ORP_ERR|{new_node}".encode(), (BS_ID,), target_group)
             if ind.key_id in self.revoked_key_ids:
                 self.audit_log.append(f"join denied: BS rejected node {new_node}")
                 return False
-            self._send(Kind.REKEY_TO_NEW, BS_ID, self._current_key(target_group),
-                       f"CONFIRM|{new_node}".encode(), (gd,), target_group)
-            self._grant(gd, ind)
+            self._vouch(gd, target_group, new_node, "CONFIRM")
         elif ind.key_id in self.revoked_key_ids:
             self.audit_log.append(f"join denied: node {new_node} key revoked")
             return False
@@ -691,15 +692,9 @@ def deploy_graph(plan: DeploymentPlan, width: float, height: float,
 
 def form_network(g: UnitDiskGraph, plan: DeploymentPlan, placement: Placement,
                  seed: int, deployed: Optional[Iterable[int]] = None) -> NetworkState:
-    """Run cluster formation and return the live network state.
-
-    `placement` and `seed` are ignored: formation draws no random numbers,
-    and `deploy_graph` has already placed the nodes.  Both stay in the
-    signature until the benchmark stops passing them.
-    """
-    state = NetworkState(g, plan, deployed)
-    state.form()
-    return state
+    """The network `NetworkState(g, plan, deployed)` forms; `placement` and
+    `seed` are ignored and kept because the benchmark passes them."""
+    return NetworkState(g, plan, deployed)
 
 
 # -- exports ----------------------------------------------------------------

@@ -138,9 +138,3 @@ def write_chart(panels: Sequence[Panel], path: Path | str) -> None:
         parts.extend(_render_panel(panel, i * _PANEL_WIDTH))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
-
-
-def line_chart(series: Sequence[Series], title: str, x_label: str,
-               y_label: str, path: Path | str) -> None:
-    """Single-panel convenience wrapper."""
-    write_chart([Panel(title, x_label, y_label, tuple(series))], path)

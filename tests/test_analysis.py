@@ -134,6 +134,12 @@ def test_distinct_keys_scale_linearly():
     assert rows[160].distinct_keys == 2 * rows[80].distinct_keys
 
 
+@pytest.mark.parametrize("n_range,eta_values", [([], [9]), ([100], [])])
+def test_storage_curves_need_nonempty_ranges(n_range, eta_values):
+    with pytest.raises(ValueError, match="nonempty"):
+        storage_curves(n_range, eta_values, 128)
+
+
 # -- sweeps --------------------------------------------------------------------
 
 def small_sweep(**kw):

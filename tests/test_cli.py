@@ -4,9 +4,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
+from secluster import svgplot
 from secluster.cli import main
 
 
@@ -118,6 +120,15 @@ def test_analyze_svg_has_no_timestamp(tmp_path):
     assert svg.startswith("<svg")
     assert "date" not in svg.lower()
     assert "time" not in svg.lower()
+
+
+@pytest.mark.parametrize("series", [(), (svgplot.Series("zero", ((0.0, 0.0), (0.0, 0.0))),)])
+def test_a_chart_of_no_points_or_only_zeros_is_valid_svg(tmp_path, series):
+    # a degenerate axis range is widened to one unit, not divided by
+    svgplot.write_chart([svgplot.Panel("t", "x", "y", series)], tmp_path / "c.svg")
+    root = ElementTree.parse(tmp_path / "c.svg").getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == len(series)
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

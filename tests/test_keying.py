@@ -232,6 +232,14 @@ def test_cipher_matches_the_per_byte_xor(bits, label, nonce, plaintext):
     assert decrypt(key, blob) == per_byte_decrypt(key, blob) == plaintext
 
 
+def test_a_fingerprint_collision_is_refused(monkeypatch):
+    monkeypatch.setattr(keying, "fingerprint", lambda secret: "0" * 16)
+    factory = keying.KeyFactory(1, 128)
+    assert factory.derive("a") == factory.derive("a")  # same label, same key
+    with pytest.raises(RuntimeError, match="collision between 'a' and 'b'"):
+        factory.derive("b")
+
+
 # -- export ------------------------------------------------------------------
 
 def test_plan_csv_has_fingerprints_not_secrets(tmp_path):

@@ -153,32 +153,6 @@ def test_a_networks_plan_forms_the_network_its_source_plan_forms():
     assert all(key in again.rings[m] for m in again.group_members[0])
 
 
-def test_a_network_forms_once():
-    # a second pass would adjudicate the UNREACHABLE nodes again, and a pass
-    # after churn would judge a network that is no longer the deployed one
-    n = 300
-    plan = keying.build_plan(n, 9, 128, seed=1)
-    radius = udg.radius_for_expected_degree(n, 500, 500, 6.0)
-    g = protocol.deploy_graph(plan, 500, 500, radius, Placement.uniform(), seed=2)
-    state = form_network(g, plan, Placement.uniform(), seed=1)
-    assert state.cluster_map.unreachable()
-    events, records = list(state.cluster_map.orphan_events), len(state.trace.records)
-    with pytest.raises(RuntimeError):
-        state.form()
-    assert state.cluster_map.orphan_events == events
-    assert len(state.trace.records) == records
-
-    # a join or leave, even a refused one, or a revocation also rules
-    # formation out; revoking no group at all does not
-    # (test_revoking_an_unknown_group_changes_nothing)
-    for churn in (lambda s: s.join_node(5, 0), lambda s: s.leave_node(1),
-                  lambda s: s.revoke_group(0)):
-        unformed = protocol.NetworkState(g, plan, deployed=set(range(n)) - {5})
-        churn(unformed)
-        with pytest.raises(RuntimeError):
-            unformed.form()
-
-
 def test_orphan_adopted_by_foreign_gd():
     # os 3's own GD (2) is far away; foreign gd 0 is adjacent
     plan = keying.build_plan(4, 1, 128, seed=9)
@@ -803,19 +777,20 @@ def test_a_second_revocation_only_writes_the_audit_log():
 
 
 def test_revoking_an_unknown_group_changes_nothing():
-    # it takes no round, so an unformed network still forms, and forms as
-    # one that was never asked to revoke
+    # the audit note is the only change: the network stays the one its
+    # constructor formed, in membership, round and trace
     plan = keying.build_plan(80, 9, 128, seed=1)
     radius = udg.radius_for_expected_degree(80, 500, 500, 4.0)
     g = protocol.deploy_graph(plan, 500, 500, radius, Placement.uniform(), seed=1)
-    state = protocol.NetworkState(g, plan)
-    gid = len(plan.groups) + 5
+    state, fresh = protocol.NetworkState(g, plan), protocol.NetworkState(g, plan)
+    assert state.cluster_map.unreachable()
+    gid = len(state.group_dominator) + 5
     state.revoke_group(gid)
     assert state.audit_log == [f"revoke ignored: no group {gid}"]
-    state.form()
-    fresh = form_network(g, plan, Placement.uniform(), seed=1)
-    assert state.cluster_map.unreachable()
+    assert fresh.audit_log == []
     assert membership_record(state) == membership_record(fresh)
+    assert (state._round, set(state.revoked_groups), set(state.revoked_key_ids)) == (
+        fresh._round, set(), set())
     assert state.trace.records == fresh.trace.records
 
 

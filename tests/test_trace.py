@@ -62,7 +62,6 @@ def churn_case(draw):
 def churned(cls, g, plan, held, ops):
     """Form a network of class cls from plan, then run the steps on it."""
     state = cls(g, plan, deployed=set(range(g.n)) - held)
-    state.form()
     for op, a, b in ops:
         # held-back nodes join, and so do leavers and revoked members
         away = sorted(set(range(g.n)) - state.deployed)
@@ -292,7 +291,6 @@ def test_formation_adjudicates_each_orphan_by_the_leads_in_its_range(case):
     plan = keying.build_plan(*plan_args)
     deployed = set(range(g.n)) - held
     state = NetworkState(g, plan, deployed=deployed)
-    state.form()
     leads = {grp.dominator for grp in plan.groups} & deployed
     orphans = [v for v in sorted(deployed - leads)
                if plan.group_of(v).dominator not in g.neighbors(v) & leads]
@@ -318,7 +316,6 @@ class ChurnedNetwork(RuleBasedStateMachine):
         self.plan = keying.build_plan(*plan_args)
         self.fresh = keying.build_plan(*plan_args)  # never given to a network
         self.state = NetworkState(g, self.plan, deployed=set(range(g.n)) - held)
-        self.state.form()
         # leaver -> (its group, that group's key count when it left)
         self.away: dict[int, tuple[int, int]] = {}
         # node -> key ids its groups minted while it was out, once it rejoined

@@ -69,6 +69,10 @@ def test_single_node_has_no_edges():
     assert g.neighbors(0) == frozenset()
 
 
+def test_an_empty_graph_has_average_degree_zero():
+    assert udg.from_positions([], 1.0).average_degree() == 0.0
+
+
 def test_two_nodes_within_large_radius_are_linked():
     # max distance on a 10x10 field is sqrt(200) ~ 14.14 < 20
     g = udg.generate_uniform(2, 10, 10, 20, seed=123)
