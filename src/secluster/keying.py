@@ -6,8 +6,8 @@ own individual key (shared with its GD) and the group key.  A GD carries
 the group key plus the individual keys of all its members, so its storage
 is (eta + 1) * key_bits while an Os needs 2 * key_bits.  The base station
 vault keeps every key in the network.  The plan's vault has the keys
-assigned offline; each formed network keeps its own copy of it, which
-also records the keys minted later by promotion and rekeying.
+assigned offline; each formed network keeps a vault and a key factory of
+its own, which mint and record the keys of its promotions and rekeys.
 
 Keys come from a seeded SHA-256 counter generator, so a deployment plan is
 reproducible from its seed.  Secrecy is modeled: the encrypt/decrypt pair
@@ -74,6 +74,12 @@ class KeyFactory:
             raise RuntimeError(f"fingerprint collision between {prev!r} and {label!r}")
         self._issued[kid] = label
         return Key(key_id=kid, secret=secret)
+
+    def copy(self) -> "KeyFactory":
+        """The same keys, with a collision guard that starts as a copy of this one's."""
+        twin = KeyFactory(self._seed, self.key_bits)
+        twin._issued.update(self._issued)
+        return twin
 
 
 def _xor_stream(secret: bytes, nonce: bytes, data: bytes) -> bytes:

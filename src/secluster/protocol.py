@@ -66,8 +66,10 @@ from .trace import (  # noqa: F401
 from .udg import UnitDiskGraph, Point, from_positions, generate_uniform, walk
 
 BS_ID = -1  # the base station is a logical entity, not a graph node
-# nonce of forged requests; the network's counter starts at 1, so never yields it
+# the forger's nonce and key: the network's nonce counter starts at 1, so
+# never yields this nonce, and no plan's factory mints this key
 _FORGED_NONCE = bytes(NONCE_BYTES)
+_FORGED_KEY = Key(key_id="forger", secret=b"forger")
 
 
 class Rank(Enum):
@@ -128,7 +130,7 @@ class RekeyEvent:
     old_key_id: str
     new_key_id: str
     cause: str  # join | leave
-    round: int = 0  # trace round of the rekey transaction
+    round: int  # trace round of the rekey transaction
 
 
 @dataclass
@@ -243,10 +245,11 @@ class NetworkState:
             raise ValueError(
                 f"plan covers {plan.n} nodes but graph has {graph.n}")
         self.graph = graph
-        # the network records the keys it mints in a vault of its own, so the
+        # the network mints and records keys in a factory and a vault of its
+        # own (sharing the plan's individual keys, which it only reads), so the
         # caller's plan is never written and can form any number of networks
-        self.plan = replace(plan, vault=BaseStationVault(
-            dict(plan.vault.all_individual_keys)))
+        self.plan = replace(plan, factory=plan.factory.copy(), vault=BaseStationVault(
+            plan.vault.all_individual_keys))
         self.deployed: set[int] = (set(range(graph.n)) if deployed is None
                                    else set(deployed))
         for v in self.deployed:
@@ -589,8 +592,11 @@ class NetworkState:
         rotations but nothing else.  Each forged join claims a random
         identity the adversary does not legitimately control and targets a
         random operational group; when no group is operational the replay
-        makes no forged joins.  No group admits a node that is already
-        deployed.
+        makes no forged joins.  A request is sealed under the claimed node's
+        key if the adversary holds it, else under a fixed forger key.  `seed`
+        draws only the attempts, so every profile makes the same ones, save
+        that a draw of the compromised node moves on to the next id.  No
+        group admits a node that is already deployed.
         """
         rng = random.Random(seed)
         ring = self.rings.get(profile.node, {})
@@ -619,36 +625,23 @@ class NetworkState:
             claimed = rng.randrange(self.graph.n)
             if profile.node is not None and claimed == profile.node:
                 claimed = (claimed + 1) % self.graph.n
-            admitted = self._forged_join_admitted(claimed, target, held, rng)
+            admitted = self._forged_join_admitted(claimed, target, held)
             attempt_log.append(AttackAttempt(claimed, target, admitted))
         return AttackReport(attempts=attempt_log, decrypted=decrypted)
 
     def _forged_join_admitted(self, claimed: int, target_group: int,
-                              held: dict[str, Key], rng: random.Random) -> bool:
-        # The forgery spoofs the claimed node's public fingerprint but cannot
-        # seal the payload under that key; the dominator's authenticated
-        # decryption must therefore fail unless the adversary truly holds it.
-        real = self.individual_key(claimed)
-        spoofed_fp = real.key_id if real is not None else "0" * 16
-        if spoofed_fp in held:
-            sealing_key = held[spoofed_fp]  # genuinely compromised identity
-        elif held:
-            sealing_key = held[sorted(held)[rng.randrange(len(held))]]
-        else:
-            sealing_key = None
-        plaintext = f"JOIN_REQ|{claimed}".encode()
-        if sealing_key is not None:
-            # the adversary's own nonce: a replay must not advance the network's
-            payload = encrypt(sealing_key, _FORGED_NONCE, plaintext)
-        else:
-            payload = bytes(rng.randrange(256) for _ in range(len(plaintext) + 24))
-
+                              held: dict[str, Key]) -> bool:
         # dominator-side validation: the target, an operational group, admits
-        # an undeployed node on its access list whose request opens under its
-        # individual key, unless that key is revoked, as join_node refuses it
+        # an undeployed node on its access list, unless its individual key is
+        # revoked, as join_node refuses it, and only if the request opens
+        # under that key.  The forgery spoofs the node's fingerprint and seals
+        # under the key if the adversary holds it, else under its own.
+        real = self.individual_key(claimed)
         if (claimed in self.deployed or not self._on_access_list(claimed, target_group)
                 or real.key_id in self.revoked_key_ids):
             return False
+        payload = encrypt(held.get(real.key_id, _FORGED_KEY), _FORGED_NONCE,
+                          f"JOIN_REQ|{claimed}".encode())
         try:
             decrypt(real, payload)
         except DecryptError:

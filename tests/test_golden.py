@@ -13,8 +13,11 @@ became the only custody record.  The envelope digests, which cover what
 from the program as it was before every membership change went through
 one enrol/withdraw pair, one rekey step and one key-delivery step.  The
 adversary digests, which cover the replay's decryptions and forged joins,
-were taken from the program as it was before envelopes became named
-tuples sealed in one step.  The churned clustermap digests are a new pin,
+were taken once a forged join stopped drawing a sealing key or random
+bytes from the replay's generator, so that the generator draws only each
+attempt's target and claimed node and every profile makes the same
+attempts under one seed (before, those draws depended on the keys the
+profile held).  The churned clustermap digests are a new pin,
 taken once the dominator set and the mediators were read from the live
 dominator record (before, a churned clustermap kept the mediators of
 formation time).  A change meant to keep every output
@@ -75,8 +78,8 @@ ENVELOPE_DIGESTS = {
 }
 # simulate_adversary on churned_form_network(placement), three profiles
 ADVERSARY_DIGESTS = {
-    "uniform": "47a2010ebe6d0b30ed2345495d8de02e24d0bce5a8cc6f0385df52aaa3c9ecac",
-    "clustered": "f205d072f20c1861a8968664d34f081fbab3d4b0050e998ed33e2167f7831d0c",
+    "uniform": "7f72d925eae1226f6dbc34d42413802b98dd46fdecd6cd3bc3177e0d388231fa",
+    "clustered": "b9f154c419c697b358e0d21cbe21af31773b75b3a7707b44f925727c6fa0e929",
 }
 # write_clustermap_csv of churned_form_network(placement)
 CHURNED_CLUSTERMAP_DIGESTS = {
