@@ -10,14 +10,11 @@ assigned offline; each formed network keeps a vault and a key factory of
 its own, which mint and record the keys of its promotions and rekeys.
 
 Keys come from a seeded SHA-256 counter generator, so a deployment plan is
-reproducible from its seed.  Secrecy is modeled: the encrypt/decrypt pair
-below behaves like an authenticated cipher (wrong or missing key => a
-detectable failure, never silent garbage), which is the only property the
-simulation observes.  Its keystream is SHA-256 of `ks|`, the secret, the
-nonce and an 8-byte big-endian block counter, 32 bytes per block, XORed
-onto the message; its tag is the first 16 bytes of SHA-256 of `tag|`, the
-secret, the nonce and the ciphertext.  An envelope costs one seal, on
-the first read of its payload (`trace.Envelope`).
+reproducible from its seed.  Secrecy is decided by key possession: a
+holder of the key an envelope is sealed under opens it, and anyone else
+cannot, so the library compares key ids and runs no cipher.  The tests
+keep an authenticated cipher as the reference (`tests/oracle.py`), and
+check that it opens an envelope exactly when possession says it does.
 """
 
 from __future__ import annotations
@@ -28,13 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 SUPPORTED_KEY_BITS = (64, 128, 256)
-
-NONCE_BYTES = 8
-_TAG_LEN = 16
-
-
-class DecryptError(Exception):
-    """Authenticated decryption failed (wrong key or tampered payload)."""
 
 
 @dataclass(frozen=True)
@@ -80,43 +70,6 @@ class KeyFactory:
         twin = KeyFactory(self._seed, self.key_bits)
         twin._issued.update(self._issued)
         return twin
-
-
-def _xor_stream(secret: bytes, nonce: bytes, data: bytes) -> bytes:
-    """data XOR the keystream of (secret, nonce): SHA-256 blocks of `ks|`,
-    secret, nonce and counter, joined in one pass, cut to data's length and
-    applied as one big-integer XOR."""
-    n, prefix = len(data), b"ks|" + secret + nonce
-    stream = b"".join([hashlib.sha256(prefix + i.to_bytes(8, "big")).digest()
-                       for i in range((n + 31) >> 5)])
-    return (int.from_bytes(data, "big")
-            ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
-
-
-def _tag(secret: bytes, nonce: bytes, ct: bytes) -> bytes:
-    return hashlib.sha256(b"tag|" + secret + nonce + ct).digest()[:_TAG_LEN]
-
-
-def encrypt(key: Key, nonce: bytes, plaintext: bytes) -> bytes:
-    """Seal plaintext under key; stand-in for a fielded AEAD cipher.
-
-    The nonce must be NONCE_BYTES long: `decrypt` splits it off at that
-    length, so any other length would open to garbage under a valid tag.
-    """
-    if len(nonce) != NONCE_BYTES:
-        raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
-    ct = _xor_stream(key.secret, nonce, plaintext)
-    return nonce + ct + _tag(key.secret, nonce, ct)
-
-
-def decrypt(key: Key, blob: bytes) -> bytes:
-    """Open a sealed blob; raises DecryptError unless key and tag match."""
-    if len(blob) < NONCE_BYTES + _TAG_LEN:
-        raise DecryptError("ciphertext too short")
-    nonce, ct, tag = (blob[:NONCE_BYTES], blob[NONCE_BYTES:-_TAG_LEN], blob[-_TAG_LEN:])
-    if tag != _tag(key.secret, nonce, ct):
-        raise DecryptError("authentication tag mismatch")
-    return _xor_stream(key.secret, nonce, ct)
 
 
 @dataclass

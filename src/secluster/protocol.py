@@ -45,15 +45,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Collection, Iterable, Optional
 
-from .keying import (
-    NONCE_BYTES,
-    BaseStationVault,
-    DecryptError,
-    DeploymentPlan,
-    Key,
-    decrypt,
-    encrypt,
-)
+from .keying import BaseStationVault, DeploymentPlan, Key
 # write_trace_csv is exported from here, beside write_clustermap_csv
 from .trace import (  # noqa: F401
     Envelope,
@@ -66,10 +58,6 @@ from .trace import (  # noqa: F401
 from .udg import UnitDiskGraph, Point, from_positions, generate_uniform, walk
 
 BS_ID = -1  # the base station is a logical entity, not a graph node
-# the forger's nonce and key: the network's nonce counter starts at 1, so
-# never yields this nonce, and no plan's factory mints this key
-_FORGED_NONCE = bytes(NONCE_BYTES)
-_FORGED_KEY = Key(key_id="forger", secret=b"forger")
 
 
 class Rank(Enum):
@@ -216,7 +204,8 @@ class AttackAttempt:
 class AttackReport:
     attempts: list[AttackAttempt]
     # one (kind, group, key fingerprint) entry per distinct trace envelope
-    # the adversary could open; flood relays repeat their origin's envelope
+    # sealed under a key the adversary held; flood relays repeat their
+    # origin's envelope
     decrypted: list[tuple[str, Optional[int], str]]
 
     @property
@@ -339,9 +328,8 @@ class NetworkState:
                 self._grant(r, key)
 
     def _seal(self, kind: Kind, sender: int, key: Key, plaintext: bytes) -> Envelope:
-        """Record the sealing inputs of plaintext under key with the
-        network's next nonce; the only writer of the nonce sequence.  The
-        envelope builds its ciphertext when its payload is first read."""
+        """Seal plaintext under key with the network's next nonce; the
+        only writer of the nonce sequence."""
         self._nonce_counter += 1
         return Envelope(sender, kind, key, self._nonce_counter, plaintext)
 
@@ -583,39 +571,35 @@ class NetworkState:
                            seed: int) -> AttackReport:
         """Replay the trace through the adversary's keys and try forged joins.
 
-        The adversary starts with the profile's keys, taken from the
-        compromised node's ring.  It observes every envelope sent so far, in
-        order, and tries each distinct envelope once: a flood's relays re-air
-        its origin's envelope unopened, so the trace's records are its
-        envelopes.  When the adversary can open a rekey message it learns the
-        carried key, so a compromised member keeps up with its own group's
-        rotations but nothing else.  Each forged join claims a random
-        identity the adversary does not legitimately control and targets a
-        random operational group; when no group is operational the replay
-        makes no forged joins.  A request is sealed under the claimed node's
-        key if the adversary holds it, else under a fixed forger key.  `seed`
-        draws only the attempts, so every profile makes the same ones, save
-        that a draw of the compromised node moves on to the next id.  No
-        group admits a node that is already deployed.
+        Secrecy is key possession: the adversary opens an envelope iff it
+        holds the id of the key the envelope is sealed under.  It starts
+        with the profile's key ids that are in the compromised node's ring.
+        It observes every envelope sent so far, in order, and tries each
+        distinct envelope once: a flood's relays re-air its origin's
+        envelope unopened, so the trace's records are its envelopes.  When
+        the adversary opens a rekey message it learns the carried key, so a
+        compromised member keeps up with its own group's rotations but
+        nothing else.  Each forged join claims a random identity the
+        adversary does not legitimately control and targets a random
+        operational group; when no group is operational the replay makes no
+        forged joins.  A request passes the dominator's check iff the
+        adversary holds the claimed node's individual key.  `seed` draws
+        only the attempts, so every profile makes the same ones, save that a
+        draw of the compromised node moves on to the next id.  No group
+        admits a node that is already deployed.
         """
         rng = random.Random(seed)
-        ring = self.rings.get(profile.node, {})
-        held = {fp: ring[fp] for fp in profile.held_keys if fp in ring}
+        held = self.rings.get(profile.node, {}).keys() & profile.held_keys
 
-        decrypted: list[tuple[str, Optional[int], str]] = []
+        opened: list[tuple[str, Optional[int], str]] = []
         for rec in self.trace.records:
-            key = held.get(rec.envelope.key_fingerprint)
-            if key is None:
+            env = rec.envelope
+            if env.key.key_id not in held:
                 continue
-            try:
-                plaintext = decrypt(key, rec.envelope.payload)
-            except DecryptError:
-                continue
-            decrypted.append((rec.envelope.kind.value, rec.group_id,
-                              rec.envelope.key_fingerprint))
-            learned = _parse_key_payload(plaintext)
+            opened.append((env.kind.value, rec.group_id, env.key.key_id))
+            learned = _parse_key_payload(env.plaintext)
             if learned is not None:
-                held[learned.key_id] = learned
+                held.add(learned.key_id)
 
         attempt_log: list[AttackAttempt] = []
         group_ids = sorted(gid for gid in self.group_dominator
@@ -627,26 +611,19 @@ class NetworkState:
                 claimed = (claimed + 1) % self.graph.n
             admitted = self._forged_join_admitted(claimed, target, held)
             attempt_log.append(AttackAttempt(claimed, target, admitted))
-        return AttackReport(attempts=attempt_log, decrypted=decrypted)
+        return AttackReport(attempts=attempt_log, decrypted=opened)
 
     def _forged_join_admitted(self, claimed: int, target_group: int,
-                              held: dict[str, Key]) -> bool:
+                              held: Collection[str]) -> bool:
         # dominator-side validation: the target, an operational group, admits
         # an undeployed node on its access list, unless its individual key is
-        # revoked, as join_node refuses it, and only if the request opens
-        # under that key.  The forgery spoofs the node's fingerprint and seals
-        # under the key if the adversary holds it, else under its own.
+        # revoked, as join_node refuses it, and only if the request is sealed
+        # under that key, which the adversary can do iff it holds its id
         real = self.individual_key(claimed)
         if (claimed in self.deployed or not self._on_access_list(claimed, target_group)
                 or real.key_id in self.revoked_key_ids):
             return False
-        payload = encrypt(held.get(real.key_id, _FORGED_KEY), _FORGED_NONCE,
-                          f"JOIN_REQ|{claimed}".encode())
-        try:
-            decrypt(real, payload)
-        except DecryptError:
-            return False
-        return True
+        return real.key_id in held
 
 
 # -- deployment ------------------------------------------------------------

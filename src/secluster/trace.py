@@ -8,13 +8,13 @@ holds.  A `Trace` therefore takes memory in proportion to the messages
 sent, not to the transmissions, and knows its length without expanding
 anything.
 
-An `Envelope` is sealed on first read: it keeps the sealing inputs (key,
-nonce counter, plaintext) and builds its ciphertext only when something
-reads its `payload`, so messages that nothing opens cost no cipher work.
-It compares and hashes by its four public fields, and it cannot be
-unpacked or indexed.  `TraceEvent` is an immutable named tuple: one is
-built for every message sent, and a tuple is built in half the time of a
-frozen dataclass.
+An `Envelope` records what was sealed: the key, the nonce and the
+plaintext.  Who can read it is decided by key possession, so no
+ciphertext is built; the tests' reference cipher (`tests/oracle.py`)
+rebuilds the payload bytes from these fields.  `Envelope` and
+`TraceEvent` are immutable named tuples: one of each is built for every
+message sent, and a tuple is built in half the time of a frozen
+dataclass.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
-from .keying import NONCE_BYTES, Key, encrypt
+from .keying import Key
 from .udg import walk
 
 
@@ -38,53 +38,22 @@ class Kind(Enum):
     LEAVE = "LEAVE"
 
 
-class Envelope:
-    """One encrypted transmission.
+class Envelope(NamedTuple):
+    """One sealed transmission: `plaintext` under `key`, with the nonce
+    `nonce` the network's sequence gave it.
 
-    A receiver can open the payload iff it holds the key whose fingerprint
-    is `key_fingerprint`; with any other key, authenticated decryption
-    fails detectably.  The payload is sealed under `key` with the nonce
-    `nonce` (an int, written as NONCE_BYTES big-endian bytes) on its first
-    read, which caches it and drops the key and nonce.  Treat an envelope
-    as immutable.
+    A receiver opens it iff it holds the key whose id is `key_fingerprint`.
     """
 
-    # `_text` holds the plaintext until the first read of `payload` seals
-    # it, and the payload after; `_key` is None once it is sealed
-    __slots__ = ("sender", "kind", "key_fingerprint", "_key", "_nonce", "_text")
-
-    def __init__(self, sender: int, kind: Kind, key: Key, nonce: int,
-                 plaintext: bytes) -> None:
-        self.sender = sender
-        self.kind = kind
-        self.key_fingerprint = key.key_id
-        self._key = key
-        self._nonce = nonce
-        self._text = plaintext
+    sender: int
+    kind: Kind
+    key: Key
+    nonce: int
+    plaintext: bytes
 
     @property
-    def payload(self) -> bytes:
-        key = self._key
-        if key is not None:
-            self._text = encrypt(key, self._nonce.to_bytes(NONCE_BYTES, "big"),
-                                 self._text)
-            self._key = self._nonce = None
-        return self._text
-
-    def _values(self) -> tuple:
-        return self.sender, self.kind, self.key_fingerprint, self.payload
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Envelope:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return ("Envelope(sender={!r}, kind={!r}, key_fingerprint={!r}, "
-                "payload={!r})".format(*self._values()))
+    def key_fingerprint(self) -> str:
+        return self.key.key_id
 
 
 class TraceEvent(NamedTuple):

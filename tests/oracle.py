@@ -1,4 +1,5 @@
-"""Fixture graphs and the exhaustive minimum-set oracle, for the tests.
+"""Fixture graphs, the exhaustive minimum-set oracle and the reference
+cipher, for the tests.
 
 The library's domination code takes any graph with an integer `n` and
 `adjacency[v]`, v's neighbour set; `Graph` is the smallest such object,
@@ -6,11 +7,25 @@ built from an edge list.  `min_set_exhaustive` is the reference the
 greedy baselines and the formed dominator sets are measured against: it
 finds a minimum set by enumerating subsets, so it is guarded to
 n <= EXHAUSTIVE_NODE_LIMIT.
+
+The library decides who can read an envelope by key possession alone.
+`encrypt` and `decrypt` are an authenticated cipher that the tests hold
+that rule against: a holder of the right key opens a sealed payload, and
+any other key fails detectably, never to silent garbage.  Its keystream
+is SHA-256 of `ks|`, the secret, the nonce and an 8-byte big-endian block
+counter, 32 bytes per block, XORed onto the message; its tag is the
+first 16 bytes of SHA-256 of `tag|`, the secret, the nonce and the
+ciphertext.  `seal(env)` is an envelope's payload: its plaintext sealed
+under its key and nonce.  `reference_replay` is the adversary's replay
+refereed by that cipher, and `forged_join_admitted` is the rule a forged
+join is admitted by.
 """
 
+import hashlib
 import itertools
 
 from secluster.domsets import classify
+from secluster.protocol import _parse_key_payload
 
 # Subset enumeration is exponential; refuse graphs where 2^n is unreasonable.
 EXHAUSTIVE_NODE_LIMIT = 20
@@ -73,3 +88,101 @@ def min_set_exhaustive(g, verdict):
             if verdict(g, s):
                 return s
     return None
+
+
+# -- the reference cipher ------------------------------------------------------
+
+NONCE_BYTES = 8
+_TAG_LEN = 16
+
+
+class DecryptError(Exception):
+    """Authenticated decryption failed (wrong key or tampered payload)."""
+
+
+def _xor_stream(secret, nonce, data):
+    """data XOR the keystream of (secret, nonce): SHA-256 blocks of `ks|`,
+    secret, nonce and counter, joined in one pass, cut to data's length and
+    applied as one big-integer XOR."""
+    n, prefix = len(data), b"ks|" + secret + nonce
+    stream = b"".join([hashlib.sha256(prefix + i.to_bytes(8, "big")).digest()
+                       for i in range((n + 31) >> 5)])
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
+
+
+def _tag(secret, nonce, ct):
+    return hashlib.sha256(b"tag|" + secret + nonce + ct).digest()[:_TAG_LEN]
+
+
+def encrypt(key, nonce, plaintext):
+    """Seal plaintext under key.
+
+    The nonce must be NONCE_BYTES long: `decrypt` splits it off at that
+    length, so any other length would open to garbage under a valid tag.
+    """
+    if len(nonce) != NONCE_BYTES:
+        raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
+    ct = _xor_stream(key.secret, nonce, plaintext)
+    return nonce + ct + _tag(key.secret, nonce, ct)
+
+
+def decrypt(key, blob):
+    """Open a sealed blob; raises DecryptError unless key and tag match."""
+    if len(blob) < NONCE_BYTES + _TAG_LEN:
+        raise DecryptError("ciphertext too short")
+    nonce, ct, tag = (blob[:NONCE_BYTES], blob[NONCE_BYTES:-_TAG_LEN], blob[-_TAG_LEN:])
+    if tag != _tag(key.secret, nonce, ct):
+        raise DecryptError("authentication tag mismatch")
+    return _xor_stream(key.secret, nonce, ct)
+
+
+def seal(env):
+    """The payload of `env`: its plaintext sealed under its key, with its
+    nonce written as NONCE_BYTES big-endian bytes."""
+    return encrypt(env.key, env.nonce.to_bytes(NONCE_BYTES, "big"), env.plaintext)
+
+
+# -- the adversary's replay, refereed by the cipher ----------------------------
+
+def reference_replay(state, profile, relays):
+    """The adversary's trace replay by brute force, relays optionally included.
+
+    Each event's payload is opened with every key the adversary holds at
+    that point, whatever its fingerprint says; an opened rekey teaches the
+    key it carries.  Returns the events it opened and every key it ends up
+    holding, by id.
+    """
+    recorded = [k for g in state.plan.groups for k in g.individual_keys.values()]
+    recorded += [k for h in state.plan.vault.group_key_history.values() for k in h]
+    held = {fp: next(k for k in recorded if k.key_id == fp)
+            for fp in profile.held_keys}
+    opened = []
+    for ev in state.trace:
+        if not relays and ev.transmitter != ev.envelope.sender:
+            continue
+        payload = seal(ev.envelope)
+        for key in list(held.values()):
+            try:
+                plaintext = decrypt(key, payload)
+            except DecryptError:
+                continue
+            opened.append(ev)
+            learned = _parse_key_payload(plaintext)
+            if learned is not None:
+                held[learned.key_id] = learned
+            break
+    return opened, held
+
+
+def forged_join_admitted(state, profile, claimed, target_group):
+    """A forged join is admitted iff the claimed node is undeployed, on the
+    target's planned access list, and its individual key is held by the
+    adversary and not revoked.  A replay learns only group keys, so the
+    individual keys the adversary holds are the profile's."""
+    key = state.individual_key(claimed)
+    return (claimed not in state.deployed
+            and key is not None
+            and state.plan.group_of(claimed).group_id == target_group
+            and key.key_id in profile.held_keys
+            and key.key_id not in state.revoked_key_ids)

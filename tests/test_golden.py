@@ -11,7 +11,9 @@ before the base-station vault kept a single key index and the key rings
 became the only custody record.  The envelope digests, which cover what
 `trace.csv` leaves out (payloads, group ids, flood reach), were taken
 from the program as it was before every membership change went through
-one enrol/withdraw pair, one rekey step and one key-delivery step.  The
+one enrol/withdraw pair, one rekey step and one key-delivery step.  Their
+payloads are sealed by the tests' reference cipher (`oracle.seal`),
+which seals as the library did when it held the cipher.  The
 adversary digests, which cover the replay's decryptions and forged joins,
 were taken once a forged join stopped drawing a sealing key or random
 bytes from the replay's generator, so that the generator draws only each
@@ -33,6 +35,7 @@ import json
 
 import pytest
 
+from oracle import seal
 from secluster import protocol
 from secluster.cli import main
 from secluster.trace import FloodEvent
@@ -183,14 +186,14 @@ def test_sweep_writes_the_golden_sweep_csv_from_a_config(tmp_path):
 def envelope_digest(trace):
     h = hashlib.sha256()
     for rec in trace.records:
-        env = rec.envelope
+        env, payload = rec.envelope, seal(rec.envelope)
         if type(rec) is FloodEvent:
             on_air = ("reach", rec.reach, rec.nbrs[env.sender])
         else:
             on_air = ("transmitter", rec.transmitter, rec.receivers)
         h.update(repr((rec.round, env.kind.value, env.sender, *on_air, rec.group_id,
-                       env.key_fingerprint, len(env.payload))).encode())
-        h.update(env.payload)
+                       env.key_fingerprint, len(payload))).encode())
+        h.update(payload)
     return h.hexdigest()
 
 

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracle import NONCE_BYTES, DecryptError, decrypt, encrypt
 from secluster import keying
 from secluster.keying import (
-    DecryptError,
     build_plan,
-    decrypt,
-    encrypt,
     storage_gd_bits,
     storage_network_bits,
     storage_os_bits,
@@ -150,7 +148,7 @@ def test_storage_decomposition_identity():
             alpha * storage_gd_bits(eta, k) + beta * storage_os_bits(k)
 
 
-# -- modeled cipher ----------------------------------------------------------
+# -- the tests' reference cipher (oracle.py) ---------------------------------
 
 def test_encrypt_decrypt_round_trip():
     plan = build_plan(4, 3, 128, seed=9)
@@ -177,7 +175,7 @@ def test_tampered_payload_fails():
         decrypt(key, bytes(blob))
     # a blob shorter than its nonce and tag cannot be split at all
     with pytest.raises(DecryptError, match="too short"):
-        decrypt(key, bytes(blob[:keying.NONCE_BYTES + 15]))
+        decrypt(key, bytes(blob[:NONCE_BYTES + 15]))
 
 
 @pytest.mark.parametrize("length", [0, 4, 7, 9, 16])
@@ -187,7 +185,7 @@ def test_nonce_of_another_length_is_refused(length):
     key = build_plan(4, 3, 128, seed=9).groups[0].group_key
     with pytest.raises(ValueError):
         encrypt(key, bytes(length), b"hello")
-    blob = encrypt(key, bytes(keying.NONCE_BYTES), b"hello")
+    blob = encrypt(key, bytes(NONCE_BYTES), b"hello")
     assert decrypt(key, blob) == b"hello"
 
 

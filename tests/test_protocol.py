@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracle import forged_join_admitted, reference_replay, seal
 from secluster import analysis, keying, protocol, udg
-from secluster.keying import DecryptError, decrypt
 from secluster.protocol import (
     BS_ID,
     AdversaryProfile,
@@ -302,7 +302,7 @@ def test_formation_is_deterministic():
         g = udg.generate_uniform(50, 200, 200, radius, seed=77)
         state = form_network(g, plan, Placement.uniform(), seed=77)
         trace = [(ev.round, ev.envelope.sender, ev.envelope.kind.value,
-                  ev.envelope.key_fingerprint, ev.envelope.payload,
+                  ev.envelope.key_fingerprint, seal(ev.envelope),
                   ev.receivers) for ev in state.trace]
         return state.cluster_map, trace
 
@@ -619,16 +619,29 @@ def test_compromised_os_reads_exactly_its_own_links():
 
 
 def test_compromised_os_tracks_its_groups_rekeys_only():
-    state = join_leave_network()
+    # join_leave_network with node 2 moved to (5, 1), in range of both
+    # dominators, and held back beside node 5, so two nodes join group 1
+    plan = keying.build_plan(6, 2, 128, seed=3)
+    g = udg.from_positions(
+        [Point(0, 0), Point(1, 0), Point(5, 1),
+         Point(10, 0), Point(11, 0), Point(5, 0)], 6.0)
+    state = form_network(g, plan, Placement.uniform(), seed=1, deployed=[0, 1, 3, 4])
     profile = AdversaryProfile.compromised_os(state, 4)  # member of group 1
-    state.join_node(5, 1)   # group 1 rekeys; node 4 (and the adversary) follow
-    state.leave_node(1)     # group 0 rekeys; adversary must not follow
+    assert state.join_node(5, 1)  # group 1 rekeys; node 4 (and the adversary) follow
+    assert state.join_node(2, 1)  # its REKEY_BCAST is sealed under that rekey's key
+    assert state.leave_node(1)    # group 0 rekeys; adversary must not follow
     report = state.simulate_adversary(profile, 50, seed=5)
-    groups = {grp for (_, grp, _) in report.decrypted}
-    assert groups == {1}
-    assert state.group_key[1].key_id in {fp for (_, _, fp) in report.decrypted} \
-        or state.group_key[1].key_id not in \
-        {ev.envelope.key_fingerprint for ev in state.trace}
+    assert {grp for (_, grp, _) in report.decrypted} == {1}
+    # the adversary reads node 4's link and every key group 1 has had: the
+    # one it was captured with, and each rekey's, learned from the rekey
+    # sealed under the key before
+    history = [k.key_id for k in state.plan.vault.group_key_history[1]]
+    assert len(history) == 3
+    readable = {state.individual_key(4).key_id, *history}
+    assert report.decrypted == [
+        (rec.envelope.kind.value, rec.group_id, rec.envelope.key_fingerprint)
+        for rec in state.trace.records if rec.envelope.key_fingerprint in readable]
+    assert (Kind.REKEY_BCAST.value, 1, history[1]) in report.decrypted
 
 
 def test_compromised_gd_after_revocation_reads_nothing_new():
@@ -652,31 +665,6 @@ def test_compromised_gd_after_revocation_reads_nothing_new():
     post_fps = {ev.envelope.key_fingerprint for ev in list(state.trace)[cut:]}
     assert {fp for (_, _, fp) in report.decrypted} & post_fps == set()
     assert all(grp == 1 for (_, grp, _) in report.decrypted)
-
-
-def reference_replay(state, profile, relays):
-    """The adversary's trace replay by brute force, relays optionally included.
-
-    Returns the events it opened and every key it ends up holding.
-    """
-    recorded = [k for g in state.plan.groups for k in g.individual_keys.values()]
-    recorded += [k for h in state.plan.vault.group_key_history.values() for k in h]
-    held = {fp: next(k for k in recorded if k.key_id == fp)
-            for fp in profile.held_keys}
-    opened = []
-    for ev in state.trace:
-        key = held.get(ev.envelope.key_fingerprint)
-        if key is None or (not relays and ev.transmitter != ev.envelope.sender):
-            continue
-        try:
-            plaintext = decrypt(key, ev.envelope.payload)
-        except DecryptError:
-            continue
-        opened.append(ev)
-        learned = protocol._parse_key_payload(plaintext)
-        if learned is not None:
-            held[learned.key_id] = learned
-    return opened, held
 
 
 def test_compromised_adopter_opens_each_distinct_envelope_once():
@@ -897,8 +885,7 @@ def test_forged_join_is_admitted_only_onto_its_own_access_list():
     assert any(a.target_group == 2 and a.claimed_id in (1, 2) for a in report.attempts)
     # holding node 4's key admits it into its own group once it has left,
     # never while it is deployed and never into a promoted group
-    ind = state.individual_key(4)
-    held = {ind.key_id: ind}
+    held = {state.individual_key(4).key_id}
     assert not state._forged_join_admitted(4, 1, held)
     assert state.leave_node(4)
     assert state._forged_join_admitted(4, 1, held)
@@ -961,10 +948,7 @@ def churned_small_networks(draw):
 
 @given(churned_small_networks(), st.data())
 def test_forged_join_admission_is_exactly_predicted(state, data):
-    # An attempt is admitted iff the claimed node is undeployed, on the
-    # target's planned access list, and its individual key is held by the
-    # adversary and not revoked.  Replay learns only group keys, so the
-    # individual keys the adversary holds are the profile's.
+    # oracle.forged_join_admitted states the rule
     sensors = sorted(v for v, rank in state.cluster_map.ranks.items() if rank is Rank.OS)
     profiles = [AdversaryProfile.outsider(),
                 AdversaryProfile.compromised_gd(
@@ -975,13 +959,8 @@ def test_forged_join_admission_is_exactly_predicted(state, data):
     for profile in profiles:
         report = state.simulate_adversary(profile, 200, data.draw(st.integers(0, 99)))
         for a in report.attempts:
-            key = state.individual_key(a.claimed_id)
-            predicted = (a.claimed_id not in state.deployed
-                         and key is not None
-                         and state.plan.group_of(a.claimed_id).group_id == a.target_group
-                         and key.key_id in profile.held_keys
-                         and key.key_id not in state.revoked_key_ids)
-            assert a.admitted == predicted, (profile.mode, a)
+            assert a.admitted == forged_join_admitted(
+                state, profile, a.claimed_id, a.target_group), (profile.mode, a)
 
 
 @given(churned_small_networks(), st.data())

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+import oracle
 from secluster import keying, protocol, udg
 from secluster.protocol import AdversaryProfile, Kind, NetworkState, Placement, Rank
 from secluster.trace import FloodEvent, Trace, TraceEvent
@@ -177,23 +178,23 @@ def test_a_churned_network_leaves_its_plan_alone(tmp_path_factory, case):
 def assert_each_envelope_sealed_once(state):
     """The records' nonces are 1..N in order, so each envelope, a flood's
     included, was sealed once with the network's next nonce; and each
-    opens under the key its fingerprint names in the network's vault."""
+    payload opens under the key its fingerprint names in the network's
+    vault."""
     vault = state.plan.vault
     keys = {k.key_id: k for k in vault.all_individual_keys.values()}
     keys.update((k.key_id, k) for h in vault.group_key_history.values() for k in h)
     envelopes = [rec.envelope for rec in state.trace.records]
-    assert [int.from_bytes(env.payload[:keying.NONCE_BYTES], "big")
-            for env in envelopes] == list(range(1, len(envelopes) + 1))
+    assert [env.nonce for env in envelopes] == list(range(1, len(envelopes) + 1))
     for env in envelopes:
-        keying.decrypt(keys[env.key_fingerprint], env.payload)
+        assert oracle.decrypt(keys[env.key_fingerprint], oracle.seal(env)) == env.plaintext
 
 
 @given(churn_case())
 def test_a_churned_network_seals_each_envelope_once(case):
     g, plan_args, held, ops = case
     state = churned(NetworkState, g, keying.build_plan(*plan_args), held, ops)
-    # a replay's forged joins are sealed too, but never sent, so the leave
-    # after it takes the next nonces
+    # a replay puts nothing on the air, so the leave after it takes the
+    # next nonces
     state.simulate_adversary(AdversaryProfile.compromised_gd(state, 0), 20, seed=0)
     members = sorted(m for ms in state.group_members.values() for m in ms)
     if members:
@@ -304,6 +305,79 @@ def test_formation_adjudicates_each_orphan_by_the_leads_in_its_range(case):
             assert e == protocol.OrphanEvent(e.node, "PROMOTED")
         else:
             assert e == protocol.OrphanEvent(e.node, "UNREACHABLE")
+
+
+def formed_with_leads(case):
+    """The network of a `network_case`, formed; its leads (deployed planned
+    dominators); and the leads that approve a join in round 2, those with
+    a deployed member of their own group in range."""
+    g, plan_args, held = case
+    plan = keying.build_plan(*plan_args)
+    deployed = set(range(g.n)) - held
+    state = NetworkState(g, plan, deployed=deployed)
+    leads = {grp.dominator for grp in plan.groups} & deployed
+    approving = {grp.dominator for grp in plan.groups if grp.dominator in leads
+                 and g.neighbors(grp.dominator) & deployed & set(grp.members)}
+    return state, leads, approving
+
+
+@given(network_case())
+def test_an_orphans_error_flood_names_the_approving_leads_in_its_range(case):
+    """Each orphan floods one GD_ERR under its individual key, listing the
+    leads in its range that approved a join: it heard their approvals,
+    though it could open none of them."""
+    state, _, approving = formed_with_leads(case)
+    floods = [rec for rec in state.trace.records if rec.envelope.kind is Kind.GD_ERR]
+    assert [rec.envelope.sender for rec in floods] == \
+        [e.node for e in state.cluster_map.orphan_events]
+    for rec in floods:
+        s = rec.envelope.sender
+        heard = ",".join(map(str, sorted(state.graph.neighbors(s) & approving)))
+        assert rec.envelope.plaintext == f"GD_ERR|{s}|{heard}".encode()
+        assert rec.envelope.key == state.individual_key(s)
+
+
+@given(network_case())
+def test_each_lead_in_an_orphans_range_reports_it_once(case):
+    """Every lead in an orphan's range, in id order, files one ORP_ERR about
+    it to the base station under its group's key."""
+    state, leads, _ = formed_with_leads(case)
+    plan = state.plan
+    reports = [rec for rec in state.trace.records if rec.envelope.kind is Kind.ORP_ERR]
+    assert [(rec.envelope.plaintext, rec.envelope.sender) for rec in reports] == [
+        (f"ORP_ERR|{e.node}".encode(), gd) for e in state.cluster_map.orphan_events
+        for gd in sorted(state.graph.neighbors(e.node) & leads)]
+    for rec in reports:
+        grp = plan.group_of(rec.envelope.sender)
+        assert rec.receivers == (protocol.BS_ID,) and rec.group_id == grp.group_id
+        assert rec.envelope.key == grp.group_key
+
+
+@given(churn_case(), st.data())
+def test_the_replay_opens_exactly_what_the_reference_cipher_opens(case, data):
+    """The library decides every open by possession: the adversary opens an
+    envelope iff it holds the id of its key.  The reference cipher referees
+    that: for every record, some key the adversary holds by then opens its
+    sealed payload iff the replay has the record's entry.  Forged joins
+    are admitted by the forged-join rule."""
+    g, plan_args, held, ops = case
+    state = churned(NetworkState, g, keying.build_plan(*plan_args), held, ops)
+    sensors = sorted(v for v, rank in state.cluster_map.ranks.items() if rank is Rank.OS)
+    profiles = [AdversaryProfile.outsider(),
+                AdversaryProfile.compromised_gd(
+                    state, data.draw(st.sampled_from(sorted(state.group_dominator))))]
+    if sensors:
+        profiles.append(AdversaryProfile.compromised_os(
+            state, data.draw(st.sampled_from(sensors))))
+    for profile in profiles:
+        report = state.simulate_adversary(profile, 50, data.draw(st.integers(0, 99)))
+        opened, _ = oracle.reference_replay(state, profile, relays=False)
+        assert report.decrypted == [
+            (ev.envelope.kind.value, ev.group_id, ev.envelope.key_fingerprint)
+            for ev in opened], profile.mode
+        for a in report.attempts:
+            assert a.admitted == oracle.forged_join_admitted(
+                state, profile, a.claimed_id, a.target_group), (profile.mode, a)
 
 
 class ChurnedNetwork(RuleBasedStateMachine):
@@ -449,31 +523,3 @@ def test_uniform_formation_stores_one_record_per_flood():
     comp_size = {v: len(c) for c in udg.connected_components(g) for v in c}
     assert all(r.reach == comp_size[r.envelope.sender] for r in floods)
     assert len(state.trace) == len(state.trace.records) + sum(r.reach - 1 for r in floods)
-
-
-def test_an_envelope_is_sealed_on_its_first_read_only(monkeypatch, tmp_path):
-    seals = []
-
-    def counting_encrypt(key, nonce, plaintext):
-        seals.append(nonce)
-        return keying.encrypt(key, nonce, plaintext)
-
-    monkeypatch.setattr("secluster.trace.encrypt", counting_encrypt)
-    n = 100
-    plan = keying.build_plan(n, 9, 128, seed=3)
-    radius = udg.radius_for_expected_degree(n, 500, 500, 8.0)
-    g = protocol.deploy_graph(plan, 500, 500, radius, Placement.uniform(), seed=3)
-    state = protocol.form_network(g, plan, Placement.uniform(), seed=3)
-    records = state.trace.records
-    assert any(type(rec) is FloodEvent for rec in records)
-    # formation and both artifacts never open an envelope
-    protocol.write_trace_csv(state.trace, tmp_path / "trace.csv")
-    protocol.write_clustermap_csv(state.cluster_map, tmp_path / "clustermap.csv")
-    assert seals == []
-
-    # the first read seals each record's envelope once; a second read
-    # returns the cached bytes
-    payloads = [rec.envelope.payload for rec in records]
-    assert len(seals) == len(records)
-    assert all(rec.envelope.payload is p for rec, p in zip(records, payloads))
-    assert len(seals) == len(records)
