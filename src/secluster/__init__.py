@@ -31,6 +31,7 @@ from .protocol import (
     form_network,
 )
 from .analysis import (
+    Cell,
     ExperimentRow,
     expected_gd_degree,
     ideal_domset_size,

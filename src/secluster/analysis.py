@@ -90,35 +90,49 @@ def formation_validity(state: protocol.NetworkState) -> domsets.DomsetReport:
     return domsets.classify(state.graph, cm.dominator_set(), active)
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One sweep cell; its plan and landing draw stage seeds from (seed, n)."""
+
+    n: int
+    eta: int
+    avg_degree: float
+    placement: protocol.Placement
+    seed: int
+    width: float
+    height: float
+    key_bits: int
+
+
 def realize(n: int, eta: int, radius: float, placement: protocol.Placement, seed: int,
             width: float, height: float, key_bits: int) -> protocol.NetworkState:
-    """Plan, land and form the network of sweep cell (n, seed): the one path
-    from a seed to a formed network.  Formation draws no random numbers, so
-    only the plan and the landing get a stage seed."""
+    """Plan, land and form the network of (n, seed) at a given radius: the one
+    path from a seed to a formed network.  Formation draws no random numbers,
+    so only the plan and the landing get a stage seed."""
     plan = keying.build_plan(n, eta, key_bits, derive_seed("plan", seed, n))
     graph = protocol.deploy_graph(plan, width, height, radius, placement,
                                   derive_seed("graph", seed, n))
     return protocol.form_network(graph, plan, placement, seed)
 
 
-def run_experiment_cell(n: int, eta: int, avg_degree: float,
-                        placement: protocol.Placement, seed: int,
-                        width: float, height: float, key_bits: int) -> ExperimentRow:
-    """Generate, form, verify, and account one (n, seed) sweep cell."""
-    radius = udg.radius_for_expected_degree(n, width, height, avg_degree)
-    state = realize(n, eta, radius, placement, seed, width, height, key_bits)
+def run_experiment_cell(cell: Cell) -> ExperimentRow:
+    """Generate, form, verify, and account one sweep cell."""
+    radius = udg.radius_for_expected_degree(cell.n, cell.width, cell.height,
+                                            cell.avg_degree)
+    state = realize(cell.n, cell.eta, radius, cell.placement, cell.seed,
+                    cell.width, cell.height, cell.key_bits)
     report = formation_validity(state)
 
     greedy_one = domsets.greedy_cds_baseline(state.graph, domsets.GreedyVariant.I)
     greedy_two = domsets.greedy_cds_baseline(state.graph, domsets.GreedyVariant.II)
 
-    storage = storage_curves([n], [eta], key_bits)[0]
+    storage = storage_curves([cell.n], [cell.eta], cell.key_bits)[0]
     return ExperimentRow(
-        seed=seed,
-        n=n,
-        eta=eta,
-        avg_degree_target=avg_degree,
-        placement=placement.describe(),
+        seed=cell.seed,
+        n=cell.n,
+        eta=cell.eta,
+        avg_degree_target=cell.avg_degree,
+        placement=cell.placement.describe(),
         dominators_ours=len(state.cluster_map.dominator_set()),
         dominators_greedy_I=len(greedy_one),
         dominators_greedy_II=len(greedy_two),
@@ -129,29 +143,16 @@ def run_experiment_cell(n: int, eta: int, avg_degree: float,
     )
 
 
-def sweep_domset_sizes(n_range: Sequence[int], avg_degree: float, eta: int,
-                       placement: protocol.Placement, seeds: int,
-                       width: float = DEFAULT_FIELD, height: float = DEFAULT_FIELD,
-                       key_bits: int = DEFAULT_KEY_BITS, base_seed: int = 0,
-                       workers: int = 1) -> list[ExperimentRow]:
-    """Run the (n, seed) grid and return rows in canonical (n, seed) order.
+def sweep_domset_sizes(cells: Sequence[Cell], workers: int = 1) -> list[ExperimentRow]:
+    """One row per cell, in cell order.
 
     Cells are independent; with workers > 1 they fan out across processes,
     which cannot change the result because every cell derives its own seeds.
     """
-    if not n_range:
-        raise ValueError("n_range must be nonempty")
-    if seeds < 1:
-        raise ValueError("seeds must be >= 1")
-    grid = [(n, eta, avg_degree, placement, base_seed + s, width, height, key_bits)
-            for n in n_range for s in range(seeds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_experiment_cell, *zip(*grid)))
-    else:
-        rows = list(map(run_experiment_cell, *zip(*grid)))
-    rows.sort(key=lambda r: (r.n, r.seed))
-    return rows
+            return list(pool.map(run_experiment_cell, cells))
+    return list(map(run_experiment_cell, cells))
 
 
 @dataclass(frozen=True)

@@ -167,33 +167,31 @@ def _closed_form_figures(args, n_values: list[int], out: Path) -> None:
 
 def cmd_sweep(args, parser) -> int:
     out = _out_dir(args)
-    panels = []
-    all_rows = []
     placement = _placement(args)  # rho defaults to one radius per cell
-    for avg_degree, n_values in ((6.0, args.n_range6), (12.0, args.n_range12)):
-        rows = analysis.sweep_domset_sizes(
-            n_values, avg_degree, args.eta, placement, args.seeds,
-            width=args.width, height=args.height, key_bits=args.key_bits,
-            base_seed=args.seed, workers=args.workers)
-        all_rows.extend(rows)
+    cells = [analysis.Cell(n, args.eta, avg_degree, placement, args.seed + s,
+                           args.width, args.height, args.key_bits)
+             for avg_degree, n_values in ((6.0, args.n_range6), (12.0, args.n_range12))
+             for n in n_values for s in range(args.seeds)]
+    rows = analysis.sweep_domset_sizes(cells, args.workers)
+    analysis.write_table(analysis.ExperimentRow, rows, out / "sweep.csv")
 
-        # fig11 plots the mean of each dominator-count column per n
-        cells = [[r for r in rows if r.n == n] for n in n_values]
-        series = []
-        for label, column in (("ours", "dominators_ours"),
-                              ("greedy I", "dominators_greedy_I"),
-                              ("greedy II", "dominators_greedy_II")):
-            means = [(n, sum(getattr(r, column) for r in cell) / len(cell))
-                     for n, cell in zip(n_values, cells)]
-            series.append(svgplot.Series(label, tuple(means)))
-        panels.append(svgplot.Panel(
-            f"Dominating-set size, avg degree {avg_degree:g}",
-            "number of sensors", "dominators", tuple(series)))
-
-    analysis.write_table(analysis.ExperimentRow, all_rows, out / "sweep.csv")
+    # fig11 projects the rows on (average degree, n): one panel per degree
+    # plots the mean of each dominator-count column per n
+    by_degree: dict = {}
+    for r in rows:
+        by_degree.setdefault(r.avg_degree_target, {}).setdefault(r.n, []).append(r)
+    panels = []
+    for avg_degree, by_n in by_degree.items():
+        series = [svgplot.Series(label, tuple((n, sum(getattr(r, column) for r in rs) / len(rs))
+                                              for n, rs in by_n.items()))
+                  for label, column in (("ours", "dominators_ours"),
+                                        ("greedy I", "dominators_greedy_I"),
+                                        ("greedy II", "dominators_greedy_II"))]
+        panels.append(svgplot.Panel(f"Dominating-set size, avg degree {avg_degree:g}",
+                                    "number of sensors", "dominators", tuple(series)))
     svgplot.write_chart(panels, out / "fig11.svg")
     _closed_form_figures(args, args.n_range6, out)
-    print(f"sweep: {len(all_rows)} experiment rows")
+    print(f"sweep: {len(rows)} experiment rows")
     print(f"wrote sweep.csv, fig9/fig10/fig12 CSVs and fig9-fig12 SVGs under {out}")
     return 0
 

@@ -217,12 +217,10 @@ def _key_payload(key: Key, note: str) -> bytes:
     return b"KEY|" + key.key_id.encode() + b"|" + key.secret.hex().encode() + b"|" + note.encode()
 
 
-def _parse_key_payload(plaintext: bytes) -> Optional[Key]:
+def _carried_key_id(plaintext: bytes) -> Optional[str]:
     if not plaintext.startswith(b"KEY|"):
         return None
-    _, kid, secret_hex, _note = plaintext.split(b"|", 3)
-    secret = bytes.fromhex(secret_hex.decode())
-    return Key(key_id=kid.decode(), secret=secret)
+    return plaintext.split(b"|", 2)[1].decode()
 
 
 class NetworkState:
@@ -245,8 +243,8 @@ class NetworkState:
             if not 0 <= v < graph.n:
                 raise ValueError(f"deployed node {v} not in graph")
 
-        # key rings: node -> {fingerprint: Key}; granted only through _grant(node, *keys)
-        self.rings: dict[int, dict[str, Key]] = {}
+        # key rings: node -> ids of the keys it holds, granted only by _grant
+        self.rings: dict[int, set[str]] = {}
 
         # current (post-formation) group structure; access lists stay in plan
         self.group_dominator: dict[int, int] = {}
@@ -269,9 +267,9 @@ class NetworkState:
     # -- key plumbing ------------------------------------------------------
 
     def _grant(self, node: int, *keys: Key) -> None:
-        ring = self.rings.setdefault(node, {})
+        ring = self.rings.setdefault(node, set())
         for key in keys:
-            ring.setdefault(key.key_id, key)
+            ring.add(key.key_id)
 
     def _predistribute(self) -> None:
         # Offline phase: every node in the plan gets its keys, deployed or not.
@@ -577,19 +575,19 @@ class NetworkState:
         It observes every envelope sent so far, in order, and tries each
         distinct envelope once: a flood's relays re-air its origin's
         envelope unopened, so the trace's records are its envelopes.  When
-        the adversary opens a rekey message it learns the carried key, so a
-        compromised member keeps up with its own group's rotations but
-        nothing else.  Each forged join claims a random identity the
-        adversary does not legitimately control and targets a random
-        operational group; when no group is operational the replay makes no
-        forged joins.  A request passes the dominator's check iff the
+        the adversary opens a rekey message it learns the id of the key it
+        carries, so a compromised member keeps up with its own group's
+        rotations but nothing else.  Each forged join claims a random
+        identity the adversary does not legitimately control and targets a
+        random operational group; when no group is operational the replay
+        makes no forged joins.  A request passes the dominator's check iff the
         adversary holds the claimed node's individual key.  `seed` draws
         only the attempts, so every profile makes the same ones, save that a
         draw of the compromised node moves on to the next id.  No group
         admits a node that is already deployed.
         """
         rng = random.Random(seed)
-        held = self.rings.get(profile.node, {}).keys() & profile.held_keys
+        held = self.rings.get(profile.node, set()) & profile.held_keys
 
         opened: list[tuple[str, Optional[int], str]] = []
         for rec in self.trace.records:
@@ -597,9 +595,9 @@ class NetworkState:
             if env.key.key_id not in held:
                 continue
             opened.append((env.kind.value, rec.group_id, env.key.key_id))
-            learned = _parse_key_payload(env.plaintext)
+            learned = _carried_key_id(env.plaintext)
             if learned is not None:
-                held.add(learned.key_id)
+                held.add(learned)
 
         attempt_log: list[AttackAttempt] = []
         group_ids = sorted(gid for gid in self.group_dominator

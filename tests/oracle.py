@@ -25,7 +25,7 @@ import hashlib
 import itertools
 
 from secluster.domsets import classify
-from secluster.protocol import _parse_key_payload
+from secluster.keying import Key
 
 # Subset enumeration is exponential; refuse graphs where 2^n is unreasonable.
 EXHAUSTIVE_NODE_LIMIT = 20
@@ -145,6 +145,15 @@ def seal(env):
 
 # -- the adversary's replay, refereed by the cipher ----------------------------
 
+def carried_key(plaintext):
+    """The key a `KEY|id|secret hex|note` payload carries, secret and all;
+    None for any other payload.  The library reads only the id."""
+    if not plaintext.startswith(b"KEY|"):
+        return None
+    _, kid, secret_hex, _note = plaintext.split(b"|", 3)
+    return Key(key_id=kid.decode(), secret=bytes.fromhex(secret_hex.decode()))
+
+
 def reference_replay(state, profile, relays):
     """The adversary's trace replay by brute force, relays optionally included.
 
@@ -168,7 +177,7 @@ def reference_replay(state, profile, relays):
             except DecryptError:
                 continue
             opened.append(ev)
-            learned = _parse_key_payload(plaintext)
+            learned = carried_key(plaintext)
             if learned is not None:
                 held[learned.key_id] = learned
             break

@@ -106,8 +106,10 @@ def test_c4_connectivity_analysis():
 def test_c5_dominator_sweep_ordering():
     start = time.monotonic()
     n_values = list(range(20, 201, 20))
-    rows = analysis.sweep_domset_sizes(
-        n_values, 6.0, 9, Placement.clustered(), seeds=30)
+    rows = analysis.sweep_domset_sizes([
+        analysis.Cell(n, 9, 6.0, Placement.clustered(), s, analysis.DEFAULT_FIELD,
+                      analysis.DEFAULT_FIELD, analysis.DEFAULT_KEY_BITS)
+        for n in n_values for s in range(30)])
     assert len(rows) == len(n_values) * 30
     for n in n_values:
         cell = [r for r in rows if r.n == n]

@@ -9,6 +9,7 @@ import pytest
 from oracle import is_dominating, min_set_exhaustive
 from secluster import analysis, domsets, keying, protocol, udg
 from secluster.analysis import (
+    Cell,
     connectivity_curves,
     expected_gd_degree,
     ideal_domset_size,
@@ -142,17 +143,18 @@ def test_storage_curves_need_nonempty_ranges(n_range, eta_values):
 
 # -- sweeps --------------------------------------------------------------------
 
-def small_sweep(**kw):
-    args = dict(n_range=[20, 40], avg_degree=6.0, eta=9,
-                placement=protocol.Placement.clustered(), seeds=3)
-    args.update(kw)
-    return sweep_domset_sizes(**args)
+def grid(n_values, seeds, avg_degree=6.0, placement=protocol.Placement.clustered()):
+    """Cells of n_values x range(seeds), in that order, at eta 9 on the
+    default field and key length."""
+    return [Cell(n, 9, avg_degree, placement, s, analysis.DEFAULT_FIELD,
+                 analysis.DEFAULT_FIELD, analysis.DEFAULT_KEY_BITS)
+            for n in n_values for s in range(seeds)]
 
 
 def test_sweep_row_grid_and_floor():
-    rows = small_sweep()
-    assert len(rows) == 6
-    assert [(r.n, r.seed) for r in rows] == sorted((r.n, r.seed) for r in rows)
+    cells = grid([40, 20], 3)
+    rows = sweep_domset_sizes(cells)
+    assert [(r.n, r.seed) for r in rows] == [(c.n, c.seed) for c in cells]
     for r in rows:
         assert r.dominators_ours >= ideal_domset_size(r.n, r.eta)
         assert isinstance(r.wcds_valid, bool)
@@ -161,7 +163,7 @@ def test_sweep_row_grid_and_floor():
 
 
 def test_sweep_clustered_beats_greedy_on_average():
-    rows = small_sweep(n_range=[60], seeds=10)
+    rows = sweep_domset_sizes(grid([60], 10))
     ours = sum(r.dominators_ours for r in rows) / len(rows)
     g1 = sum(r.dominators_greedy_I for r in rows) / len(rows)
     g2 = sum(r.dominators_greedy_II for r in rows) / len(rows)
@@ -171,7 +173,7 @@ def test_sweep_clustered_beats_greedy_on_average():
 
 def test_sweep_cross_checked_against_exhaustive_oracle():
     # at n=20 the exhaustive minimum-DS oracle is feasible on the same graph
-    row = small_sweep(n_range=[20], seeds=1)[0]
+    row = sweep_domset_sizes(grid([20], 1))[0]
     radius = udg.radius_for_expected_degree(20, 500, 500, 6.0)
     g = analysis.realize(20, 9, radius, protocol.Placement.clustered(), row.seed,
                          500, 500, 128).graph
@@ -180,24 +182,24 @@ def test_sweep_cross_checked_against_exhaustive_oracle():
 
 
 def test_sweep_is_deterministic_and_parallel_safe():
-    serial = small_sweep()
-    again = small_sweep()
-    parallel = small_sweep(workers=2)
-    assert serial == again
-    assert serial == parallel
-
-
-def test_sweep_validation():
-    with pytest.raises(ValueError):
-        sweep_domset_sizes([], 6.0, 9, protocol.Placement.uniform(), 1)
-    with pytest.raises(ValueError):
-        sweep_domset_sizes([10], 6.0, 9, protocol.Placement.uniform(), 0)
+    # rows come back in cell order, which here is sorted by neither n nor
+    # seed and mixes both degrees and both placements
+    clustered, uniform = protocol.Placement.clustered(), protocol.Placement.uniform()
+    cells = [Cell(n, 9, degree, placement, seed, 500.0, 500.0, 128)
+             for n, degree, placement, seed in [
+                 (40, 12.0, clustered, 2), (20, 6.0, uniform, 0), (40, 6.0, clustered, 0),
+                 (20, 12.0, uniform, 3), (30, 6.0, clustered, 1)]]
+    serial = sweep_domset_sizes(cells)
+    assert [(r.n, r.avg_degree_target, r.placement, r.seed) for r in serial] == \
+        [(c.n, c.avg_degree, c.placement.describe(), c.seed) for c in cells]
+    assert serial == [analysis.run_experiment_cell(c) for c in cells]
+    assert serial == sweep_domset_sizes(cells, workers=1)
+    assert serial == sweep_domset_sizes(cells, workers=2)
 
 
 def test_uniform_sweep_counts_promotions():
     # sparse uniform placement produces orphans; dominator count still floors
-    rows = sweep_domset_sizes([30], 6.0, 9, protocol.Placement.uniform(),
-                              seeds=5)
+    rows = sweep_domset_sizes(grid([30], 5, placement=protocol.Placement.uniform()))
     for r in rows:
         assert r.dominators_ours >= ideal_domset_size(30, 9)
         assert r.placement == "UNIFORM"

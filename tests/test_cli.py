@@ -178,6 +178,7 @@ def read_files(out):
     ["--width", "-5"],
     ["--key-bits", "100"],
     ["--n-range6", "1:10:1"],
+    ["--seeds", "0"],
 ])
 def test_bad_sweep_flag_exits_2_before_any_file(tmp_path, capsys, flags):
     out = tmp_path / "out"

@@ -35,7 +35,7 @@ def test_the_package_exports_exactly_these_names():
                       if not name.startswith("_")
                       and not isinstance(value, types.ModuleType))
     assert exported == [
-        "AdversaryProfile", "ClusterMap", "DeploymentPlan", "ExperimentRow",
+        "AdversaryProfile", "Cell", "ClusterMap", "DeploymentPlan", "ExperimentRow",
         "GreedyVariant", "Key", "NetworkState", "Placement", "Point",
         "UnitDiskGraph", "build_plan", "deploy_graph", "expected_gd_degree",
         "form_network", "generate_uniform", "greedy_cds_baseline",

@@ -479,8 +479,8 @@ class ChurnedNetwork(RuleBasedStateMachine):
     def leavers_hold_no_key_minted_while_out(self):
         rings = self.state.rings
         leaked = [v for v, (gid, since) in self.away.items()
-                  if self._minted_since(gid, since) & rings[v].keys()]
-        leaked += [v for v, missed in self.missed.items() if missed & rings[v].keys()]
+                  if self._minted_since(gid, since) & rings[v]]
+        leaked += [v for v, missed in self.missed.items() if missed & rings[v]]
         assert leaked == []
 
     @invariant()
