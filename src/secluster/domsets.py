@@ -16,8 +16,10 @@ All functions take any graph object with an integer `n` and `adjacency[v]`,
 v's neighbour set, such as `udg.UnitDiskGraph`.  Like the greedy builders,
 which work on an adjacency plus a vertex set, the verifier `classify`
 takes a graph plus a vertex set V and judges the subgraph induced by V in
-place, without copying or relabelling it.  Its connectivity checks and the
-baselines' split into components walk with `udg.walk`.
+place, without copying or relabelling it.  Its connectivity checks walk
+with `udg.walk`.  The baselines split the graph with
+`udg.connected_components`, which a `UnitDiskGraph` computes once, so
+greedy I and II share one split of each graph.
 
 The greedy baselines (Guha & Khuller, "Approximation algorithms for
 connected dominating sets", 1998) pick by gain, the number of
@@ -119,7 +121,7 @@ def _pop_best(heap: list[tuple[int, int]], adj, covered: set[int]) -> int:
         heapq.heapreplace(heap, (-gain, v))
 
 
-def _greedy_variant_one(adj, nodes: set[int]) -> set[int]:
+def _greedy_variant_one(adj, nodes: Collection[int]) -> set[int]:
     # Grow a connected set from the highest-degree vertex; each step adds the
     # frontier vertex covering the most still-uncovered vertices.
     v = max(nodes, key=lambda u: (len(adj[u]), -u))
@@ -140,7 +142,7 @@ def _greedy_variant_one(adj, nodes: set[int]) -> set[int]:
         v = _pop_best(heap, adj, covered)
 
 
-def _greedy_variant_two(adj, nodes: set[int]) -> set[int]:
+def _greedy_variant_two(adj, nodes: Collection[int]) -> set[int]:
     # Phase 1: plain greedy dominating set (max uncovered coverage).
     heap = [(-len(adj[v]) - 1, v) for v in nodes]
     heapq.heapify(heap)

@@ -370,28 +370,33 @@ class NetworkState:
         """Rounds 1-4 over the deployed nodes; the constructor's last step."""
         cm = self.cluster_map
         # deployed does not change during formation, so each node's sorted
-        # deployed neighbourhood is built once and shared by every round
+        # deployed neighbourhood is built once and shared by every round;
+        # when no node is held back, every neighbour is deployed
         adj, deployed = self.graph.adjacency, self.deployed
-        nbrs = {v: tuple(sorted(adj[v] & deployed)) for v in deployed}
+        everyone = len(deployed) == self.graph.n
+        nbrs = {v: tuple(sorted(adj[v] if everyone else adj[v] & deployed))
+                for v in deployed}
 
         # round 1: join requests; s is on its planned group's access list
         # only, so only its own dominator, if deployed in range, approves it
         self._round = 1
         approvals: dict[int, list[int]] = {}  # approving groups only
-        for s in sorted(self.deployed):
-            if cm.dominator_of.get(s) == s:
+        dominator_of, group_of = cm.dominator_of, self.plan.group_of
+        keys, lead = self.plan.vault.all_individual_keys, self.group_dominator
+        for s in sorted(deployed):
+            if dominator_of.get(s) == s:
                 continue
-            gid = self.plan.group_of(s).group_id
-            self._send(Kind.JOIN_REQ, s, self.individual_key(s),
-                       f"JOIN_REQ|{s}".encode(), nbrs[s], gid)
-            if self.group_dominator[gid] in nbrs[s]:
+            gid = group_of(s).group_id
+            heard = nbrs[s]
+            self._send(Kind.JOIN_REQ, s, keys[s], f"JOIN_REQ|{s}".encode(), heard, gid)
+            if lead[gid] in heard:
                 approvals.setdefault(gid, []).append(s)
 
         # round 2: join approvals under the group key
         self._round = 2
         for gid, approved in sorted(approvals.items()):
             gd = self.group_dominator[gid]
-            plaintext = ("JOIN_APRV|" + ",".join(str(v) for v in approved)).encode()
+            plaintext = ("JOIN_APRV|" + ",".join(map(str, approved))).encode()
             self._send(Kind.JOIN_APRV, gd, self._current_key(gid), plaintext,
                        nbrs[gd], gid)
             for s in approved:
@@ -645,16 +650,19 @@ def deploy_graph(plan: DeploymentPlan, width: float, height: float,
     rng = random.Random(seed)
     rho = placement.rho if placement.rho is not None else radius
     positions: list[Optional[Point]] = [None] * plan.n
+    # w * rng.random() is exactly rng.uniform(0.0, w), which adds it to 0.0
     for g in plan.groups:
-        ax = rng.uniform(0.0, width)
-        ay = rng.uniform(0.0, height)
+        ax = width * rng.random()
+        ay = height * rng.random()
         positions[g.dominator] = Point(ax, ay)
         for m in g.members:
             dist = rho * math.sqrt(rng.random())
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            x = min(max(ax + dist * math.cos(theta), 0.0), width)
-            y = min(max(ay + dist * math.sin(theta), 0.0), height)
-            positions[m] = Point(x, y)
+            theta = math.tau * rng.random()
+            x = ax + dist * math.cos(theta)
+            y = ay + dist * math.sin(theta)
+            # clamped to the field, as min(max(x, 0.0), width) clamps it
+            positions[m] = Point(0.0 if x < 0.0 else width if x > width else x,
+                                 0.0 if y < 0.0 else height if y > height else y)
     return from_positions(positions, radius)
 
 

@@ -14,7 +14,8 @@ ciphertext is built; the tests' reference cipher (`tests/oracle.py`)
 rebuilds the payload bytes from these fields.  `Envelope` and
 `TraceEvent` are immutable named tuples: one of each is built for every
 message sent, and a tuple is built in half the time of a frozen
-dataclass.
+dataclass.  The keys they carry (`keying.Key`) and the node positions
+(`udg.Point`) are named tuples for the same reason.
 """
 
 from __future__ import annotations

@@ -328,6 +328,38 @@ def test_greedy_on_random_udg_contract():
             assert classify(g, s & comp, comp).is_cds
 
 
+def test_both_greedy_variants_share_one_component_computation(monkeypatch):
+    # a unit-disk graph cannot change, so it walks its components once
+    g = udg.generate_uniform(80, 100, 100,
+                             udg.radius_for_expected_degree(80, 100, 100, 3), seed=7)
+    calls = []
+    find = udg._find_components
+    monkeypatch.setattr(udg, "_find_components",
+                        lambda graph: calls.append(graph) or find(graph))
+    for var in GreedyVariant:
+        assert greedy_cds_baseline(g, var) == reference_greedy(g, var)
+    assert len(calls) == 1
+    expected = sorted(nx.connected_components(to_networkx(g)), key=min)
+    comps = udg.connected_components(g)
+    assert len(comps) > 1 and comps == expected
+    comps.clear()  # the caller's list is a copy
+    assert udg.connected_components(g) == expected
+    assert len(calls) == 1
+
+
+def test_a_mutable_graph_gets_fresh_components():
+    g = Graph(5, [(0, 1), (2, 3)])
+    assert udg.connected_components(g) == [{0, 1}, {2, 3}, {4}]
+    assert greedy_cds_baseline(g, GreedyVariant.I) == {0, 2, 4}
+    g.adjacency[1].add(2)
+    g.adjacency[2].add(1)
+    assert udg.connected_components(g) == [{0, 1, 2, 3}, {4}]
+    for var in GreedyVariant:
+        s = greedy_cds_baseline(g, var)
+        assert s == {1, 2, 4}
+        assert classify(g, s - {4}, {0, 1, 2, 3}).is_cds
+
+
 def test_greedy_handles_disconnected_graph():
     g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     for var in GreedyVariant:

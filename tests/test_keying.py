@@ -230,6 +230,33 @@ def test_cipher_matches_the_per_byte_xor(bits, label, nonce, plaintext):
     assert decrypt(key, blob) == per_byte_decrypt(key, blob) == plaintext
 
 
+@given(bits=st.sampled_from(keying.SUPPORTED_KEY_BITS),
+       seed=st.integers(-2 ** 64, 2 ** 64), label=st.text(max_size=24))
+@example(bits=64, seed=0, label="")
+@example(bits=256, seed=-1, label="individual:12|\u00e9")
+def test_derive_is_sha256_of_the_seed_and_label(bits, seed, label):
+    # the key bytes from scratch, not through the factory's cached prefix
+    secret = hashlib.sha256(f"key|{seed}|{label}".encode()).digest()[:bits // 8]
+    key = keying.KeyFactory(seed, bits).derive(label)
+    assert key.secret == secret
+    assert key.key_id == keying.fingerprint(secret) \
+        == hashlib.sha256(b"fp|" + secret).hexdigest()[:16]
+
+
+def test_a_key_is_an_immutable_value():
+    key = keying.KeyFactory(3, 128).derive("a")
+    for name in ("key_id", "secret"):
+        with pytest.raises(AttributeError):
+            setattr(key, name, None)
+    # a key derived again is another object of equal value and hash
+    twin = keying.KeyFactory(3, 128).derive("a")
+    assert twin is not key
+    assert twin == key and hash(twin) == hash(key) and {key, twin} == {key}
+    assert key != keying.KeyFactory(3, 128).derive("b")
+    assert (key.key_id, key.secret) == (keying.fingerprint(key.secret), key.secret)
+    assert len(key.secret) == 16
+
+
 def test_a_fingerprint_collision_is_refused(monkeypatch):
     monkeypatch.setattr(keying, "fingerprint", lambda secret: "0" * 16)
     factory = keying.KeyFactory(1, 128)

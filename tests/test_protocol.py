@@ -15,6 +15,7 @@ from secluster.protocol import (
     Rank,
     form_network,
 )
+from secluster.trace import FloodEvent
 from secluster.udg import Point
 
 
@@ -282,6 +283,35 @@ def test_flood_relays_reach_the_relayers_deployed_neighbours(placement):
         if ev.envelope.kind in (Kind.JOIN_REQ, Kind.JOIN_APRV, Kind.GD_ERR):
             assert ev.receivers == tuple(sorted(g.neighbors(ev.transmitter)
                                                 & state.deployed))
+
+
+@st.composite
+def formed_networks(draw):
+    """A small field formed with every node deployed or with some held back."""
+    n = draw(st.integers(2, 40))
+    radius = udg.radius_for_expected_degree(n, 100, 100, draw(st.floats(2.0, 8.0)))
+    placement = draw(st.sampled_from([Placement.uniform(), Placement.clustered(radius / 2)]))
+    seed = draw(st.integers(0, 2 ** 16))
+    plan = keying.build_plan(n, draw(st.integers(0, 6)), 64, seed)
+    g = protocol.deploy_graph(plan, 100, 100, radius, placement, seed)
+    held = draw(st.one_of(st.just(set()), st.sets(st.integers(0, n - 1), max_size=n // 2)))
+    return g, form_network(g, plan, placement, seed, deployed=set(range(n)) - held)
+
+
+@given(formed_networks())
+def test_formation_sends_to_deployed_nodes_in_ascending_order(case):
+    # the neighbourhood snapshot skips its intersection with the deployed
+    # nodes when none is held back; either way it lists deployed nodes only
+    g, state = case
+    deployed = state.deployed
+    for rec in state.trace.records:
+        if type(rec) is FloodEvent:
+            assert rec.nbrs.keys() == deployed
+            for v, heard in rec.nbrs.items():
+                assert heard == tuple(sorted(g.neighbors(v) & deployed))
+    for ev in state.trace:
+        assert all(a < b for a, b in zip(ev.receivers, ev.receivers[1:])), ev
+        assert set(ev.receivers) <= deployed | {BS_ID}, ev
 
 
 def test_domination_invariant_on_random_networks():

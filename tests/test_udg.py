@@ -247,6 +247,17 @@ def test_walk_is_breadth_first_in_neighbour_order():
     assert udg.walk(nbrs, 5) == [5]
 
 
+def test_a_point_is_an_immutable_value():
+    p = Point(1.5, -2.0)
+    for name in ("x", "y"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0.0)
+    assert (p.x, p.y) == (1.5, -2.0)
+    assert p == Point(1.5, -2.0) and hash(p) == hash(Point(1.5, -2.0))
+    assert p != Point(-2.0, 1.5)
+    assert {p, Point(1.5, -2.0)} == {p}
+
+
 def test_connected_components_take_any_graph_with_adjacency():
     g = Graph(6, [(0, 4), (4, 2), (3, 5)])
     assert udg.connected_components(g) == [{0, 2, 4}, {1}, {3, 5}]
