@@ -6,11 +6,12 @@ own individual key (shared with its GD) and the group key.  A GD carries
 the group key plus the individual keys of all its members, so its storage
 is (eta + 1) * key_bits while an Os needs 2 * key_bits.  The base station
 vault keeps every key in the network.  The plan's vault has the keys
-assigned offline; each formed network keeps a vault and a key factory of
-its own, which mint and record the keys of its promotions and rekeys.
+assigned offline; each formed network keeps a vault of its own, which
+records the keys its promotions and rekeys derive from the plan's factory.
 
-Keys come from a seeded SHA-256 counter generator, so a deployment plan is
-reproducible from its seed.  Secrecy is decided by key possession: a
+Keys come from seeded SHA-256, so a deployment plan is reproducible from
+its seed, and a key's id is the label it was derived from (`group:3`,
+`individual:17`, `rekey:3:1`).  Secrecy is decided by key possession: a
 holder of the key an envelope is sealed under opens it, and anyone else
 cannot, so the library compares key ids and runs no cipher.  The tests
 keep an authenticated cipher as the reference (`tests/oracle.py`), and
@@ -29,7 +30,8 @@ SUPPORTED_KEY_BITS = (64, 128, 256)
 
 
 class Key(NamedTuple):
-    """A symmetric key: opaque secret plus public fingerprint.
+    """A symmetric key: a public id, the label it was derived from, plus an
+    opaque secret.
 
     An immutable named tuple, as `trace.Envelope` is: a plan derives one
     for every node, and a tuple is built in half the time of a frozen
@@ -40,42 +42,27 @@ class Key(NamedTuple):
     secret: bytes
 
 
-def fingerprint(secret: bytes) -> str:
-    return hashlib.sha256(b"fp|" + secret).hexdigest()[:16]
-
-
 class KeyFactory:
-    """Deterministic key generator (SHA-256 counter mode over a seed).
+    """Deterministic, stateless key generator (SHA-256 over seed and label).
 
-    Distinct labels give independent keys; the same (seed, label) always
-    yields the same key, which is what makes rekey sequences replayable.
+    The key of `label` is SHA-256 of `key|{seed}|{label}`, cut to key_bits,
+    and its id is the label itself.  The same (seed, label) always yields
+    the same key, which is what makes rekey sequences replayable, and keys
+    with one id are one key.  Ids are plan-scoped, like node ids: the
+    labels `group:{gid}`, `individual:{node}` and `rekey:{gid}:{k}` are
+    unique within a plan, and two seeds give one label different secrets.
     """
 
     def __init__(self, seed: int, key_bits: int):
         if key_bits not in SUPPORTED_KEY_BITS:
             raise ValueError(
                 f"key_bits must be one of {SUPPORTED_KEY_BITS}, got {key_bits}")
-        self._seed = seed
-        self.key_bits = key_bits
-        # the key of `label` is SHA-256 of `key|{seed}|{label}`, cut to
-        # key_bits; its prefix and length are fixed per factory
         self._prefix = f"key|{seed}|".encode()
         self._key_bytes = key_bits // 8
-        self._issued: dict[str, str] = {}  # key_id -> label, collision guard
 
     def derive(self, label: str) -> Key:
-        secret = hashlib.sha256(self._prefix + label.encode()).digest()[:self._key_bytes]
-        kid = fingerprint(secret)
-        prev = self._issued.setdefault(kid, label)
-        if prev != label:
-            raise RuntimeError(f"fingerprint collision between {prev!r} and {label!r}")
-        return Key(kid, secret)
-
-    def copy(self) -> "KeyFactory":
-        """The same keys, with a collision guard that starts as a copy of this one's."""
-        twin = KeyFactory(self._seed, self.key_bits)
-        twin._issued.update(self._issued)
-        return twin
+        secret = hashlib.sha256(self._prefix + label.encode()).digest()
+        return Key(label, secret[:self._key_bytes])
 
 
 @dataclass
@@ -180,7 +167,7 @@ def storage_network_bits(alpha: int, beta: int, eta: int, key_bits: int) -> int:
 
 
 def write_plan_csv(plan: DeploymentPlan, path: Path | str) -> None:
-    """Export node ranks and key fingerprints (never secrets) as CSV."""
+    """Export node ranks and key ids (labels, never secrets) as CSV."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["node_id", "rank", "group_id", "key_ids"])

@@ -232,11 +232,11 @@ class NetworkState:
             raise ValueError(
                 f"plan covers {plan.n} nodes but graph has {graph.n}")
         self.graph = graph
-        # the network mints and records keys in a factory and a vault of its
-        # own (sharing the plan's individual keys, which it only reads), so the
-        # caller's plan is never written and can form any number of networks
-        self.plan = replace(plan, factory=plan.factory.copy(), vault=BaseStationVault(
-            plan.vault.all_individual_keys))
+        # the network records the keys it mints in a vault of its own
+        # (sharing the plan's individual keys, which it only reads); the
+        # factory is stateless, so the caller's plan is never written and
+        # can form any number of networks
+        self.plan = replace(plan, vault=BaseStationVault(plan.vault.all_individual_keys))
         self.deployed: set[int] = (set(range(graph.n)) if deployed is None
                                    else set(deployed))
         for v in self.deployed:

@@ -43,7 +43,8 @@ class Envelope(NamedTuple):
     """One sealed transmission: `plaintext` under `key`, with the nonce
     `nonce` the network's sequence gave it.
 
-    A receiver opens it iff it holds the key whose id is `key_fingerprint`.
+    A receiver opens it iff it holds the key whose id is `key_fingerprint`;
+    a key's fingerprint is its id, the label it was derived from.
     """
 
     sender: int
@@ -52,9 +53,7 @@ class Envelope(NamedTuple):
     nonce: int
     plaintext: bytes
 
-    @property
-    def key_fingerprint(self) -> str:
-        return self.key.key_id
+    key_fingerprint = property(lambda self: self.key.key_id)
 
 
 class TraceEvent(NamedTuple):
@@ -124,14 +123,12 @@ def write_trace_csv(trace: Trace, path: Path | str) -> None:
     """Write one `round,sender,kind,key_fingerprint,receivers` row per
     transmission; sender is the transmitter, -1 the base station, and
     receivers are joined by `;`."""
-    # No field can hold a comma, quote or newline (ints, kind names, hex
-    # fingerprints), so rows are formatted directly, as csv.writer would
-    # write them.  A flood is written in one piece straight from its flood
-    # order, with each transmitter's id and receivers cached by node id
-    # within one snapshot; other events join each distinct receiver tuple
-    # once.
+    # No field can hold a comma, quote or newline (ints, kind names, key
+    # labels such as `rekey:3:1`), so rows are formatted directly, as
+    # csv.writer would write them.  A flood is written in one piece
+    # straight from its flood order, with each transmitter's id and
+    # receivers cached by node id within one snapshot.
     kind_value = {k: k.value for k in Kind}
-    joined: dict[tuple[int, ...], str] = {}
     snapshot, tails = None, {}
     with open(path, "w", newline="") as f:
         write = f.write
@@ -150,8 +147,5 @@ def write_trace_csv(trace: Trace, path: Path | str) -> None:
                     rows.append(f"{rnd}{tail[0]}{kind_fp}{tail[1]}")
                 write("".join(rows))
                 continue
-            receivers = joined.get(rec.receivers)
-            if receivers is None:
-                receivers = joined[rec.receivers] = ";".join(map(str, rec.receivers))
             write(f"{rec.round},{rec.transmitter},{kind_value[env.kind]},"
-                  f"{env.key_fingerprint},{receivers}\n")
+                  f"{env.key_fingerprint},{';'.join(map(str, rec.receivers))}\n")

@@ -19,6 +19,7 @@ all-pairs comparison.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -88,7 +89,7 @@ def _derive_adjacency(positions: Sequence[Point], radius: float) -> tuple[frozen
     # coordinate gap a few ulps over r, and of x / side, which grows with
     # the coordinates' magnitude.
     side = radius * (1 + 1e-9) + 2.0 ** -50 * max(
-        (max(abs(p.x), abs(p.y)) for p in positions), default=0.0)
+        map(abs, itertools.chain.from_iterable(positions)), default=0.0)
     xs = [p.x for p in positions]
     ys = [p.y for p in positions]
     cells: dict[tuple[int, int], list[int]] = {}
@@ -114,7 +115,7 @@ def _derive_adjacency(positions: Sequence[Point], radius: float) -> tuple[frozen
 
 def from_positions(positions: Sequence[Point], radius: float) -> UnitDiskGraph:
     """Build the unit-disk graph induced by explicit positions."""
-    if radius <= 0:
+    if not radius > 0:  # NaN fails too
         raise ValueError("radius must be > 0")
     pts = tuple(positions)
     if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in pts):
@@ -136,7 +137,7 @@ def generate_uniform(n: int, width: float, height: float, radius: float,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if width <= 0 or height <= 0:
+    if not (width > 0 and height > 0):
         raise ValueError("field dimensions must be > 0")
     rng = random.Random(seed)
     # w * rng.random() is exactly rng.uniform(0.0, w), which adds it to 0.0
@@ -155,9 +156,9 @@ def radius_for_expected_degree(n: int, width: float, height: float,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if d_avg <= 0:
+    if not d_avg > 0:
         raise ValueError("d_avg must be > 0")
-    if width <= 0 or height <= 0:
+    if not (width > 0 and height > 0):
         raise ValueError("field dimensions must be > 0")
     return math.sqrt(d_avg * width * height / (math.pi * (n - 1)))
 

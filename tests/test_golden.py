@@ -1,30 +1,37 @@
 """Golden digests of every file `secluster form`, `sweep`, `generate` and
 `analyze` write.
 
-The `form` digests were taken once `form` built its network through the
-sweep's one realisation path, whose stage seeds include n (before, `form`
-derived its seeds from the seed alone, so no `form` run re-formed a sweep
-row).  The `sweep.csv` digest was taken from the program as it was before
+The `sweep.csv` digest was taken from the program as it was before
 floods were stored as single trace records.  The figure,
 `generate` and `analyze` digests were taken from the program as it was
 before the base-station vault kept a single key index and the key rings
-became the only custody record.  The envelope digests, which cover what
-`trace.csv` leaves out (payloads, group ids, flood reach), were taken
-from the program as it was before every membership change went through
-one enrol/withdraw pair, one rekey step and one key-delivery step.  Their
-payloads are sealed by the tests' reference cipher (`oracle.seal`),
-which seals as the library did when it held the cipher.  The
-adversary digests, which cover the replay's decryptions and forged joins,
-were taken once a forged join stopped drawing a sealing key or random
-bytes from the replay's generator, so that the generator draws only each
-attempt's target and claimed node and every profile makes the same
-attempts under one seed (before, those draws depended on the keys the
-profile held).  The churned clustermap digests are a new pin,
+became the only custody record.  The churned clustermap digests were
 taken once the dominator set and the mediators were read from the live
 dominator record (before, a churned clustermap kept the mediators of
-formation time).  A change meant to keep every output
-byte-identical must keep them; a change that alters an output on purpose
-updates them and says why.
+formation time).
+
+The `form` digests, the envelope digests, which cover what `trace.csv`
+leaves out (payloads, group ids, flood reach), and the adversary digests,
+which cover the replay's decryptions and forged joins, were re-pinned
+when a key's id became the label it was derived from (`individual:17`)
+in place of a 16-hex SHA-256 fingerprint of its secret.  Each id was
+swapped one-for-one and ids are only compared for equality, so every
+decision stayed the same: each old `form` file equalled the new one
+once every fingerprint in it was replaced by its key's label, and the old
+program, with each id swapped for its label, gave the new envelope and
+adversary digests.  The ids are carried in `plan.csv`, `trace.csv` and
+the key-delivery payloads, and `plan.csv` now holds no seed-dependent
+field, so the four `form` runs share one `plan.csv` digest.  Before that, the `form` digests were taken
+once `form` built its network through the sweep's one realisation path;
+the envelope digests before every membership change went through one
+enrol/withdraw pair, one rekey step and one key-delivery step; and the
+adversary digests once a forged join stopped drawing a sealing key or
+random bytes from the replay's generator, so that every profile makes
+the same attempts under one seed.  Payloads are sealed by the tests'
+reference cipher (`oracle.seal`), which seals as the library did when it
+held the cipher.  A change meant to keep every output byte-identical
+must keep them; a change that alters an output on purpose updates them
+and says why.
 """
 
 import contextlib
@@ -42,24 +49,24 @@ from secluster.trace import FloodEvent
 
 FORM_DIGESTS = {
     ("uniform", 1): {
-        "plan.csv": "bc95f5c9c251ee3e3fa6aaa36a340a6ebf6e808d38c17216a7ed370cfaee2e0b",
+        "plan.csv": "331baec38ca8a065639f9ba13bb15466cde48f7dca65f9ca43d453a8cfcdea76",
         "clustermap.csv": "262963a8fdcb9d98d54de800836c4066ed8bd712a593c915306a48866d57786c",
-        "trace.csv": "4e1616be5eefab193bcc4a35fe565b3e18caf1a03537c38003288fc8f834268f",
+        "trace.csv": "a83f6233c8abe8c09837faca7b4180d34eaff65ca82575d84eac5e0b7f5e5aae",
     },
     ("uniform", 7): {
-        "plan.csv": "c80e2a4b0003b70c20dab3b350213a41f4139e17005b226a14d64e0008e17590",
+        "plan.csv": "331baec38ca8a065639f9ba13bb15466cde48f7dca65f9ca43d453a8cfcdea76",
         "clustermap.csv": "8e05e5c5bdbc75d7eeee38260ad8ef0f1fcbd5a7916e28d79bb547cbf77befc6",
-        "trace.csv": "326b56a3b94ccd0dda9545835c445f2080e3ab37bf698dc0ef1bbdeef775e9cb",
+        "trace.csv": "56789dd66276b39dbfa97b11fbb30ac8fd154c0e2286d17b34cb014b40963184",
     },
     ("clustered", 1): {
-        "plan.csv": "bc95f5c9c251ee3e3fa6aaa36a340a6ebf6e808d38c17216a7ed370cfaee2e0b",
+        "plan.csv": "331baec38ca8a065639f9ba13bb15466cde48f7dca65f9ca43d453a8cfcdea76",
         "clustermap.csv": "e27358b5d5d873f2df1bb57b20024edf11e312a1f477c3b00be0220d04cde750",
-        "trace.csv": "4c506bea30a9c50566d723e61c81befff3f329e39ea6a643c7d13d323d4631e7",
+        "trace.csv": "bbfc2b4023ec0265bc3b9b0a8bb1eb4a4bb2ecbe5233b9ebcc5566fb02d714a8",
     },
     ("clustered", 7): {
-        "plan.csv": "c80e2a4b0003b70c20dab3b350213a41f4139e17005b226a14d64e0008e17590",
+        "plan.csv": "331baec38ca8a065639f9ba13bb15466cde48f7dca65f9ca43d453a8cfcdea76",
         "clustermap.csv": "dcd48bc8cd74e3b1c1170f8c8c670e9a7e4bb02151daef235d0dcb285d32fc4e",
-        "trace.csv": "b565b8953df5e3f4d906a3d3471b89ab663a21afc9e450b859bb4dda369f4994",
+        "trace.csv": "69ea0e959e5c59a4ccb14dc48d959320208635e9797b95f083ca566174ed48d2",
     },
 }
 SWEEP_CSV_DIGEST = "cfb01a386d6bd1ba6a4a3e3981cf439ec7fa5c7adb3d4550de100ef398a7f30d"
@@ -76,13 +83,13 @@ FIGURE_DIGESTS = {
 SWEEP_FIG11_SVG_DIGEST = "7f8557d1ee92a155250b1b0045399567239349dfd64b0387ed25778efedf54b0"
 # every trace record of churned_form_network(placement)
 ENVELOPE_DIGESTS = {
-    "uniform": "bc295eb2309d108197887a96e11c4c0d4123e98ba917463fecb9dffdec29ff8b",
-    "clustered": "9923398b04a5323ff9b99f3b8576dec8bbf6bf4c9321e3979dba0b96c40d20f1",
+    "uniform": "be72046172c11f073a92cd08140281d7b0fd1043658497a5f8f0628d20ab1728",
+    "clustered": "5e487a2b77b3e069205da5764ed148c3a7bdff64d3176e027e47d4f914044dc8",
 }
 # simulate_adversary on churned_form_network(placement), three profiles
 ADVERSARY_DIGESTS = {
-    "uniform": "7f72d925eae1226f6dbc34d42413802b98dd46fdecd6cd3bc3177e0d388231fa",
-    "clustered": "b9f154c419c697b358e0d21cbe21af31773b75b3a7707b44f925727c6fa0e929",
+    "uniform": "58f29fc5c9ec5b989c587fbf8b7c915082bfb0ca029a74fc7f8b0c0cfda3ced5",
+    "clustered": "bd7d2dd8c4473d398fa06ba8a3779387c30e7e35d6f5a1feb1396b99d4b462d9",
 }
 # write_clustermap_csv of churned_form_network(placement)
 CHURNED_CLUSTERMAP_DIGESTS = {

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -378,6 +380,40 @@ def test_the_replay_opens_exactly_what_the_reference_cipher_opens(case, data):
         for a in report.attempts:
             assert a.admitted == oracle.forged_join_admitted(
                 state, profile, a.claimed_id, a.target_group), (profile.mode, a)
+
+
+KEY_LABEL = re.compile(r"group:\d+|individual:\d+|rekey:\d+:\d+")
+
+
+@given(churn_case())
+def test_every_key_id_is_the_label_it_was_derived_from(case):
+    """Every key id the network records, grants, airs, carries in a key
+    payload or lets a replay open is a plan label, which holds no `,`, `;`,
+    `|` or newline; the vault's keys are derived from their ids, so no id
+    names two keys."""
+    g, plan_args, held, ops = case
+    state = churned(NetworkState, g, keying.build_plan(*plan_args), held, ops)
+    vault = state.plan.vault
+    keys = [*vault.all_individual_keys.values(),
+            *(k for h in vault.group_key_history.values() for k in h)]
+    by_id = {}
+    for key in keys:
+        assert key == state.plan.factory.derive(key.key_id)
+        assert by_id.setdefault(key.key_id, key) == key
+    ids = set(by_id).union(*state.rings.values())
+    for rec in state.trace.records:
+        ids.add(rec.envelope.key_fingerprint)
+        carried = protocol._carried_key_id(rec.envelope.plaintext)
+        if carried is not None:
+            assert carried in by_id
+    sensors = sorted(v for v, rank in state.cluster_map.ranks.items() if rank is Rank.OS)
+    profiles = [AdversaryProfile.outsider(), AdversaryProfile.compromised_gd(state, 0)]
+    profiles += [AdversaryProfile.compromised_os(state, v) for v in sensors[:1]]
+    for profile in profiles:
+        report = state.simulate_adversary(profile, 20, seed=0)
+        ids.update(kid for _, _, kid in report.decrypted)
+    assert all(KEY_LABEL.fullmatch(kid) for kid in ids), sorted(ids)
+    assert ids <= set(by_id)
 
 
 class ChurnedNetwork(RuleBasedStateMachine):

@@ -153,12 +153,17 @@ def test_generate_validates_arguments():
         udg.generate_uniform(5, -1, 10, 1, seed=0)
     with pytest.raises(ValueError):
         udg.generate_uniform(5, 10, 10, 0, seed=0)
+    with pytest.raises(ValueError, match="field dimensions must be > 0"):
+        udg.generate_uniform(5, math.nan, 10, 1, seed=0)
+    with pytest.raises(ValueError, match="radius must be > 0"):
+        udg.generate_uniform(5, 10, 10, math.nan, seed=0)
     with pytest.raises(ValueError):
         udg.radius_for_expected_degree(1, 10, 10, 6)
-    for d_avg, side in [(0, 10), (-6, 10), (6, 0), (6, -10)]:
+    for d_avg, side in [(0, 10), (-6, 10), (math.nan, 10), (6, 0), (6, -10),
+                        (6, math.nan)]:
         with pytest.raises(ValueError):
             udg.radius_for_expected_degree(5, side, 10, d_avg)
-    for radius in (0.0, -1.0):
+    for radius in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="radius must be > 0"):
             udg.from_positions([Point(0, 0), Point(1, 0)], radius)
 
