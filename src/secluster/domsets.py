@@ -218,6 +218,8 @@ def greedy_cds_baseline(g, variant: GreedyVariant) -> frozenset[int]:
     node id.  On a disconnected graph the result is the per-component
     union, a CDS of every component.
     """
+    if not isinstance(variant, GreedyVariant):
+        raise ValueError(f"variant must be a GreedyVariant, got {variant!r}")
     builder = _greedy_variant_one if variant is GreedyVariant.I else _greedy_variant_two
     adj = g.adjacency
     result: set[int] = set()

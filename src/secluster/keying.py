@@ -7,15 +7,17 @@ the group key plus the individual keys of all its members, so its storage
 is (eta + 1) * key_bits while an Os needs 2 * key_bits.  The base station
 vault keeps every key in the network.  The plan's vault has the keys
 assigned offline; each formed network keeps a vault of its own, which
-records the keys its promotions and rekeys derive from the plan's factory.
+records the keys its promotions and rekeys add.
 
-Keys come from seeded SHA-256, so a deployment plan is reproducible from
-its seed, and a key's id is the label it was derived from (`group:3`,
-`individual:17`, `rekey:3:1`).  Secrecy is decided by key possession: a
-holder of the key an envelope is sealed under opens it, and anyone else
-cannot, so the library compares key ids and runs no cipher.  The tests
-keep an authenticated cipher as the reference (`tests/oracle.py`), and
-check that it opens an envelope exactly when possession says it does.
+A key is its id alone, the label it was planned under (`group:3`,
+`individual:17`, `rekey:3:1`).  Its secret is seeded SHA-256 of that
+label, so a deployment plan is reproducible from its seed, and the plan
+computes a secret only when a message carries the key.  Secrecy is
+decided by key possession: a holder of the key an envelope is sealed
+under opens it, and anyone else cannot, so the library compares key ids
+and runs no cipher.  The tests keep an authenticated cipher as the
+reference (`tests/oracle.py`), and check that it opens an envelope
+exactly when possession says it does.
 """
 
 from __future__ import annotations
@@ -30,39 +32,15 @@ SUPPORTED_KEY_BITS = (64, 128, 256)
 
 
 class Key(NamedTuple):
-    """A symmetric key: a public id, the label it was derived from, plus an
-    opaque secret.
+    """A symmetric key, named by its id: the label it was planned under.
 
-    An immutable named tuple, as `trace.Envelope` is: a plan derives one
-    for every node, and a tuple is built in half the time of a frozen
-    dataclass.
+    Ids are plan-scoped, like node ids: the labels `group:{gid}`,
+    `individual:{node}` and `rekey:{gid}:{k}` are unique within a plan, so
+    keys with one id are one key.  The key's secret is the plan's
+    (`DeploymentPlan.secret`).
     """
 
     key_id: str
-    secret: bytes
-
-
-class KeyFactory:
-    """Deterministic, stateless key generator (SHA-256 over seed and label).
-
-    The key of `label` is SHA-256 of `key|{seed}|{label}`, cut to key_bits,
-    and its id is the label itself.  The same (seed, label) always yields
-    the same key, which is what makes rekey sequences replayable, and keys
-    with one id are one key.  Ids are plan-scoped, like node ids: the
-    labels `group:{gid}`, `individual:{node}` and `rekey:{gid}:{k}` are
-    unique within a plan, and two seeds give one label different secrets.
-    """
-
-    def __init__(self, seed: int, key_bits: int):
-        if key_bits not in SUPPORTED_KEY_BITS:
-            raise ValueError(
-                f"key_bits must be one of {SUPPORTED_KEY_BITS}, got {key_bits}")
-        self._prefix = f"key|{seed}|".encode()
-        self._key_bytes = key_bits // 8
-
-    def derive(self, label: str) -> Key:
-        secret = hashlib.sha256(self._prefix + label.encode()).digest()
-        return Key(label, secret[:self._key_bytes])
 
 
 @dataclass
@@ -91,14 +69,22 @@ class BaseStationVault:
 
 @dataclass
 class DeploymentPlan:
-    """Partition of n sensors into groups plus their pre-distributed keys."""
+    """Partition of n sensors into groups plus their pre-distributed keys,
+    with the seed their secrets come from."""
 
     n: int
     eta: int
     key_bits: int
     groups: tuple[GroupRecord, ...]
     vault: BaseStationVault
-    factory: KeyFactory
+    seed: int
+
+    def secret(self, key_id: str) -> bytes:
+        """SHA-256 of `key|{seed}|{key_id}`, cut to key_bits, computed on
+        each call: one (seed, id) always yields one secret, which makes
+        rekey sequences replayable, and two seeds give one id two."""
+        digest = hashlib.sha256(f"key|{self.seed}|{key_id}".encode()).digest()
+        return digest[:self.key_bits // 8]
 
     def group_of(self, node: int) -> GroupRecord:
         """The group node was planned into; `build_plan` chunks ids in order."""
@@ -113,21 +99,23 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
     Nodes are chunked in id order into ceil(n / (eta+1)) groups; the first
     node of each chunk is the dominator.  When (eta+1) does not divide n
     the final group simply gets the remainder, possibly a bare GD with no
-    members.  The seed drives key generation only.
+    members.  The seed is recorded for the keys' secrets only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    factory = KeyFactory(seed, key_bits)
+    if key_bits not in SUPPORTED_KEY_BITS:
+        raise ValueError(
+            f"key_bits must be one of {SUPPORTED_KEY_BITS}, got {key_bits}")
     vault = BaseStationVault()
     group_size = eta + 1
     groups = []
     for gid, start in enumerate(range(0, n, group_size)):
         chunk = list(range(start, min(start + group_size, n)))
         dominator, members = chunk[0], tuple(chunk[1:])
-        group_key = factory.derive(f"group:{gid}")
-        individual = {m: factory.derive(f"individual:{m}") for m in members}
+        group_key = Key(f"group:{gid}")
+        individual = {m: Key(f"individual:{m}") for m in members}
         vault.group_key_history[gid] = [group_key]
         vault.all_individual_keys.update(individual)
         groups.append(GroupRecord(
@@ -139,7 +127,7 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
         ))
     return DeploymentPlan(
         n=n, eta=eta, key_bits=key_bits,
-        groups=tuple(groups), vault=vault, factory=factory,
+        groups=tuple(groups), vault=vault, seed=seed,
     )
 
 
@@ -163,6 +151,10 @@ def storage_network_bits(alpha: int, beta: int, eta: int, key_bits: int) -> int:
     """Network-wide key storage for alpha dominators and beta ordinary sensors."""
     if alpha < 0 or beta < 0:
         raise ValueError("counts must be >= 0")
+    if eta < 0:
+        raise ValueError("eta must be >= 0")
+    if key_bits <= 0:
+        raise ValueError("key_bits must be > 0")
     return key_bits * (alpha * (eta + 1) + 2 * beta)
 
 

@@ -31,8 +31,8 @@ dict on each read, so a caller reads it once.  An adversary can be
 injected to measure what the key discipline actually leaks.
 
 Everything is deterministic: ties break toward smaller node ids, rounds
-are processed in sorted order, and key material comes from the plan's
-seeded factory.
+are processed in sorted order, and a delivered key's secret comes from
+the plan's seed.
 """
 
 from __future__ import annotations
@@ -213,10 +213,6 @@ class AttackReport:
         return sum(1 for a in self.attempts if a.admitted)
 
 
-def _key_payload(key: Key, note: str) -> bytes:
-    return b"KEY|" + key.key_id.encode() + b"|" + key.secret.hex().encode() + b"|" + note.encode()
-
-
 def _carried_key_id(plaintext: bytes) -> Optional[str]:
     if not plaintext.startswith(b"KEY|"):
         return None
@@ -232,10 +228,9 @@ class NetworkState:
             raise ValueError(
                 f"plan covers {plan.n} nodes but graph has {graph.n}")
         self.graph = graph
-        # the network records the keys it mints in a vault of its own
-        # (sharing the plan's individual keys, which it only reads); the
-        # factory is stateless, so the caller's plan is never written and
-        # can form any number of networks
+        # the network records the keys it adds in a vault of its own
+        # (sharing the plan's individual keys, which it only reads), so the
+        # caller's plan is never written and can form any number of networks
         self.plan = replace(plan, vault=BaseStationVault(plan.vault.all_individual_keys))
         self.deployed: set[int] = (set(range(graph.n)) if deployed is None
                                    else set(deployed))
@@ -307,7 +302,7 @@ class NetworkState:
         # length numbers the next rekey
         history = self.plan.vault.group_key_history[gid]
         old = history[-1]
-        new = self.plan.factory.derive(f"rekey:{gid}:{len(history)}")
+        new = Key(f"rekey:{gid}:{len(history)}")
         history.append(new)
         self._grant(self.group_dominator[gid], new)
         self.cluster_map.rekey_log.append(
@@ -318,8 +313,10 @@ class NetworkState:
                  copies: Iterable[tuple[Key, tuple[int, ...]]]) -> None:
         """Send group gid's key once per `(under, receivers)` of `copies`,
         sealed under `under`; every receiver holds it.  The plaintext is the
-        same in every copy, so it is built once."""
-        plaintext = _key_payload(key, f"group:{gid}")
+        same in every copy, so it is built once; it carries the key's
+        secret, which the plan computes here and nowhere else."""
+        secret_hex = self.plan.secret(key.key_id).hex()
+        plaintext = f"KEY|{key.key_id}|{secret_hex}|group:{gid}".encode()
         for under, receivers in copies:
             self._send(kind, sender, under, plaintext, receivers, gid)
             for r in receivers:
@@ -444,7 +441,7 @@ class NetworkState:
                 cm.orphan_events.append(OrphanEvent(s, "ADOPTED", adopter))
             elif nbrs[s]:
                 gid = len(self.group_dominator)  # group ids are dense
-                new_key = self.plan.factory.derive(f"group:{gid}")
+                new_key = Key(f"group:{gid}")
                 self._open_group(gid, s, new_key)
                 self._deliver(Kind.REKEY_TO_NEW, BS_ID, gid, new_key, [(ind, (s,))])
                 cm.orphan_events.append(OrphanEvent(s, "PROMOTED"))

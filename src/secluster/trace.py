@@ -44,7 +44,7 @@ class Envelope(NamedTuple):
     `nonce` the network's sequence gave it.
 
     A receiver opens it iff it holds the key whose id is `key_fingerprint`;
-    a key's fingerprint is its id, the label it was derived from.
+    a key's fingerprint is its id, the label it was planned under.
     """
 
     sender: int

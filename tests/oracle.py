@@ -11,12 +11,14 @@ n <= EXHAUSTIVE_NODE_LIMIT.
 The library decides who can read an envelope by key possession alone.
 `encrypt` and `decrypt` are an authenticated cipher that the tests hold
 that rule against: a holder of the right key opens a sealed payload, and
-any other key fails detectably, never to silent garbage.  Its keystream
-is SHA-256 of `ks|`, the secret, the nonce and an 8-byte big-endian block
-counter, 32 bytes per block, XORed onto the message; its tag is the
-first 16 bytes of SHA-256 of `tag|`, the secret, the nonce and the
-ciphertext.  `seal(env)` is an envelope's payload: its plaintext sealed
-under its key and nonce.  `reference_replay` is the adversary's replay
+any other key fails detectably, never to silent garbage.  The cipher
+works on `(key_id, secret)` pairs, which `keyed(plan, key)` builds from a
+plan key and the plan's secret for it.  Its keystream is SHA-256 of
+`ks|`, the secret, the nonce and an 8-byte big-endian block counter, 32
+bytes per block, XORed onto the message; its tag is the first 16 bytes
+of SHA-256 of `tag|`, the secret, the nonce and the ciphertext.
+`seal(env, plan)` is an envelope's payload: its plaintext sealed under
+its key and nonce.  `reference_replay` is the adversary's replay
 refereed by that cipher, and `forged_join_admitted` is the rule a forged
 join is admitted by.
 """
@@ -25,7 +27,6 @@ import hashlib
 import itertools
 
 from secluster.domsets import classify
-from secluster.keying import Key
 
 # Subset enumeration is exponential; refuse graphs where 2^n is unreasonable.
 EXHAUSTIVE_NODE_LIMIT = 20
@@ -115,43 +116,52 @@ def _tag(secret, nonce, ct):
     return hashlib.sha256(b"tag|" + secret + nonce + ct).digest()[:_TAG_LEN]
 
 
+def keyed(plan, key):
+    """The `(key_id, secret)` pair of a plan key, as the cipher takes it."""
+    return key.key_id, plan.secret(key.key_id)
+
+
 def encrypt(key, nonce, plaintext):
-    """Seal plaintext under key.
+    """Seal plaintext under key, a `(key_id, secret)` pair.
 
     The nonce must be NONCE_BYTES long: `decrypt` splits it off at that
     length, so any other length would open to garbage under a valid tag.
     """
     if len(nonce) != NONCE_BYTES:
         raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
-    ct = _xor_stream(key.secret, nonce, plaintext)
-    return nonce + ct + _tag(key.secret, nonce, ct)
+    _, secret = key
+    ct = _xor_stream(secret, nonce, plaintext)
+    return nonce + ct + _tag(secret, nonce, ct)
 
 
 def decrypt(key, blob):
     """Open a sealed blob; raises DecryptError unless key and tag match."""
     if len(blob) < NONCE_BYTES + _TAG_LEN:
         raise DecryptError("ciphertext too short")
+    _, secret = key
     nonce, ct, tag = (blob[:NONCE_BYTES], blob[NONCE_BYTES:-_TAG_LEN], blob[-_TAG_LEN:])
-    if tag != _tag(key.secret, nonce, ct):
+    if tag != _tag(secret, nonce, ct):
         raise DecryptError("authentication tag mismatch")
-    return _xor_stream(key.secret, nonce, ct)
+    return _xor_stream(secret, nonce, ct)
 
 
-def seal(env):
-    """The payload of `env`: its plaintext sealed under its key, with its
-    nonce written as NONCE_BYTES big-endian bytes."""
-    return encrypt(env.key, env.nonce.to_bytes(NONCE_BYTES, "big"), env.plaintext)
+def seal(env, plan):
+    """The payload of `env`: its plaintext sealed under its key, with the
+    plan's secret for it, and its nonce written as NONCE_BYTES big-endian
+    bytes."""
+    return encrypt(keyed(plan, env.key), env.nonce.to_bytes(NONCE_BYTES, "big"),
+                   env.plaintext)
 
 
 # -- the adversary's replay, refereed by the cipher ----------------------------
 
 def carried_key(plaintext):
-    """The key a `KEY|id|secret hex|note` payload carries, secret and all;
-    None for any other payload.  The library reads only the id."""
+    """The `(key_id, secret)` pair a `KEY|id|secret hex|note` payload
+    carries; None for any other payload.  The library reads only the id."""
     if not plaintext.startswith(b"KEY|"):
         return None
     _, kid, secret_hex, _note = plaintext.split(b"|", 3)
-    return Key(key_id=kid.decode(), secret=bytes.fromhex(secret_hex.decode()))
+    return kid.decode(), bytes.fromhex(secret_hex.decode())
 
 
 def reference_replay(state, profile, relays):
@@ -159,18 +169,19 @@ def reference_replay(state, profile, relays):
 
     Each event's payload is opened with every key the adversary holds at
     that point, whatever its fingerprint says; an opened rekey teaches the
-    key it carries.  Returns the events it opened and every key it ends up
-    holding, by id.
+    key it carries.  Returns the events it opened and every `(key_id,
+    secret)` pair it ends up holding, by id.
     """
-    recorded = [k for g in state.plan.groups for k in g.individual_keys.values()]
-    recorded += [k for h in state.plan.vault.group_key_history.values() for k in h]
-    held = {fp: next(k for k in recorded if k.key_id == fp)
+    plan = state.plan
+    recorded = [k for g in plan.groups for k in g.individual_keys.values()]
+    recorded += [k for h in plan.vault.group_key_history.values() for k in h]
+    held = {fp: keyed(plan, next(k for k in recorded if k.key_id == fp))
             for fp in profile.held_keys}
     opened = []
     for ev in state.trace:
         if not relays and ev.transmitter != ev.envelope.sender:
             continue
-        payload = seal(ev.envelope)
+        payload = seal(ev.envelope, plan)
         for key in list(held.values()):
             try:
                 plaintext = decrypt(key, payload)
@@ -179,7 +190,7 @@ def reference_replay(state, profile, relays):
             opened.append(ev)
             learned = carried_key(plaintext)
             if learned is not None:
-                held[learned.key_id] = learned
+                held[learned[0]] = learned
             break
     return opened, held
 

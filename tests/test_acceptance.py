@@ -127,8 +127,8 @@ def test_c6_distinct_keys():
     for n in range(20, 201):
         plan = keying.build_plan(n, 9, 128, seed=n)
         vault = plan.vault
-        keys = {k.secret for k in vault.all_individual_keys.values()}
-        keys |= {k.secret for h in vault.group_key_history.values() for k in h}
+        keys = {plan.secret(k.key_id) for k in vault.all_individual_keys.values()}
+        keys |= {plan.secret(k.key_id) for h in vault.group_key_history.values() for k in h}
         assert len(keys) == n
     for n in range(20, 201, 10):
         # full groups: exact alpha/beta split

@@ -310,6 +310,13 @@ def test_greedy_star_is_center():
         assert greedy_cds_baseline(K15, var) == {0}
 
 
+@pytest.mark.parametrize("variant", ["I", "II", None])
+def test_greedy_refuses_a_variant_that_is_not_a_greedy_variant(variant):
+    # the value "I" once ran greedy II, like any other non-member
+    with pytest.raises(ValueError, match="GreedyVariant"):
+        greedy_cds_baseline(P6, variant)
+
+
 def test_greedy_path_satisfies_cds():
     for var in GreedyVariant:
         s = greedy_cds_baseline(P6, var)

@@ -190,10 +190,10 @@ def test_sweep_writes_the_golden_sweep_csv_from_a_config(tmp_path):
     assert sha256(tmp_path / "out" / "sweep.csv") == SWEEP_CSV_DIGEST
 
 
-def envelope_digest(trace):
+def envelope_digest(state):
     h = hashlib.sha256()
-    for rec in trace.records:
-        env, payload = rec.envelope, seal(rec.envelope)
+    for rec in state.trace.records:
+        env, payload = rec.envelope, seal(rec.envelope, state.plan)
         if type(rec) is FloodEvent:
             on_air = ("reach", rec.reach, rec.nbrs[env.sender])
         else:
@@ -207,7 +207,7 @@ def envelope_digest(trace):
 @pytest.mark.parametrize("placement", list(ENVELOPE_DIGESTS))
 def test_a_churned_network_airs_the_golden_envelopes(churned_form_network, placement):
     state = churned_form_network(placement)
-    assert envelope_digest(state.trace) == ENVELOPE_DIGESTS[placement]
+    assert envelope_digest(state) == ENVELOPE_DIGESTS[placement]
 
 
 def adversary_profiles(state):

@@ -1,18 +1,21 @@
 import hashlib
 import random
+import types
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracle import NONCE_BYTES, DecryptError, decrypt, encrypt
-from secluster import keying
+from oracle import NONCE_BYTES, DecryptError, decrypt, encrypt, keyed
+from secluster import analysis, keying, udg
 from secluster.keying import (
+    Key,
     build_plan,
     storage_gd_bits,
     storage_network_bits,
     storage_os_bits,
 )
+from secluster.protocol import Placement
 
 
 def test_single_group_plan():
@@ -51,10 +54,9 @@ def test_remainder_group_is_bare_gd():
 def test_all_keys_distinct():
     plan = build_plan(120, 7, 128, seed=5)
     ids = [g.group_key.key_id for g in plan.groups]
-    secrets = [g.group_key.secret for g in plan.groups]
     for g in plan.groups:
         ids.extend(k.key_id for k in g.individual_keys.values())
-        secrets.extend(k.secret for k in g.individual_keys.values())
+    secrets = [plan.secret(kid) for kid in ids]
     assert len(set(ids)) == len(ids)
     assert len(set(secrets)) == len(secrets)
 
@@ -86,8 +88,10 @@ def test_plan_is_deterministic():
     # ids are labels, so they agree across seeds; the secrets do not
     assert [g.group_key.key_id for g in a.groups] == \
            [g.group_key.key_id for g in c.groups]
-    assert [g.group_key.secret for g in a.groups] != \
-           [g.group_key.secret for g in c.groups]
+    assert [a.secret(g.group_key.key_id) for g in a.groups] == \
+           [b.secret(g.group_key.key_id) for g in b.groups]
+    assert [a.secret(g.group_key.key_id) for g in a.groups] != \
+           [c.secret(g.group_key.key_id) for g in c.groups]
 
 
 def test_unsupported_key_length_rejected():
@@ -102,7 +106,7 @@ def test_unsupported_key_length_rejected():
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_supported_key_lengths(bits):
     plan = build_plan(6, 2, bits, seed=0)
-    assert len(plan.groups[0].group_key.secret) == bits // 8
+    assert len(plan.secret(plan.groups[0].group_key.key_id)) == bits // 8
 
 
 # -- storage formulas --------------------------------------------------------
@@ -132,6 +136,9 @@ def test_storage_network_examples():
     (storage_os_bits, (-64,)),
     (storage_network_bits, (-1, 90, 9, 128)),
     (storage_network_bits, (10, -1, 9, 128)),
+    (storage_network_bits, (1, 1, -5, 128)),
+    (storage_network_bits, (1, 1, 9, -128)),
+    (storage_network_bits, (1, 1, 9, 0)),
 ])
 def test_storage_formulas_reject_out_of_range_inputs(formula, args):
     with pytest.raises(ValueError):
@@ -154,15 +161,15 @@ def test_storage_decomposition_identity():
 
 def test_encrypt_decrypt_round_trip():
     plan = build_plan(4, 3, 128, seed=9)
-    key = plan.groups[0].group_key
+    key = keyed(plan, plan.groups[0].group_key)
     blob = encrypt(key, b"\x00" * 8, b"hello sensors")
     assert decrypt(key, blob) == b"hello sensors"
 
 
 def test_wrong_key_fails_detectably():
     plan = build_plan(4, 3, 128, seed=9)
-    key = plan.groups[0].group_key
-    other = plan.groups[0].individual_keys[1]
+    key = keyed(plan, plan.groups[0].group_key)
+    other = keyed(plan, plan.groups[0].individual_keys[1])
     blob = encrypt(key, b"\x00" * 8, b"payload")
     with pytest.raises(DecryptError):
         decrypt(other, blob)
@@ -170,7 +177,7 @@ def test_wrong_key_fails_detectably():
 
 def test_tampered_payload_fails():
     plan = build_plan(4, 3, 128, seed=9)
-    key = plan.groups[0].group_key
+    key = keyed(plan, plan.groups[0].group_key)
     blob = bytearray(encrypt(key, b"\x01" * 8, b"payload"))
     blob[10] ^= 0xFF
     with pytest.raises(DecryptError):
@@ -184,7 +191,8 @@ def test_tampered_payload_fails():
 def test_nonce_of_another_length_is_refused(length):
     # decrypt splits the nonce off at NONCE_BYTES; a 4-byte nonce used to
     # seal a blob that opened under a valid tag to the wrong plaintext
-    key = build_plan(4, 3, 128, seed=9).groups[0].group_key
+    plan = build_plan(4, 3, 128, seed=9)
+    key = keyed(plan, plan.groups[0].group_key)
     with pytest.raises(ValueError):
         encrypt(key, bytes(length), b"hello")
     blob = encrypt(key, bytes(NONCE_BYTES), b"hello")
@@ -204,15 +212,17 @@ def reference_keystream(secret, nonce, length):
 
 def per_byte_encrypt(key, nonce, plaintext):
     """The cipher as first written, XOR one byte at a time; pins the output."""
-    stream = reference_keystream(key.secret, nonce, len(plaintext))
+    _, secret = key
+    stream = reference_keystream(secret, nonce, len(plaintext))
     ct = bytes(a ^ b for a, b in zip(plaintext, stream))
-    tag = hashlib.sha256(b"tag|" + key.secret + nonce + ct).digest()[:16]
+    tag = hashlib.sha256(b"tag|" + secret + nonce + ct).digest()[:16]
     return nonce + ct + tag
 
 
 def per_byte_decrypt(key, blob):
+    _, secret = key
     nonce, ct = blob[:8], blob[8:-16]
-    return bytes(a ^ b for a, b in zip(ct, reference_keystream(key.secret, nonce, len(ct))))
+    return bytes(a ^ b for a, b in zip(ct, reference_keystream(secret, nonce, len(ct))))
 
 
 # one keystream block is 32 bytes
@@ -226,7 +236,7 @@ def per_byte_decrypt(key, blob):
 @example(bits=128, label="a", nonce=bytes(8), plaintext=bytes(65))
 @example(bits=256, label="g", nonce=bytes(range(8)), plaintext=bytes(range(200)))
 def test_cipher_matches_the_per_byte_xor(bits, label, nonce, plaintext):
-    key = keying.KeyFactory(seed=5, key_bits=bits).derive(label)
+    key = label, build_plan(1, 0, bits, seed=5).secret(label)
     blob = encrypt(key, nonce, plaintext)
     assert blob == per_byte_encrypt(key, nonce, plaintext)
     assert decrypt(key, blob) == per_byte_decrypt(key, blob) == plaintext
@@ -237,25 +247,45 @@ def test_cipher_matches_the_per_byte_xor(bits, label, nonce, plaintext):
 @example(bits=64, seed=0, label="")
 @example(bits=256, seed=-1, label="individual:12|\u00e9")
 def test_derive_is_sha256_of_the_seed_and_label(bits, seed, label):
-    # the key bytes from scratch, not through the factory's cached prefix
+    # the key bytes from scratch, not through the plan
     secret = hashlib.sha256(f"key|{seed}|{label}".encode()).digest()[:bits // 8]
-    key = keying.KeyFactory(seed, bits).derive(label)
-    assert key.secret == secret
-    assert key.key_id == label
+    assert build_plan(1, 0, bits, seed).secret(label) == secret
 
 
 def test_a_key_is_an_immutable_value():
-    key = keying.KeyFactory(3, 128).derive("a")
-    for name in ("key_id", "secret"):
-        with pytest.raises(AttributeError):
-            setattr(key, name, None)
-    # a key derived again is another object of equal value and hash
-    twin = keying.KeyFactory(3, 128).derive("a")
+    key = Key("a")
+    assert key._fields == ("key_id",)
+    with pytest.raises(AttributeError):
+        key.key_id = "b"
+    # a key built again is another object of equal value and hash
+    twin = Key("a")
     assert twin is not key
     assert twin == key and hash(twin) == hash(key) and {key, twin} == {key}
-    assert key != keying.KeyFactory(3, 128).derive("b")
+    assert key != Key("b")
     assert key.key_id == "a"
-    assert len(key.secret) == 16
+    # a plan's keys are their labels
+    plan = build_plan(2, 1, 128, seed=3)
+    assert plan.groups[0].group_key == Key("group:0")
+    assert plan.groups[0].individual_keys == {1: Key("individual:1")}
+
+
+def test_a_network_whose_groups_land_intact_computes_no_secret(monkeypatch):
+    # a plan computes a secret only when a message carries its key, and a
+    # network whose every group lands intact delivers none
+    calls = []
+
+    def sha256(data):
+        calls.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(keying, "hashlib", types.SimpleNamespace(sha256=sha256))
+    radius = udg.radius_for_expected_degree(200, 500, 500, 6)
+    state = analysis.realize(200, 9, radius, Placement.clustered(None),
+                             0, 500, 500, 128)
+    assert state.cluster_map.orphan_events == []
+    for g in state.plan.groups:
+        assert state.group_members[g.group_id] == set(g.members)
+    assert calls == []
 
 
 # -- export ------------------------------------------------------------------
@@ -272,6 +302,6 @@ def test_plan_csv_has_fingerprints_not_secrets(tmp_path):
     assert lines[2].startswith("1,Os,0,")
     for g in plan.groups:
         assert g.group_key.key_id in text
-        assert g.group_key.secret.hex() not in text
+        assert plan.secret(g.group_key.key_id).hex() not in text
         for k in g.individual_keys.values():
-            assert k.secret.hex() not in text
+            assert plan.secret(k.key_id).hex() not in text

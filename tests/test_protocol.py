@@ -332,7 +332,7 @@ def test_formation_is_deterministic():
         g = udg.generate_uniform(50, 200, 200, radius, seed=77)
         state = form_network(g, plan, Placement.uniform(), seed=77)
         trace = [(ev.round, ev.envelope.sender, ev.envelope.kind.value,
-                  ev.envelope.key_fingerprint, seal(ev.envelope),
+                  ev.envelope.key_fingerprint, seal(ev.envelope, state.plan),
                   ev.receivers) for ev in state.trace]
         return state.cluster_map, trace
 
@@ -586,7 +586,7 @@ def test_a_network_records_its_keys_in_its_own_vault():
     state = form_network(g, plan, Placement.uniform(), seed=1)
     assert state.leave_node(1)
     vault = state.plan.vault
-    assert state.plan.groups is plan.groups and state.plan.factory is plan.factory
+    assert state.plan.groups is plan.groups and state.plan.seed == plan.seed
     assert vault.group_key_history[2] == [state.group_key[2]]
     assert vault.group_key_history[0] == [plan.groups[0].group_key, state.group_key[0]]
     assert vault.all_individual_keys == plan.vault.all_individual_keys
@@ -1046,10 +1046,9 @@ def test_one_plan_forms_the_same_network_twice(tmp_path):
     assert a.cluster_map == b.cluster_map
     assert report_a == report_b
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    # neither network wrote the plan: not its vault, nor its factory
+    # neither network wrote the plan's vault
     fresh = keying.build_plan(80, 9, 128, seed=0)
     assert plan.vault == fresh.vault
-    assert vars(plan.factory) == vars(fresh.factory)
 
 
 def test_attack_report_is_deterministic():

@@ -7,6 +7,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 import oracle
 from secluster import keying, protocol, udg
+from secluster.keying import Key
 from secluster.protocol import AdversaryProfile, Kind, NetworkState, Placement, Rank
 from secluster.trace import FloodEvent, Trace, TraceEvent
 from secluster.udg import Point
@@ -181,14 +182,15 @@ def assert_each_envelope_sealed_once(state):
     """The records' nonces are 1..N in order, so each envelope, a flood's
     included, was sealed once with the network's next nonce; and each
     payload opens under the key its fingerprint names in the network's
-    vault."""
+    vault, with the plan's secret for it."""
     vault = state.plan.vault
     keys = {k.key_id: k for k in vault.all_individual_keys.values()}
     keys.update((k.key_id, k) for h in vault.group_key_history.values() for k in h)
     envelopes = [rec.envelope for rec in state.trace.records]
     assert [env.nonce for env in envelopes] == list(range(1, len(envelopes) + 1))
     for env in envelopes:
-        assert oracle.decrypt(keys[env.key_fingerprint], oracle.seal(env)) == env.plaintext
+        key = oracle.keyed(state.plan, keys[env.key_fingerprint])
+        assert oracle.decrypt(key, oracle.seal(env, state.plan)) == env.plaintext
 
 
 @given(churn_case())
@@ -389,8 +391,8 @@ KEY_LABEL = re.compile(r"group:\d+|individual:\d+|rekey:\d+:\d+")
 def test_every_key_id_is_the_label_it_was_derived_from(case):
     """Every key id the network records, grants, airs, carries in a key
     payload or lets a replay open is a plan label, which holds no `,`, `;`,
-    `|` or newline; the vault's keys are derived from their ids, so no id
-    names two keys."""
+    `|` or newline; a vault key is its id alone, so no id names two keys,
+    and a key payload carries the plan's secret for the id it names."""
     g, plan_args, held, ops = case
     state = churned(NetworkState, g, keying.build_plan(*plan_args), held, ops)
     vault = state.plan.vault
@@ -398,7 +400,7 @@ def test_every_key_id_is_the_label_it_was_derived_from(case):
             *(k for h in vault.group_key_history.values() for k in h)]
     by_id = {}
     for key in keys:
-        assert key == state.plan.factory.derive(key.key_id)
+        assert key == Key(key.key_id)
         assert by_id.setdefault(key.key_id, key) == key
     ids = set(by_id).union(*state.rings.values())
     for rec in state.trace.records:
@@ -406,6 +408,8 @@ def test_every_key_id_is_the_label_it_was_derived_from(case):
         carried = protocol._carried_key_id(rec.envelope.plaintext)
         if carried is not None:
             assert carried in by_id
+            secret_hex = rec.envelope.plaintext.split(b"|", 3)[2]
+            assert secret_hex == state.plan.secret(carried).hex().encode()
     sensors = sorted(v for v, rank in state.cluster_map.ranks.items() if rank is Rank.OS)
     profiles = [AdversaryProfile.outsider(), AdversaryProfile.compromised_gd(state, 0)]
     profiles += [AdversaryProfile.compromised_os(state, v) for v in sensors[:1]]
