@@ -251,7 +251,6 @@ class NetworkState:
         self.trace = Trace()
         self.audit_log: list[str] = []
         self._round = 0
-        self._nonce_counter = 0
 
         self.cluster_map = ClusterMap(
             graph=graph, dominator_of={}, orphan_events=[], rekey_log=[])
@@ -322,19 +321,13 @@ class NetworkState:
             for r in receivers:
                 self._grant(r, key)
 
-    def _seal(self, kind: Kind, sender: int, key: Key, plaintext: bytes) -> Envelope:
-        """Seal plaintext under key with the network's next nonce; the
-        only writer of the nonce sequence."""
-        self._nonce_counter += 1
-        return Envelope(sender, kind, key, self._nonce_counter, plaintext)
-
     def _send(self, kind: Kind, sender: int, key: Key, plaintext: bytes,
-              receivers: tuple[int, ...], group_id: Optional[int]) -> Envelope:
-        """Seal plaintext and record its broadcast by sender to `receivers`,
-        a tuple in ascending id order, which is recorded as given."""
-        env = self._seal(kind, sender, key, plaintext)
-        self.trace.append(TraceEvent(self._round, env, receivers, group_id, sender))
-        return env
+              receivers: tuple[int, ...], group_id: Optional[int]) -> None:
+        """Seal plaintext under key and record its broadcast by sender to
+        `receivers`, a tuple in ascending id order, which is recorded as
+        given."""
+        env = Envelope(sender, kind, key, plaintext)
+        self.trace.records.append(TraceEvent(self._round, env, receivers, group_id, sender))
 
     def group_of_node(self, node: int) -> Optional[int]:
         """Group the node currently belongs to (dominators map to their own)."""
@@ -468,8 +461,8 @@ class NetworkState:
         if origin not in reach:
             component = walk(nbrs, origin)
             reach.update(dict.fromkeys(component, len(component)))
-        env = self._seal(kind, origin, key, plaintext)
-        self.trace.append(FloodEvent(self._round, env, group_id, reach[origin], nbrs))
+        env = Envelope(origin, kind, key, plaintext)
+        self.trace.records.append(FloodEvent(self._round, env, group_id, reach[origin], nbrs))
 
     # -- membership dynamics -----------------------------------------------
 

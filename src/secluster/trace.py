@@ -5,15 +5,15 @@ transmission on the air for every node of its origin's component, so it
 is stored as one `FloodEvent` and expanded into its origin broadcast and
 relays only when read, by a `udg.walk` over the neighbourhood snapshot it
 holds.  A `Trace` therefore takes memory in proportion to the messages
-sent, not to the transmissions, and knows its length without expanding
-anything.
+sent, not to the transmissions: it is its list of records, and it counts
+a flood's transmissions by the flood's `reach`, without expanding it.
 
-An `Envelope` records what was sealed: the key, the nonce and the
-plaintext.  Who can read it is decided by key possession, so no
-ciphertext is built; the tests' reference cipher (`tests/oracle.py`)
-rebuilds the payload bytes from these fields.  `Envelope` and
-`TraceEvent` are immutable named tuples: one of each is built for every
-message sent, and a tuple is built in half the time of a frozen
+An `Envelope` records what was sealed: the key and the plaintext.  Who
+can read it is decided by key possession, so no ciphertext is built; the
+tests' reference cipher (`tests/oracle.py`) rebuilds the payload bytes
+from these fields and the record's position in the trace.  `Envelope`
+and `TraceEvent` are immutable named tuples: one of each is built for
+every message sent, and a tuple is built in half the time of a frozen
 dataclass.  The keys they carry (`keying.Key`) and the node positions
 (`udg.Point`) are named tuples for the same reason.
 """
@@ -40,8 +40,7 @@ class Kind(Enum):
 
 
 class Envelope(NamedTuple):
-    """One sealed transmission: `plaintext` under `key`, with the nonce
-    `nonce` the network's sequence gave it.
+    """One sealed message: `plaintext` from `sender` under `key`.
 
     A receiver opens it iff it holds the key whose id is `key_fingerprint`;
     a key's fingerprint is its id, the label it was planned under.
@@ -50,7 +49,6 @@ class Envelope(NamedTuple):
     sender: int
     kind: Kind
     key: Key
-    nonce: int
     plaintext: bytes
 
     key_fingerprint = property(lambda self: self.key.key_id)
@@ -85,36 +83,28 @@ class FloodEvent:
     reach: int
     nbrs: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
 
-    def events(self) -> Iterator[TraceEvent]:
-        """The flood's transmissions, origin broadcast first."""
-        nbrs, env = self.nbrs, self.envelope
-        for t in walk(nbrs, env.sender):
-            yield TraceEvent(self.round, env, nbrs[t], self.group_id, t)
-
 
 class Trace:
     """An append-only log, read as TraceEvents, one per transmission.
 
-    `records` holds TraceEvents and FloodEvents in order.  Iteration
-    expands a flood only when it reaches it, and every event of a flood
-    carries the origin's `Envelope` object.
+    `records` holds TraceEvents and FloodEvents in order, one per message
+    sent.  Iteration expands a flood only when it reaches it, origin
+    broadcast first, and every event of a flood carries the origin's
+    `Envelope` object.
     """
 
     def __init__(self) -> None:
         self.records: list[TraceEvent | FloodEvent] = []
-        self._len = 0
-
-    def append(self, record: TraceEvent | FloodEvent) -> None:
-        self.records.append(record)
-        self._len += record.reach if type(record) is FloodEvent else 1
 
     def __len__(self) -> int:
-        return self._len
+        return sum(rec.reach if type(rec) is FloodEvent else 1 for rec in self.records)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         for rec in self.records:
             if type(rec) is FloodEvent:
-                yield from rec.events()
+                nbrs, env = rec.nbrs, rec.envelope
+                for t in walk(nbrs, env.sender):
+                    yield TraceEvent(rec.round, env, nbrs[t], rec.group_id, t)
             else:
                 yield rec
 

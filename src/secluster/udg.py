@@ -99,12 +99,14 @@ def _derive_adjacency(positions: Sequence[Point], radius: float) -> tuple[frozen
     r2 = radius * radius
     nbrs: list[set[int]] = [set() for _ in positions]
     for (cx, cy), here in cells.items():
-        near = [j for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
-                              (cx, cy + 1))
-                for j in cells.get(key, ())]
-        for k, i in enumerate(here):
+        # each node is tested against the tail of one list after its own
+        # position: the rest of its cell, then the four cells' nodes
+        pool = here + [j for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
+                                     (cx, cy + 1))
+                       for j in cells.get(key, ())]
+        for k, i in enumerate(here, 1):
             xi, yi = xs[i], ys[i]
-            for j in here[k + 1:] + near:
+            for j in pool[k:]:
                 dx = xs[j] - xi
                 dy = ys[j] - yi
                 if dx * dx + dy * dy <= r2:

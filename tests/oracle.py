@@ -17,10 +17,12 @@ plan key and the plan's secret for it.  Its keystream is SHA-256 of
 `ks|`, the secret, the nonce and an 8-byte big-endian block counter, 32
 bytes per block, XORed onto the message; its tag is the first 16 bytes
 of SHA-256 of `tag|`, the secret, the nonce and the ciphertext.
-`seal(env, plan)` is an envelope's payload: its plaintext sealed under
-its key and nonce.  `reference_replay` is the adversary's replay
-refereed by that cipher, and `forged_join_admitted` is the rule a forged
-join is admitted by.
+`seal(env, plan, nonce)` is an envelope's payload: its plaintext sealed
+under its key and the given nonce.  An envelope's nonce is its record's
+1-based position in `trace.records`, which `nonces(trace)` maps from each
+envelope object; the library keeps no nonce.  `reference_replay` is the
+adversary's replay refereed by that cipher, and `forged_join_admitted` is
+the rule a forged join is admitted by.
 """
 
 import hashlib
@@ -145,11 +147,18 @@ def decrypt(key, blob):
     return _xor_stream(secret, nonce, ct)
 
 
-def seal(env, plan):
+def nonces(trace):
+    """Each record's envelope, by `id`, to its record's 1-based position in
+    `trace.records`: the nonce it is sealed with.  Every event of a flood
+    carries its record's envelope object, so it maps to the same nonce."""
+    return {id(rec.envelope): i for i, rec in enumerate(trace.records, 1)}
+
+
+def seal(env, plan, nonce):
     """The payload of `env`: its plaintext sealed under its key, with the
-    plan's secret for it, and its nonce written as NONCE_BYTES big-endian
+    plan's secret for it, and `nonce` written as NONCE_BYTES big-endian
     bytes."""
-    return encrypt(keyed(plan, env.key), env.nonce.to_bytes(NONCE_BYTES, "big"),
+    return encrypt(keyed(plan, env.key), nonce.to_bytes(NONCE_BYTES, "big"),
                    env.plaintext)
 
 
@@ -177,11 +186,11 @@ def reference_replay(state, profile, relays):
     recorded += [k for h in plan.vault.group_key_history.values() for k in h]
     held = {fp: keyed(plan, next(k for k in recorded if k.key_id == fp))
             for fp in profile.held_keys}
-    opened = []
+    opened, nonce = [], nonces(state.trace)
     for ev in state.trace:
         if not relays and ev.transmitter != ev.envelope.sender:
             continue
-        payload = seal(ev.envelope, plan)
+        payload = seal(ev.envelope, plan, nonce[id(ev.envelope)])
         for key in list(held.values()):
             try:
                 plaintext = decrypt(key, payload)

@@ -192,8 +192,8 @@ def test_sweep_writes_the_golden_sweep_csv_from_a_config(tmp_path):
 
 def envelope_digest(state):
     h = hashlib.sha256()
-    for rec in state.trace.records:
-        env, payload = rec.envelope, seal(rec.envelope, state.plan)
+    for nonce, rec in enumerate(state.trace.records, 1):
+        env, payload = rec.envelope, seal(rec.envelope, state.plan, nonce)
         if type(rec) is FloodEvent:
             on_air = ("reach", rec.reach, rec.nbrs[env.sender])
         else:

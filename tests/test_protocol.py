@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracle import forged_join_admitted, reference_replay, seal
+from oracle import forged_join_admitted, nonces, reference_replay, seal
 from secluster import analysis, keying, protocol, udg
 from secluster.protocol import (
     BS_ID,
@@ -331,8 +331,10 @@ def test_formation_is_deterministic():
         radius = udg.radius_for_expected_degree(50, 200, 200, 6)
         g = udg.generate_uniform(50, 200, 200, radius, seed=77)
         state = form_network(g, plan, Placement.uniform(), seed=77)
+        nonce = nonces(state.trace)
         trace = [(ev.round, ev.envelope.sender, ev.envelope.kind.value,
-                  ev.envelope.key_fingerprint, seal(ev.envelope, state.plan),
+                  ev.envelope.key_fingerprint,
+                  seal(ev.envelope, state.plan, nonce[id(ev.envelope)]),
                   ev.receivers) for ev in state.trace]
         return state.cluster_map, trace
 
@@ -883,7 +885,7 @@ def test_no_forged_join_is_admitted_into_a_revoked_group(seed):
     assert report.decrypted  # the dominator still opens its group's traffic
 
 
-def test_forged_joins_leave_the_network_nonces_alone():
+def test_forged_joins_leave_the_trace_alone():
     replayed, untouched = join_leave_network(), join_leave_network()
     report = replayed.simulate_adversary(
         AdversaryProfile.compromised_os(replayed, 1), 50, seed=5)

@@ -9,7 +9,7 @@ import oracle
 from secluster import keying, protocol, udg
 from secluster.keying import Key
 from secluster.protocol import AdversaryProfile, Kind, NetworkState, Placement, Rank
-from secluster.trace import FloodEvent, Trace, TraceEvent
+from secluster.trace import Envelope, FloodEvent, Trace, TraceEvent
 from secluster.udg import Point
 
 
@@ -21,12 +21,14 @@ class EagerFloodState(NetworkState):
     """
 
     def _flood(self, kind, origin, key, plaintext, group_id, nbrs, reach):
-        env = self._send(kind, origin, key, plaintext, nbrs[origin], group_id)
+        self._send(kind, origin, key, plaintext, nbrs[origin], group_id)
+        env = self.trace.records[-1].envelope
         reached = {origin, *nbrs[origin]}
         queue = list(nbrs[origin])
         for relay in queue:  # the queue grows while it is walked
             receivers = nbrs[relay]
-            self.trace.append(TraceEvent(self._round, env, receivers, group_id, relay))
+            self.trace.records.append(
+                TraceEvent(self._round, env, receivers, group_id, relay))
             for nb in receivers:
                 if nb not in reached:
                     reached.add(nb)
@@ -179,18 +181,16 @@ def test_a_churned_network_leaves_its_plan_alone(tmp_path_factory, case):
 
 
 def assert_each_envelope_sealed_once(state):
-    """The records' nonces are 1..N in order, so each envelope, a flood's
-    included, was sealed once with the network's next nonce; and each
-    payload opens under the key its fingerprint names in the network's
-    vault, with the plan's secret for it."""
+    """Each record's envelope, a flood's included, sealed with its record's
+    position as the nonce, opens under the key its fingerprint names in the
+    network's vault, with the plan's secret for it."""
     vault = state.plan.vault
     keys = {k.key_id: k for k in vault.all_individual_keys.values()}
     keys.update((k.key_id, k) for h in vault.group_key_history.values() for k in h)
-    envelopes = [rec.envelope for rec in state.trace.records]
-    assert [env.nonce for env in envelopes] == list(range(1, len(envelopes) + 1))
-    for env in envelopes:
+    for nonce, rec in enumerate(state.trace.records, 1):
+        env = rec.envelope
         key = oracle.keyed(state.plan, keys[env.key_fingerprint])
-        assert oracle.decrypt(key, oracle.seal(env, state.plan)) == env.plaintext
+        assert oracle.decrypt(key, oracle.seal(env, state.plan, nonce)) == env.plaintext
 
 
 @given(churn_case())
@@ -198,7 +198,7 @@ def test_a_churned_network_seals_each_envelope_once(case):
     g, plan_args, held, ops = case
     state = churned(NetworkState, g, keying.build_plan(*plan_args), held, ops)
     # a replay puts nothing on the air, so the leave after it takes the
-    # next nonces
+    # next records
     state.simulate_adversary(AdversaryProfile.compromised_gd(state, 0), 20, seed=0)
     members = sorted(m for ms in state.group_members.values() for m in ms)
     if members:
@@ -538,6 +538,15 @@ class ChurnedNetwork(RuleBasedStateMachine):
 
 TestChurnedNetwork = ChurnedNetwork.TestCase
 TestChurnedNetwork.settings = settings(max_examples=100, stateful_step_count=30)
+
+
+def test_records_hold_only_what_the_readers_of_a_trace_read():
+    # the benchmark reads sender, kind, key_fingerprint and transmitter, and
+    # the reference cipher the key and plaintext; a message's nonce is its
+    # record's position, so no record stores one
+    assert Envelope._fields == ("sender", "kind", "key", "plaintext")
+    assert TraceEvent._fields == ("round", "envelope", "receivers", "group_id",
+                                  "transmitter")
 
 
 def test_empty_trace_has_no_events_and_a_header_only_csv(tmp_path):
