@@ -22,13 +22,15 @@ each remaining member under its individual key so the leaver learns
 nothing).  Formation and every membership change go through steps, each
 the only writer of its facts: `_open_group` (a group, its lead and its
 first key), `_enroll`/`_withdraw` (deployment, membership, dominator),
-`_rekey` (the next key and the rekey log), `_deliver` (a key sealed to
-its receivers, who then hold it), `_vouch` (the base station hands a
-dominator a node's individual key) and `_adjudicate` (orphan verdicts).  The
-ranks, the dominator set and the mediators are read from the dominator
-record, so they describe the live network; `ClusterMap.ranks` builds a
-dict on each read, so a caller reads it once.  An adversary can be
-injected to measure what the key discipline actually leaks.
+`_rekey` (the next key and the rekey log), `_grant` (a key held without a
+message that carries it: planned, minted for a group the node leads, or
+vouched), `_deliver` (a key sealed to its receivers, who then hold it),
+`_vouch` (the base station hands a dominator a node's individual key) and
+`_adjudicate` (orphan verdicts).  The ranks, the dominator set and the mediators are read from
+the dominator record, so they describe the live network;
+`ClusterMap.ranks` builds a dict on each read, so a caller reads it once.
+An adversary can be injected to measure what the key discipline actually
+leaks.
 
 Everything is deterministic: ties break toward smaller node ids, rounds
 are processed in sorted order, and a delivered key's secret comes from
@@ -43,7 +45,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .keying import BaseStationVault, DeploymentPlan, Key
 # write_trace_csv is exported from here, beside write_clustermap_csv
@@ -53,6 +55,7 @@ from .trace import (  # noqa: F401
     Kind,
     Trace,
     TraceEvent,
+    from_fields,
     write_trace_csv,
 )
 from .udg import UnitDiskGraph, Point, from_positions, generate_uniform, walk
@@ -112,8 +115,7 @@ class OrphanEvent:
         return self.resolution
 
 
-@dataclass(frozen=True)
-class RekeyEvent:
+class RekeyEvent(NamedTuple):
     group_id: int
     old_key_id: str
     new_key_id: str
@@ -238,7 +240,8 @@ class NetworkState:
             if not 0 <= v < graph.n:
                 raise ValueError(f"deployed node {v} not in graph")
 
-        # key rings: node -> ids of the keys it holds, granted only by _grant
+        # key rings: node -> ids of the keys it holds; _grant adds the keys
+        # held without a message, _deliver the keys a message carries
         self.rings: dict[int, set[str]] = {}
 
         # current (post-formation) group structure; access lists stay in plan
@@ -308,26 +311,32 @@ class NetworkState:
             RekeyEvent(gid, old.key_id, new.key_id, cause, self._round))
         return old, new
 
-    def _deliver(self, kind: Kind, sender: int, gid: int, key: Key,
-                 copies: Iterable[tuple[Key, tuple[int, ...]]]) -> None:
-        """Send group gid's key once per `(under, receivers)` of `copies`,
-        sealed under `under`; every receiver holds it.  The plaintext is the
-        same in every copy, so it is built once; it carries the key's
-        secret, which the plan computes here and nowhere else."""
-        secret_hex = self.plan.secret(key.key_id).hex()
-        plaintext = f"KEY|{key.key_id}|{secret_hex}|group:{gid}".encode()
-        for under, receivers in copies:
-            self._send(kind, sender, under, plaintext, receivers, gid)
+    def _deliver(self, sender: int, gid: int, key: Key,
+                 copies: Iterable[tuple[Kind, Key, tuple[int, ...]]]) -> None:
+        """Send group gid's key once per `(kind, under, receivers)` of
+        `copies`, in order, as a `kind` message sealed under `under`; each
+        copy's receivers then hold it.  The plaintext is the same in every
+        copy, so it is built once; it carries the key's secret, which the
+        plan computes here and nowhere else.  Each copy is one record and
+        one ring insert per receiver, with no method call: this is the hot
+        path of every membership change."""
+        kid = key.key_id
+        plaintext = f"KEY|{kid}|{self.plan.secret(kid).hex()}|group:{gid}".encode()
+        append, rnd, rings = self.trace.records.append, self._round, self.rings
+        for kind, under, receivers in copies:
+            env = from_fields(Envelope, (sender, kind, under, plaintext))
+            append(from_fields(TraceEvent, (rnd, env, receivers, gid, sender)))
             for r in receivers:
-                self._grant(r, key)
+                rings[r].add(kid)
 
     def _send(self, kind: Kind, sender: int, key: Key, plaintext: bytes,
               receivers: tuple[int, ...], group_id: Optional[int]) -> None:
         """Seal plaintext under key and record its broadcast by sender to
         `receivers`, a tuple in ascending id order, which is recorded as
         given."""
-        env = Envelope(sender, kind, key, plaintext)
-        self.trace.records.append(TraceEvent(self._round, env, receivers, group_id, sender))
+        env = from_fields(Envelope, (sender, kind, key, plaintext))
+        self.trace.records.append(
+            from_fields(TraceEvent, (self._round, env, receivers, group_id, sender)))
 
     def group_of_node(self, node: int) -> Optional[int]:
         """Group the node currently belongs to (dominators map to their own)."""
@@ -428,15 +437,15 @@ class NetworkState:
                               key=lambda g: (len(self.group_members[gid_of[g]]), g))
                 gid = gid_of[adopter]
                 self._vouch(adopter, gid, s, "ADOPT")
-                self._deliver(Kind.REKEY_TO_NEW, BS_ID, gid, self._current_key(gid),
-                              [(ind, (s,))])
+                self._deliver(BS_ID, gid, self._current_key(gid),
+                              [(Kind.REKEY_TO_NEW, ind, (s,))])
                 self._enroll(s, gid)
                 cm.orphan_events.append(OrphanEvent(s, "ADOPTED", adopter))
             elif nbrs[s]:
                 gid = len(self.group_dominator)  # group ids are dense
                 new_key = Key(f"group:{gid}")
                 self._open_group(gid, s, new_key)
-                self._deliver(Kind.REKEY_TO_NEW, BS_ID, gid, new_key, [(ind, (s,))])
+                self._deliver(BS_ID, gid, new_key, [(Kind.REKEY_TO_NEW, ind, (s,))])
                 cm.orphan_events.append(OrphanEvent(s, "PROMOTED"))
             else:
                 cm.orphan_events.append(OrphanEvent(s, "UNREACHABLE"))
@@ -481,7 +490,7 @@ class NetworkState:
         if new_node in self.deployed:
             self.audit_log.append(f"join denied: node {new_node} already deployed")
             return False
-        ind = self.individual_key(new_node)
+        ind = self.plan.vault.all_individual_keys.get(new_node)
         if ind is None:
             # unknown id or a node provisioned as a dominator; nothing to verify
             self.audit_log.append(f"join denied: node {new_node} has no individual key")
@@ -507,10 +516,12 @@ class NetworkState:
             self.audit_log.append(f"join denied: node {new_node} key revoked")
             return False
 
+        # one message, built once: to the newcomer under its individual key,
+        # then to the members under the key they hold
         old_key, new_key = self._rekey(target_group, "join")
-        self._deliver(Kind.REKEY_TO_NEW, gd, target_group, new_key, [(ind, (new_node,))])
-        self._deliver(Kind.REKEY_BCAST, gd, target_group, new_key,
-                      [(old_key, tuple(sorted(self.group_members[target_group])))])
+        self._deliver(gd, target_group, new_key, [
+            (Kind.REKEY_TO_NEW, ind, (new_node,)),
+            (Kind.REKEY_BCAST, old_key, tuple(sorted(self.group_members[target_group])))])
         self._enroll(new_node, target_group)
         return True
 
@@ -525,13 +536,12 @@ class NetworkState:
             self.audit_log.append(f"leave ignored: node {node} is not a group member")
             return False
         gd = self.group_dominator[gid]
-        self._send(Kind.LEAVE, node, self.individual_key(node),
-                   f"LEAVE|{node}".encode(), (gd,), gid)
+        keys = self.plan.vault.all_individual_keys  # every member has one
+        self._send(Kind.LEAVE, node, keys[node], f"LEAVE|{node}".encode(), (gd,), gid)
         self._withdraw(node, gid)
         _old_key, new_key = self._rekey(gid, "leave")
-        self._deliver(Kind.REKEY_TO_NEW, gd, gid, new_key,
-                      [(self.individual_key(m), (m,))
-                       for m in sorted(self.group_members[gid])])
+        self._deliver(gd, gid, new_key, [(Kind.REKEY_TO_NEW, keys[m], (m,))
+                                         for m in sorted(self.group_members[gid])])
         return True
 
     def revoke_group(self, group_id: int) -> None:

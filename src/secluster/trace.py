@@ -15,7 +15,10 @@ from these fields and the record's position in the trace.  `Envelope`
 and `TraceEvent` are immutable named tuples: one of each is built for
 every message sent, and a tuple is built in half the time of a frozen
 dataclass.  The keys they carry (`keying.Key`) and the node positions
-(`udg.Point`) are named tuples for the same reason.
+(`udg.Point`) are named tuples for the same reason.  The simulator builds
+its records with `from_fields(TraceEvent, fields)`, which makes the same
+tuple as `TraceEvent(*fields)` without the generated constructor's
+Python-level argument parsing.
 """
 
 from __future__ import annotations
@@ -27,6 +30,14 @@ from typing import Iterator, NamedTuple, Optional
 
 from .keying import Key
 from .udg import walk
+
+
+# `from_fields(cls, fields)` builds named tuple `cls` from the tuple of its
+# field values, in field order, as the generated `cls.__new__` does after
+# it has bound its arguments; skipping that binding saves about 150 ns of
+# the 350 ns a `TraceEvent` takes (Python 3.11, timeit).  It checks
+# nothing, so `fields` must hold exactly one value per field.
+from_fields = tuple.__new__
 
 
 class Kind(Enum):

@@ -15,7 +15,8 @@ from secluster.keying import (
     storage_network_bits,
     storage_os_bits,
 )
-from secluster.protocol import Placement
+from secluster.protocol import NetworkState, Placement
+from secluster.udg import Point
 
 
 def test_single_group_plan():
@@ -286,6 +287,27 @@ def test_a_network_whose_groups_land_intact_computes_no_secret(monkeypatch):
     for g in state.plan.groups:
         assert state.group_members[g.group_id] == set(g.members)
     assert calls == []
+
+
+def test_a_membership_change_computes_its_new_key_secret_once(monkeypatch):
+    # a join sends its new key to the newcomer and to the members, and a
+    # leave to each remaining member: one message in every copy, so one
+    # secret per change
+    plan = build_plan(6, 2, 128, seed=3)
+    g = udg.from_positions([Point(0, 0), Point(1, 0), Point(0, 1),
+                            Point(10, 0), Point(11, 0), Point(5, 0)], 6.0)
+    state = NetworkState(g, plan, deployed=[0, 1, 2, 3, 4])
+    calls = []
+
+    def sha256(data):
+        calls.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(keying, "hashlib", types.SimpleNamespace(sha256=sha256))
+    assert state.join_node(5, 1)
+    assert calls == [b"key|3|rekey:1:1"]
+    assert state.leave_node(1)
+    assert calls == [b"key|3|rekey:1:1", b"key|3|rekey:0:1"]
 
 
 # -- export ------------------------------------------------------------------

@@ -844,6 +844,9 @@ def test_a_leaver_rejoins_its_group_without_the_keys_it_missed():
     cm = state.cluster_map
     assert cm.rekey_log[-1] == protocol.RekeyEvent(
         0, history[-2].key_id, history[-1].key_id, "join", state._round)
+    # a rekey log entry is a named tuple, like the trace's records
+    assert protocol.RekeyEvent._fields == ("group_id", "old_key_id", "new_key_id",
+                                           "cause", "round")
     assert 1 in state.deployed and state.group_members[0] == {1, 5}
     assert cm.dominator_of[1] == 0
     assert state.group_key[0].key_id in state.rings[1]

@@ -420,6 +420,30 @@ def test_every_key_id_is_the_label_it_was_derived_from(case):
     assert ids <= set(by_id)
 
 
+def keys_given(state):
+    """Each node's key ids as the plan, the vault history and the trace
+    account for them: its planned keys, the keys minted for a group it
+    leads, the individual keys vouched to it and the keys carried by a KEY
+    record that names it as a receiver."""
+    given = {v: set() for v in range(state.graph.n)}
+    for grp in state.plan.groups:
+        given[grp.dominator].add(grp.group_key.key_id)
+        given[grp.dominator].update(k.key_id for k in grp.individual_keys.values())
+        for m in grp.members:
+            given[m].update((grp.group_key.key_id, grp.individual_keys[m].key_id))
+    for gid, history in state.plan.vault.group_key_history.items():
+        given[state.group_dominator[gid]].update(k.key_id for k in history)
+    individual = state.plan.vault.all_individual_keys
+    for rec in state.trace.records:
+        word, _, rest = rec.envelope.plaintext.partition(b"|")
+        if word in (b"ADOPT", b"CONFIRM"):  # the base station vouches
+            given[rec.receivers[0]].add(individual[int(rest)].key_id)
+        elif word == b"KEY":
+            for r in rec.receivers:
+                given[r].add(protocol._carried_key_id(rec.envelope.plaintext))
+    return given
+
+
 class ChurnedNetwork(RuleBasedStateMachine):
     """Joins, leaves, revocations and outsider replays on a small network,
     with the membership invariants checked after every step."""
@@ -514,6 +538,14 @@ class ChurnedNetwork(RuleBasedStateMachine):
         held = {kid for ring in self.state.rings.values() for kid in ring}
         assert held - recorded == set()
         assert (self.plan.vault, self.plan.groups) == (self.fresh.vault, self.fresh.groups)
+
+    @invariant()
+    def each_ring_holds_what_its_node_was_given(self):
+        # custody: a key enters a ring only by the plan, a mint for a group
+        # the node leads, a vouch or a key message, and never leaves it
+        rings, given = self.state.rings, keys_given(self.state)
+        assert sorted(rings) == sorted(given)
+        assert [v for v in sorted(given) if rings[v] != given[v]] == []
 
     @invariant()
     def leavers_hold_no_key_minted_while_out(self):
