@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -150,6 +149,10 @@ def sweep_domset_sizes(cells: Sequence[Cell], workers: int = 1) -> list[Experime
     which cannot change the result because every cell derives its own seeds.
     """
     if workers > 1:
+        # imported here: multiprocessing takes a fifth of the CLI's import
+        # time, which a serial run would otherwise pay for nothing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_experiment_cell, cells))
     return list(map(run_experiment_cell, cells))

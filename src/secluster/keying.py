@@ -9,6 +9,17 @@ vault keeps every key in the network.  The plan's vault has the keys
 assigned offline; each formed network keeps a vault of its own, which
 records the keys its promotions and rekeys add.
 
+The groups and keys depend on (n, eta) alone, the plan's shape: the
+seed feeds only the keys' secrets.  `build_plan` therefore takes each
+shape from a memo and builds only a plan's vault, so a sweep over many
+seeds of one n builds its groups once.  The memo holds the last
+SHAPE_MEMO_SIZE shapes used and keeps them alive, with their group
+records and key maps and what formation builds from a shape (the planned
+rings and the round-1 join requests; see `protocol`).  Every plan of one
+shape shares its `PlanShape` and `GroupRecord`s, which are immutable and
+whose key maps are read-only; each plan's vault dicts are its own,
+copied from the shape, so no plan can write another.
+
 A key is its id alone, the label it was planned under (`group:3`,
 `individual:17`, `rekey:3:1`).  Its secret is seeded SHA-256 of that
 label, so a deployment plan is reproducible from its seed, and the plan
@@ -23,12 +34,18 @@ exactly when possession says it does.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 SUPPORTED_KEY_BITS = (64, 128, 256)
+
+# plan shapes kept by `build_plan`'s memo, least recently used dropped
+# first: enough for a sweep that revisits a few sizes of n
+SHAPE_MEMO_SIZE = 8
 
 
 class Key(NamedTuple):
@@ -43,15 +60,31 @@ class Key(NamedTuple):
     key_id: str
 
 
-@dataclass
-class GroupRecord:
-    """One pre-assigned group: a dominator, its members, and their keys."""
+class GroupRecord(NamedTuple):
+    """One pre-assigned group: a dominator, its members, and their keys.
+
+    Every plan of one shape shares its group records, so they are
+    immutable named tuples and `individual_keys` is a read-only map.
+    """
 
     group_id: int
     dominator: int
     members: tuple[int, ...]
     group_key: Key
-    individual_keys: dict[int, Key]
+    individual_keys: Mapping[int, Key]
+
+
+@dataclass(frozen=True, eq=False)
+class PlanShape:
+    """The offline structure of n sensors in groups of eta + 1: the
+    groups and every member's individual key, by node, in a read-only
+    map.  It depends on (n, eta) alone, and every plan of one shape
+    shares it; it compares by identity."""
+
+    n: int
+    eta: int
+    groups: tuple[GroupRecord, ...]
+    individual_keys: Mapping[int, Key]
 
 
 @dataclass
@@ -70,7 +103,11 @@ class BaseStationVault:
 @dataclass
 class DeploymentPlan:
     """Partition of n sensors into groups plus their pre-distributed keys,
-    with the seed their secrets come from."""
+    with the seed their secrets come from.
+
+    `n`, `eta` and `groups` are those of `shape`, which the plan shares
+    with every plan of its (n, eta); `vault` is the plan's own.
+    """
 
     n: int
     eta: int
@@ -78,6 +115,7 @@ class DeploymentPlan:
     groups: tuple[GroupRecord, ...]
     vault: BaseStationVault
     seed: int
+    shape: PlanShape = field(repr=False, compare=False)
 
     def secret(self, key_id: str) -> bytes:
         """SHA-256 of `key|{seed}|{key_id}`, cut to key_bits, computed on
@@ -100,6 +138,10 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
     node of each chunk is the dominator.  When (eta+1) does not divide n
     the final group simply gets the remainder, possibly a bare GD with no
     members.  The seed is recorded for the keys' secrets only.
+
+    The groups come from the (n, eta) shape memo (see the module
+    docstring): a plan shares its immutable group records with every
+    plan of its shape, and its vault holds fresh dicts of its own.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -108,27 +150,31 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
     if key_bits not in SUPPORTED_KEY_BITS:
         raise ValueError(
             f"key_bits must be one of {SUPPORTED_KEY_BITS}, got {key_bits}")
-    vault = BaseStationVault()
+    shape = _shape(n, eta)
+    vault = BaseStationVault(
+        shape.individual_keys.copy(),
+        {g.group_id: [g.group_key] for g in shape.groups})
+    return DeploymentPlan(n=n, eta=eta, key_bits=key_bits, groups=shape.groups,
+                          vault=vault, seed=seed, shape=shape)
+
+
+@functools.lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def _shape(n: int, eta: int) -> PlanShape:
     group_size = eta + 1
     groups = []
+    individual: dict[int, Key] = {}
     for gid, start in enumerate(range(0, n, group_size)):
-        chunk = list(range(start, min(start + group_size, n)))
-        dominator, members = chunk[0], tuple(chunk[1:])
-        group_key = Key(f"group:{gid}")
-        individual = {m: Key(f"individual:{m}") for m in members}
-        vault.group_key_history[gid] = [group_key]
-        vault.all_individual_keys.update(individual)
+        members = tuple(range(start + 1, min(start + group_size, n)))
+        keys = {m: Key(f"individual:{m}") for m in members}
+        individual.update(keys)
         groups.append(GroupRecord(
             group_id=gid,
-            dominator=dominator,
+            dominator=start,
             members=members,
-            group_key=group_key,
-            individual_keys=individual,
+            group_key=Key(f"group:{gid}"),
+            individual_keys=MappingProxyType(keys),
         ))
-    return DeploymentPlan(
-        n=n, eta=eta, key_bits=key_bits,
-        groups=tuple(groups), vault=vault, seed=seed,
-    )
+    return PlanShape(n, eta, tuple(groups), MappingProxyType(individual))
 
 
 def storage_gd_bits(eta: int, key_bits: int) -> int:

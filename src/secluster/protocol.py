@@ -20,17 +20,22 @@ delivered to the newcomer under its individual key and to the old members
 under the previous group key) or leave (group key rotates, delivered to
 each remaining member under its individual key so the leaver learns
 nothing).  Formation and every membership change go through steps, each
-the only writer of its facts: `_open_group` (a group, its lead and its
-first key), `_enroll`/`_withdraw` (deployment, membership, dominator),
-`_rekey` (the next key and the rekey log), `_grant` (a key held without a
-message that carries it: planned, minted for a group the node leads, or
-vouched), `_deliver` (a key sealed to its receivers, who then hold it),
-`_vouch` (the base station hands a dominator a node's individual key) and
-`_adjudicate` (orphan verdicts).  The ranks, the dominator set and the mediators are read from
-the dominator record, so they describe the live network;
-`ClusterMap.ranks` builds a dict on each read, so a caller reads it once.
-An adversary can be injected to measure what the key discipline actually
-leaks.
+the only writer of its facts: `_predistribute` (every planned ring),
+`_open_group` (a group, its lead and its first key), `_enroll`/`_withdraw`
+(deployment, membership, dominator), `_rekey` (the next key and the rekey
+log), `_grant` (a key held without a message that carries it: a group's
+first key, a minted rekey or a vouched key), `_deliver` (a key sealed to
+its receivers, who then hold it), `_vouch` (the base station hands a
+dominator a node's individual key) and `_adjudicate` (orphan verdicts).
+Formation's rounds 1 and 2 write their JOIN_REQ and JOIN_APRV records and
+the memberships they approve in `_form` itself, and `_predistribute` its
+rings, each in one pass with no call per node; what the plan's shape
+alone decides, the planned rings and the JOIN_REQ envelopes, is built
+once per shape (`_offline`).  The ranks, the dominator set and the
+mediators are read from the dominator record, so they describe the live
+network; `ClusterMap.ranks` builds a dict on each read, so a caller
+reads it once.  An adversary can be injected to measure what the key
+discipline actually leaks.
 
 Everything is deterministic: ties break toward smaller node ids, rounds
 are processed in sorted order, and a delivered key's secret comes from
@@ -42,12 +47,13 @@ from __future__ import annotations
 import csv
 import math
 import random
+import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Collection, Iterable, NamedTuple, Optional
 
-from .keying import BaseStationVault, DeploymentPlan, Key
+from .keying import BaseStationVault, DeploymentPlan, Key, PlanShape
 # write_trace_csv is exported from here, beside write_clustermap_csv
 from .trace import (  # noqa: F401
     Envelope,
@@ -215,6 +221,36 @@ class AttackReport:
         return sum(1 for a in self.attempts if a.admitted)
 
 
+class _Offline(NamedTuple):
+    """What formation takes from a plan's shape alone: each node's planned
+    key ids, by node id, and round 1's JOIN_REQs, one `(sender, its group,
+    that group's dominator, envelope)` per planned member, by sender id."""
+
+    rings: tuple[frozenset[str], ...]
+    join_requests: tuple[tuple[int, int, int, Envelope], ...]
+
+
+# each plan shape's _Offline, built on its first formation and kept while
+# the shape lives: the keying memo, or any plan of the shape, keeps it
+_OFFLINE: weakref.WeakKeyDictionary[PlanShape, _Offline] = weakref.WeakKeyDictionary()
+
+
+def _offline(shape: PlanShape) -> _Offline:
+    got = _OFFLINE.get(shape)
+    if got is None:
+        rings: list[frozenset[str]] = []
+        requests = []
+        for g in shape.groups:
+            group_key, keys = g.group_key.key_id, g.individual_keys
+            rings.append(frozenset([group_key, *(k.key_id for k in keys.values())]))
+            for m in g.members:
+                rings.append(frozenset([keys[m].key_id, group_key]))
+                env = Envelope(m, Kind.JOIN_REQ, keys[m], f"JOIN_REQ|{m}".encode())
+                requests.append((m, g.group_id, g.dominator, env))
+        got = _OFFLINE[shape] = _Offline(tuple(rings), tuple(requests))
+    return got
+
+
 def _carried_key_id(plaintext: bytes) -> Optional[str]:
     if not plaintext.startswith(b"KEY|"):
         return None
@@ -234,14 +270,17 @@ class NetworkState:
         # (sharing the plan's individual keys, which it only reads), so the
         # caller's plan is never written and can form any number of networks
         self.plan = replace(plan, vault=BaseStationVault(plan.vault.all_individual_keys))
-        self.deployed: set[int] = (set(range(graph.n)) if deployed is None
-                                   else set(deployed))
-        for v in self.deployed:
-            if not 0 <= v < graph.n:
-                raise ValueError(f"deployed node {v} not in graph")
+        if deployed is None:
+            self.deployed: set[int] = set(range(graph.n))
+        else:
+            self.deployed = set(deployed)
+            for v in self.deployed:
+                if not 0 <= v < graph.n:
+                    raise ValueError(f"deployed node {v} not in graph")
 
-        # key rings: node -> ids of the keys it holds; _grant adds the keys
-        # held without a message, _deliver the keys a message carries
+        # key rings: node -> ids of the keys it holds; _predistribute writes
+        # the planned rings, _grant adds the keys held without a message,
+        # _deliver the keys a message carries
         self.rings: dict[int, set[str]] = {}
 
         # current (post-formation) group structure; access lists stay in plan
@@ -258,23 +297,22 @@ class NetworkState:
         self.cluster_map = ClusterMap(
             graph=graph, dominator_of={}, orphan_events=[], rekey_log=[])
 
-        self._predistribute()
-        self._form()
+        offline = _offline(plan.shape)
+        self._predistribute(offline)
+        self._form(offline)
 
     # -- key plumbing ------------------------------------------------------
 
-    def _grant(self, node: int, *keys: Key) -> None:
-        ring = self.rings.setdefault(node, set())
-        for key in keys:
-            ring.add(key.key_id)
+    def _grant(self, node: int, key: Key) -> None:
+        self.rings[node].add(key.key_id)  # every planned node has a ring
 
-    def _predistribute(self) -> None:
-        # Offline phase: every node in the plan gets its keys, deployed or not.
+    def _predistribute(self, offline: _Offline) -> None:
+        """Offline phase: every node in the plan holds its planned ring,
+        deployed or not, written in one pass, and every planned group opens."""
+        # the shape's rings are in node id order, as the chunking is
+        self.rings.update(enumerate(map(set, offline.rings)))
         for g in self.plan.groups:
             self._open_group(g.group_id, g.dominator, g.group_key)
-            for m in g.members:
-                self._grant(m, g.individual_keys[m], g.group_key)
-            self._grant(g.dominator, *g.individual_keys.values())
 
     def _open_group(self, gid: int, dominator: int, key: Key) -> None:
         # the one writer of lead entries and of each key history's first key
@@ -365,8 +403,10 @@ class NetworkState:
 
     # -- formation ---------------------------------------------------------
 
-    def _form(self) -> None:
-        """Rounds 1-4 over the deployed nodes; the constructor's last step."""
+    def _form(self, offline: _Offline) -> None:
+        """Rounds 1-4 over the deployed nodes; the constructor's last step.
+        Rounds 1 and 2 write their records and memberships in one pass
+        each, with no call per node."""
         cm = self.cluster_map
         # deployed does not change during formation, so each node's sorted
         # deployed neighbourhood is built once and shared by every round;
@@ -375,34 +415,35 @@ class NetworkState:
         everyone = len(deployed) == self.graph.n
         nbrs = {v: tuple(sorted(adj[v] if everyone else adj[v] & deployed))
                 for v in deployed}
+        append = self.trace.records.append
 
-        # round 1: join requests; s is on its planned group's access list
-        # only, so only its own dominator, if deployed in range, approves it
+        # round 1: join requests, sealed offline; s is on its planned
+        # group's access list only, so only its own dominator, if deployed
+        # in range, approves it
         self._round = 1
         approvals: dict[int, list[int]] = {}  # approving groups only
-        dominator_of, group_of = cm.dominator_of, self.plan.group_of
-        keys, lead = self.plan.vault.all_individual_keys, self.group_dominator
-        for s in sorted(deployed):
-            if dominator_of.get(s) == s:
-                continue
-            gid = group_of(s).group_id
-            heard = nbrs[s]
-            self._send(Kind.JOIN_REQ, s, keys[s], f"JOIN_REQ|{s}".encode(), heard, gid)
-            if lead[gid] in heard:
-                approvals.setdefault(gid, []).append(s)
+        for s, gid, gd, env in offline.join_requests:
+            if s in deployed:
+                heard = nbrs[s]
+                append(from_fields(TraceEvent, (1, env, heard, gid, s)))
+                if gd in heard:
+                    approvals.setdefault(gid, []).append(s)
 
-        # round 2: join approvals under the group key
+        # round 2: join approvals under the group key; an approved member
+        # is deployed already, so enrolling it writes its membership only
         self._round = 2
+        lead, dominator_of = self.group_dominator, cm.dominator_of
         for gid, approved in sorted(approvals.items()):
-            gd = self.group_dominator[gid]
+            gd = lead[gid]
             plaintext = ("JOIN_APRV|" + ",".join(map(str, approved))).encode()
             self._send(Kind.JOIN_APRV, gd, self._current_key(gid), plaintext,
                        nbrs[gd], gid)
+            self.group_members[gid].update(approved)
             for s in approved:
-                self._enroll(s, gid)
+                dominator_of[s] = gd
 
-        self._adjudicate(self.deployed - cm.dominator_of.keys(), nbrs,
-                         {self.group_dominator[gid] for gid in approvals})
+        self._adjudicate(deployed - dominator_of.keys(), nbrs,
+                         {lead[gid] for gid in approvals})
 
     def _adjudicate(self, orphans: Collection[int], nbrs: dict[int, tuple[int, ...]],
                     approving: Collection[int]) -> None:

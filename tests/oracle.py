@@ -23,12 +23,18 @@ under its key and the given nonce.  An envelope's nonce is its record's
 envelope object; the library keeps no nonce.  `reference_replay` is the
 adversary's replay refereed by that cipher, and `forged_join_admitted` is
 the rule a forged join is admitted by.
+
+`reference_plan` is the deployment plan built straight from the chunking
+rule, with no memo and nothing shared: the tests compare a caller's plan
+with it to show that no network wrote the plan, which a second
+`build_plan` of the same shape cannot show if the two share an object.
 """
 
 import hashlib
 import itertools
 
 from secluster.domsets import classify
+from secluster.keying import BaseStationVault, DeploymentPlan, GroupRecord, Key
 
 # Subset enumeration is exponential; refuse graphs where 2^n is unreasonable.
 EXHAUSTIVE_NODE_LIMIT = 20
@@ -91,6 +97,24 @@ def min_set_exhaustive(g, verdict):
             if verdict(g, s):
                 return s
     return None
+
+
+# -- the reference plan --------------------------------------------------------
+
+def reference_plan(n, eta, key_bits, seed):
+    """The plan of n sensors in groups of eta + 1, built from the chunking
+    rule alone: group g is ids g*(eta+1) onwards, its first id the
+    dominator; each member has key `individual:{id}` and each group key
+    `group:{g}`.  Every object in it is new, and it has no shape."""
+    groups, individual, history = [], {}, {}
+    for gid, start in enumerate(range(0, n, eta + 1)):
+        members = tuple(range(start + 1, min(start + eta + 1, n)))
+        keys = {m: Key(f"individual:{m}") for m in members}
+        individual.update(keys)
+        history[gid] = [Key(f"group:{gid}")]
+        groups.append(GroupRecord(gid, start, members, Key(f"group:{gid}"), keys))
+    return DeploymentPlan(n, eta, key_bits, tuple(groups),
+                          BaseStationVault(individual, history), seed, shape=None)
 
 
 # -- the reference cipher ------------------------------------------------------

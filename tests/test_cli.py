@@ -229,6 +229,24 @@ def test_runtime_needs_only_the_standard_library(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_a_serial_run_never_imports_multiprocessing(tmp_path):
+    # only `sweep --workers N` with N > 1 starts a process pool; importing
+    # one costs every other command a fifth of its start-up
+    sweep = ["sweep", "--n-range6", "20:20:20", "--n-range12", "40:40:20",
+             "--seeds", "1", "--curve-n", "50:100:50", "--out-dir", str(tmp_path)]
+    code = ("import sys\n"
+            "import secluster.cli\n"
+            "assert 'multiprocessing' not in sys.modules, 'on import'\n"
+            f"assert secluster.cli.main({sweep!r}) == 0\n"
+            "assert 'multiprocessing' not in sys.modules, 'after a serial sweep'\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_config_strings_parse_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": "50", "avg_degree": "8"}))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import types
@@ -6,9 +7,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracle import NONCE_BYTES, DecryptError, decrypt, encrypt, keyed
+from oracle import NONCE_BYTES, DecryptError, decrypt, encrypt, keyed, reference_plan
 from secluster import analysis, keying, udg
 from secluster.keying import (
+    SHAPE_MEMO_SIZE,
+    SUPPORTED_KEY_BITS,
+    DeploymentPlan,
     Key,
     build_plan,
     storage_gd_bits,
@@ -93,6 +97,63 @@ def test_plan_is_deterministic():
            [b.secret(g.group_key.key_id) for g in b.groups]
     assert [a.secret(g.group_key.key_id) for g in a.groups] != \
            [c.secret(g.group_key.key_id) for g in c.groups]
+
+
+@given(n=st.integers(1, 250), eta=st.integers(0, 30),
+       key_bits=st.sampled_from(SUPPORTED_KEY_BITS), seed=st.integers(0, 2**64 - 1))
+@example(n=1, eta=0, key_bits=64, seed=0)
+@example(n=101, eta=9, key_bits=128, seed=7)  # a bare remainder group
+def test_a_plan_is_the_chunking_rule_applied(n, eta, key_bits, seed):
+    plan, ref = build_plan(n, eta, key_bits, seed), reference_plan(n, eta, key_bits, seed)
+    for f in dataclasses.fields(DeploymentPlan):
+        if f.compare:
+            assert getattr(plan, f.name) == getattr(ref, f.name), f.name
+    shape = plan.shape
+    assert (shape.n, shape.eta, shape.groups) == (n, eta, plan.groups)
+    assert shape.individual_keys == plan.vault.all_individual_keys
+
+
+def test_plans_of_one_shape_share_their_groups_but_no_vault():
+    a, b = build_plan(55, 4, 128, seed=1), build_plan(55, 4, 64, seed=2)
+    assert a.shape is b.shape and a.groups is b.groups
+    assert all(x is y for x, y in zip(a.groups, b.groups))
+    assert a.vault == b.vault
+    assert a.vault.all_individual_keys is not b.vault.all_individual_keys
+    assert a.vault.group_key_history is not b.vault.group_key_history
+    assert all(a.vault.group_key_history[gid] is not b.vault.group_key_history[gid]
+               for gid in a.vault.group_key_history)
+    # so writing one plan's vault leaves the other, and the shape, as built
+    a.vault.all_individual_keys.clear()
+    a.vault.group_key_history[0].append(Key("rekey:0:1"))
+    assert b.vault == reference_plan(55, 4, 64, 2).vault
+    assert build_plan(55, 4, 128, seed=1).vault == reference_plan(55, 4, 128, 1).vault
+
+
+def test_the_shared_offline_structure_cannot_be_written():
+    plan = build_plan(30, 9, 128, seed=0)
+    group = plan.groups[1]
+    with pytest.raises(AttributeError):
+        group.dominator = 11
+    with pytest.raises(AttributeError):
+        group.individual_keys = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.shape.groups = ()
+    for keys in (group.individual_keys, plan.shape.individual_keys):
+        with pytest.raises(TypeError):
+            keys[11] = Key("individual:0")
+        with pytest.raises(TypeError):
+            del keys[11]
+
+
+def test_the_shape_memo_keeps_the_last_shapes_built():
+    first = build_plan(7, 1, 128, seed=0).shape
+    assert build_plan(7, 1, 256, seed=5).shape is first
+    for n in range(8, 8 + SHAPE_MEMO_SIZE):
+        build_plan(n, 1, 128, seed=0)
+    # evicted: the next plan gets a new shape, with the same groups
+    again = build_plan(7, 1, 128, seed=0)
+    assert again.shape is not first and again.groups == first.groups
+    assert again == reference_plan(7, 1, 128, 0)
 
 
 def test_unsupported_key_length_rejected():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracle import forged_join_admitted, nonces, reference_replay, seal
+from oracle import forged_join_admitted, nonces, reference_plan, reference_replay, seal
 from secluster import analysis, keying, protocol, udg
 from secluster.protocol import (
     BS_ID,
@@ -593,7 +593,7 @@ def test_a_network_records_its_keys_in_its_own_vault():
     assert vault.group_key_history[0] == [plan.groups[0].group_key, state.group_key[0]]
     assert vault.all_individual_keys == plan.vault.all_individual_keys
     assert vault.all_individual_keys is plan.vault.all_individual_keys
-    assert plan.vault == keying.build_plan(4, 1, 128, seed=9).vault
+    assert plan.vault == reference_plan(4, 1, 128, 9).vault
 
 
 def test_eta_zero_makes_every_sensor_a_dominator():
@@ -1052,8 +1052,7 @@ def test_one_plan_forms_the_same_network_twice(tmp_path):
     assert report_a == report_b
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     # neither network wrote the plan's vault
-    fresh = keying.build_plan(80, 9, 128, seed=0)
-    assert plan.vault == fresh.vault
+    assert plan.vault == reference_plan(80, 9, 128, 0).vault
 
 
 def test_attack_report_is_deterministic():

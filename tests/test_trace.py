@@ -170,7 +170,7 @@ def test_a_churned_network_leaves_its_plan_alone(tmp_path_factory, case):
     recorded |= {k.key_id for h in vault.group_key_history.values() for k in h}
     for ring in state.rings.values():
         assert set(ring) <= recorded
-    assert plan.vault == keying.build_plan(*plan_args).vault
+    assert plan.vault == oracle.reference_plan(*plan_args).vault
     # so a second network of the same plan, churned the same way without
     # the replay, airs the same
     again = churned(NetworkState, g, plan, held, ops)
@@ -452,7 +452,7 @@ class ChurnedNetwork(RuleBasedStateMachine):
     def form(self, case):
         g, plan_args, held = case
         self.plan = keying.build_plan(*plan_args)
-        self.fresh = keying.build_plan(*plan_args)  # never given to a network
+        self.fresh = oracle.reference_plan(*plan_args)  # never given to a network
         self.state = NetworkState(g, self.plan, deployed=set(range(g.n)) - held)
         # leaver -> (its group, that group's key count when it left)
         self.away: dict[int, tuple[int, int]] = {}
@@ -546,6 +546,14 @@ class ChurnedNetwork(RuleBasedStateMachine):
         rings, given = self.state.rings, keys_given(self.state)
         assert sorted(rings) == sorted(given)
         assert [v for v in sorted(given) if rings[v] != given[v]] == []
+
+    @invariant()
+    def each_record_holds_its_own_envelope(self):
+        # the reference cipher numbers each envelope by its object (see
+        # oracle.nonces), and formation's JOIN_REQs come from a memo shared
+        # by every network of the plan's shape
+        records = self.state.trace.records
+        assert len({id(rec.envelope) for rec in records}) == len(records)
 
     @invariant()
     def leavers_hold_no_key_minted_while_out(self):
