@@ -9,16 +9,15 @@ vault keeps every key in the network.  The plan's vault has the keys
 assigned offline; each formed network keeps a vault of its own, which
 records the keys its promotions and rekeys add.
 
-The groups and keys depend on (n, eta) alone, the plan's shape: the
-seed feeds only the keys' secrets.  `build_plan` therefore takes each
-shape from a memo and builds only a plan's vault, so a sweep over many
-seeds of one n builds its groups once.  The memo holds the last
-SHAPE_MEMO_SIZE shapes used and keeps them alive, with their group
-records and key maps and what formation builds from a shape (the planned
-rings and the round-1 join requests; see `protocol`).  Every plan of one
-shape shares its `PlanShape` and `GroupRecord`s, which are immutable and
-whose key maps are read-only; each plan's vault dicts are its own,
-copied from the shape, so no plan can write another.
+The groups and keys depend on (n, eta) alone, the plan's shape
+(`PlanShape`): the seed feeds only the keys' secrets, and a plan's n,
+eta and groups are read from its shape.  `build_plan` therefore keeps
+the last shape it built, and builds only a plan's vault while n and eta
+stay the same, as they do over the seeds of one sweep cell size.  Every
+plan of one shape shares its `PlanShape` and `GroupRecord`s, which are
+immutable and whose key maps are read-only; each plan's vault dicts are
+its own, copied from the shape, so no plan can write another.  Plans,
+shapes and group records pickle and deep-copy.
 
 A key is its id alone, the label it was planned under (`group:3`,
 `individual:17`, `rekey:3:1`).  Its secret is seeded SHA-256 of that
@@ -42,11 +41,6 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 SUPPORTED_KEY_BITS = (64, 128, 256)
-
-# plan shapes kept by `build_plan`'s memo, least recently used dropped
-# first: enough for a sweep that revisits a few sizes of n
-SHAPE_MEMO_SIZE = 8
-
 
 class Key(NamedTuple):
     """A symmetric key, named by its id: the label it was planned under.
@@ -73,18 +67,35 @@ class GroupRecord(NamedTuple):
     group_key: Key
     individual_keys: Mapping[int, Key]
 
+    def __reduce__(self):
+        # a read-only map does not pickle; its dict does
+        return _group_record, (*self[:4], dict(self.individual_keys))
 
-@dataclass(frozen=True, eq=False)
+
+def _group_record(group_id: int, dominator: int, members: tuple[int, ...],
+                  group_key: Key, individual_keys: dict[int, Key]) -> GroupRecord:
+    return GroupRecord(group_id, dominator, members, group_key,
+                       MappingProxyType(individual_keys))
+
+
+@dataclass(frozen=True)
 class PlanShape:
     """The offline structure of n sensors in groups of eta + 1: the
     groups and every member's individual key, by node, in a read-only
-    map.  It depends on (n, eta) alone, and every plan of one shape
-    shares it; it compares by identity."""
+    map.  `build_plan` makes it from (n, eta) alone."""
 
     n: int
     eta: int
     groups: tuple[GroupRecord, ...]
     individual_keys: Mapping[int, Key]
+
+    def __reduce__(self):
+        return _plan_shape, (self.n, self.eta, self.groups, dict(self.individual_keys))
+
+
+def _plan_shape(n: int, eta: int, groups: tuple[GroupRecord, ...],
+                individual_keys: dict[int, Key]) -> PlanShape:
+    return PlanShape(n, eta, groups, MappingProxyType(individual_keys))
 
 
 @dataclass
@@ -105,17 +116,26 @@ class DeploymentPlan:
     """Partition of n sensors into groups plus their pre-distributed keys,
     with the seed their secrets come from.
 
-    `n`, `eta` and `groups` are those of `shape`, which the plan shares
-    with every plan of its (n, eta); `vault` is the plan's own.
+    The groups are the plan's `shape`, shared with every plan of its
+    (n, eta); `vault` is the plan's own.
     """
 
-    n: int
-    eta: int
+    shape: PlanShape
     key_bits: int
-    groups: tuple[GroupRecord, ...]
     vault: BaseStationVault
     seed: int
-    shape: PlanShape = field(repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.shape.n
+
+    @property
+    def eta(self) -> int:
+        return self.shape.eta
+
+    @property
+    def groups(self) -> tuple[GroupRecord, ...]:
+        return self.shape.groups
 
     def secret(self, key_id: str) -> bytes:
         """SHA-256 of `key|{seed}|{key_id}`, cut to key_bits, computed on
@@ -126,9 +146,10 @@ class DeploymentPlan:
 
     def group_of(self, node: int) -> GroupRecord:
         """The group node was planned into; `build_plan` chunks ids in order."""
-        if not 0 <= node < self.n:
+        shape = self.shape
+        if not 0 <= node < shape.n:
             raise KeyError(node)
-        return self.groups[node // (self.eta + 1)]
+        return shape.groups[node // (shape.eta + 1)]
 
 
 def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
@@ -139,9 +160,9 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
     the final group simply gets the remainder, possibly a bare GD with no
     members.  The seed is recorded for the keys' secrets only.
 
-    The groups come from the (n, eta) shape memo (see the module
-    docstring): a plan shares its immutable group records with every
-    plan of its shape, and its vault holds fresh dicts of its own.
+    The shape is the last one built if n and eta are the same (see the
+    module docstring): a plan shares its immutable group records with
+    every plan of its shape, and its vault holds fresh dicts of its own.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -154,11 +175,11 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
     vault = BaseStationVault(
         shape.individual_keys.copy(),
         {g.group_id: [g.group_key] for g in shape.groups})
-    return DeploymentPlan(n=n, eta=eta, key_bits=key_bits, groups=shape.groups,
-                          vault=vault, seed=seed, shape=shape)
+    return DeploymentPlan(shape=shape, key_bits=key_bits, vault=vault, seed=seed)
 
 
-@functools.lru_cache(maxsize=SHAPE_MEMO_SIZE)
+# the last shape only: a sweep builds every seed of one n in a row
+@functools.lru_cache(maxsize=1)
 def _shape(n: int, eta: int) -> PlanShape:
     group_size = eta + 1
     groups = []
@@ -167,14 +188,8 @@ def _shape(n: int, eta: int) -> PlanShape:
         members = tuple(range(start + 1, min(start + group_size, n)))
         keys = {m: Key(f"individual:{m}") for m in members}
         individual.update(keys)
-        groups.append(GroupRecord(
-            group_id=gid,
-            dominator=start,
-            members=members,
-            group_key=Key(f"group:{gid}"),
-            individual_keys=MappingProxyType(keys),
-        ))
-    return PlanShape(n, eta, tuple(groups), MappingProxyType(individual))
+        groups.append(_group_record(gid, start, members, Key(f"group:{gid}"), keys))
+    return _plan_shape(n, eta, tuple(groups), individual)
 
 
 def storage_gd_bits(eta: int, key_bits: int) -> int:

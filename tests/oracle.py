@@ -34,7 +34,7 @@ import hashlib
 import itertools
 
 from secluster.domsets import classify
-from secluster.keying import BaseStationVault, DeploymentPlan, GroupRecord, Key
+from secluster.keying import BaseStationVault, DeploymentPlan, GroupRecord, Key, PlanShape
 
 # Subset enumeration is exponential; refuse graphs where 2^n is unreasonable.
 EXHAUSTIVE_NODE_LIMIT = 20
@@ -105,7 +105,7 @@ def reference_plan(n, eta, key_bits, seed):
     """The plan of n sensors in groups of eta + 1, built from the chunking
     rule alone: group g is ids g*(eta+1) onwards, its first id the
     dominator; each member has key `individual:{id}` and each group key
-    `group:{g}`.  Every object in it is new, and it has no shape."""
+    `group:{g}`.  Every object in it is new, its key maps plain dicts."""
     groups, individual, history = [], {}, {}
     for gid, start in enumerate(range(0, n, eta + 1)):
         members = tuple(range(start + 1, min(start + eta + 1, n)))
@@ -113,8 +113,8 @@ def reference_plan(n, eta, key_bits, seed):
         individual.update(keys)
         history[gid] = [Key(f"group:{gid}")]
         groups.append(GroupRecord(gid, start, members, Key(f"group:{gid}"), keys))
-    return DeploymentPlan(n, eta, key_bits, tuple(groups),
-                          BaseStationVault(individual, history), seed, shape=None)
+    shape = PlanShape(n, eta, tuple(groups), individual)
+    return DeploymentPlan(shape, key_bits, BaseStationVault(dict(individual), history), seed)
 
 
 # -- the reference cipher ------------------------------------------------------

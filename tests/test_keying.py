@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 import types
 
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 from oracle import NONCE_BYTES, DecryptError, decrypt, encrypt, keyed, reference_plan
 from secluster import analysis, keying, udg
 from secluster.keying import (
-    SHAPE_MEMO_SIZE,
     SUPPORTED_KEY_BITS,
     DeploymentPlan,
     Key,
@@ -108,9 +109,8 @@ def test_a_plan_is_the_chunking_rule_applied(n, eta, key_bits, seed):
     for f in dataclasses.fields(DeploymentPlan):
         if f.compare:
             assert getattr(plan, f.name) == getattr(ref, f.name), f.name
-    shape = plan.shape
-    assert (shape.n, shape.eta, shape.groups) == (n, eta, plan.groups)
-    assert shape.individual_keys == plan.vault.all_individual_keys
+    assert (plan.n, plan.eta, plan.groups) == (n, eta, plan.shape.groups)
+    assert plan.shape.individual_keys == plan.vault.all_individual_keys
 
 
 def test_plans_of_one_shape_share_their_groups_but_no_vault():
@@ -145,15 +145,27 @@ def test_the_shared_offline_structure_cannot_be_written():
             del keys[11]
 
 
-def test_the_shape_memo_keeps_the_last_shapes_built():
+def test_the_shape_memo_keeps_the_last_shape_built():
     first = build_plan(7, 1, 128, seed=0).shape
     assert build_plan(7, 1, 256, seed=5).shape is first
-    for n in range(8, 8 + SHAPE_MEMO_SIZE):
-        build_plan(n, 1, 128, seed=0)
-    # evicted: the next plan gets a new shape, with the same groups
+    build_plan(8, 1, 128, seed=0)
+    # replaced: the next plan gets a new shape, equal to the first
     again = build_plan(7, 1, 128, seed=0)
-    assert again.shape is not first and again.groups == first.groups
+    assert again.shape is not first and again.shape == first
     assert again == reference_plan(7, 1, 128, 0)
+
+
+def test_a_plan_pickles_and_deep_copies():
+    plan = build_plan(23, 4, 64, seed=3)
+    for copied in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+        assert copied == plan == reference_plan(23, 4, 64, 3)
+        assert copied.vault.all_individual_keys is not plan.vault.all_individual_keys
+        assert copied.secret("group:2") == plan.secret("group:2")
+        # the copy's shared structure is as read-only as the original's
+        with pytest.raises(TypeError):
+            copied.groups[1].individual_keys[6] = Key("individual:0")
+        with pytest.raises(TypeError):
+            copied.shape.individual_keys[6] = Key("individual:0")
 
 
 def test_unsupported_key_length_rejected():

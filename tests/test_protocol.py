@@ -1,5 +1,7 @@
+import copy
 import csv
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -1052,6 +1054,34 @@ def test_one_plan_forms_the_same_network_twice(tmp_path):
     assert report_a == report_b
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     # neither network wrote the plan's vault
+    assert plan.vault == reference_plan(80, 9, 128, 0).vault
+
+
+def test_a_formed_network_pickles_and_deep_copies(tmp_path):
+    placement = Placement.uniform()
+    plan = keying.build_plan(80, 9, 128, seed=0)
+    radius = udg.radius_for_expected_degree(80, 500, 500, 4)
+    g = protocol.deploy_graph(plan, 500, 500, radius, placement, seed=0)
+    deployed = {v for v in range(80) if v % 7 != 3}
+
+    def churn(state, name):
+        # a leave rotates a key, so the copy must hold a vault of its own
+        cm = state.cluster_map
+        assert state.leave_node(min(v for v, d in cm.dominator_of.items() if d != v))
+        protocol.write_trace_csv(state.trace, tmp_path / name)
+        return cm, (tmp_path / name).read_bytes()
+
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        state = form_network(g, plan, placement, seed=0, deployed=deployed)
+        copied = copy_of(state)
+        assert copied.plan == state.plan and copied.rings == state.rings
+        assert copied.trace.records == state.trace.records
+        assert churn(copied, "copy.csv") == churn(state, "original.csv")
+        assert copied.plan.vault == state.plan.vault
+        # a network formed from a copied plan is the same network
+        again = form_network(g, copy_of(plan), placement, seed=0, deployed=deployed)
+        assert again.rings == form_network(g, plan, placement, seed=0,
+                                           deployed=deployed).rings
     assert plan.vault == reference_plan(80, 9, 128, 0).vault
 
 
