@@ -12,12 +12,13 @@ records the keys its promotions and rekeys add.
 The groups and keys depend on (n, eta) alone, the plan's shape
 (`PlanShape`): the seed feeds only the keys' secrets, and a plan's n,
 eta and groups are read from its shape.  `build_plan` therefore keeps
-the last shape it built, and builds only a plan's vault while n and eta
-stay the same, as they do over the seeds of one sweep cell size.  Every
-plan of one shape shares its `PlanShape` and `GroupRecord`s, which are
-immutable and whose key maps are read-only; each plan's vault dicts are
-its own, copied from the shape, so no plan can write another.  Plans,
-shapes and group records pickle and deep-copy.
+the last two shapes it built, and for either builds only a plan's vault:
+the seeds of one sweep size come in a row, and a churn experiment may
+form networks of two sizes in turn.  Every plan of one shape shares its
+`PlanShape` and `GroupRecord`s, which are immutable and whose key maps
+are read-only; each plan's vault dicts are its own, copied from the
+shape, so no plan can write another.  Plans, shapes and group records
+pickle and deep-copy.
 
 A key is its id alone, the label it was planned under (`group:3`,
 `individual:17`, `rekey:3:1`).  Its secret is seeded SHA-256 of that
@@ -82,12 +83,17 @@ def _group_record(group_id: int, dominator: int, members: tuple[int, ...],
 class PlanShape:
     """The offline structure of n sensors in groups of eta + 1: the
     groups and every member's individual key, by node, in a read-only
-    map.  `build_plan` makes it from (n, eta) alone."""
+    map.  `build_plan` makes it from (n, eta) alone.  Shapes compare by
+    value and hash by (n, eta)."""
 
     n: int
     eta: int
     groups: tuple[GroupRecord, ...]
     individual_keys: Mapping[int, Key]
+
+    def __hash__(self) -> int:
+        # equal shapes have one (n, eta); a read-only map does not hash
+        return hash((self.n, self.eta))
 
     def __reduce__(self):
         return _plan_shape, (self.n, self.eta, self.groups, dict(self.individual_keys))
@@ -160,7 +166,7 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
     the final group simply gets the remainder, possibly a bare GD with no
     members.  The seed is recorded for the keys' secrets only.
 
-    The shape is the last one built if n and eta are the same (see the
+    The shape is one of the last two built if n and eta match (see the
     module docstring): a plan shares its immutable group records with
     every plan of its shape, and its vault holds fresh dicts of its own.
     """
@@ -178,8 +184,9 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
     return DeploymentPlan(shape=shape, key_bits=key_bits, vault=vault, seed=seed)
 
 
-# the last shape only: a sweep builds every seed of one n in a row
-@functools.lru_cache(maxsize=1)
+# the last two shapes built: a sweep builds every seed of one n in a row,
+# and a churn experiment forms its network and a small fixed one in turn
+@functools.lru_cache(maxsize=2)
 def _shape(n: int, eta: int) -> PlanShape:
     group_size = eta + 1
     groups = []

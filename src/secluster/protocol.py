@@ -30,8 +30,8 @@ dominator a node's individual key) and `_adjudicate` (orphan verdicts).
 Formation's rounds 1 and 2 write their JOIN_REQ and JOIN_APRV records and
 the memberships they approve in `_form` itself, and `_predistribute` its
 rings, each in one pass with no call per node; what the plan's shape
-alone decides, the planned rings and the JOIN_REQ envelopes, `_offline`
-builds and keeps for the last shape formed.  The ranks, the dominator set and the
+alone decides, the planned rings and the JOIN_REQ envelopes, is built
+once per shape (`_offline`).  The ranks, the dominator set and the
 mediators are read from the dominator record, so they describe the live
 network; `ClusterMap.ranks` builds a dict on each read, so a caller
 reads it once.  An adversary can be injected to measure what the key
@@ -47,6 +47,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -225,20 +226,18 @@ class _Offline(NamedTuple):
     key ids, by node id, and round 1's JOIN_REQs, one `(sender, its group,
     that group's dominator, envelope)` per planned member, by sender id."""
 
-    shape: PlanShape
     rings: tuple[frozenset[str], ...]
     join_requests: tuple[tuple[int, int, int, Envelope], ...]
 
 
-# the _Offline of the last shape formed: a sweep forms every seed of one
-# shape in a row, and their plans share the shape object
-_last_offline: Optional[_Offline] = None
+# each shape's _Offline, built on its first formation and kept while the
+# shape lives
+_OFFLINE: weakref.WeakKeyDictionary[PlanShape, _Offline] = weakref.WeakKeyDictionary()
 
 
 def _offline(shape: PlanShape) -> _Offline:
-    global _last_offline
-    got = _last_offline
-    if got is None or got.shape is not shape:
+    got = _OFFLINE.get(shape)
+    if got is None:
         rings: list[frozenset[str]] = []
         requests = []
         for g in shape.groups:
@@ -248,7 +247,7 @@ def _offline(shape: PlanShape) -> _Offline:
                 rings.append(frozenset([keys[m].key_id, group_key]))
                 env = Envelope(m, Kind.JOIN_REQ, keys[m], f"JOIN_REQ|{m}".encode())
                 requests.append((m, g.group_id, g.dominator, env))
-        got = _last_offline = _Offline(shape, tuple(rings), tuple(requests))
+        got = _OFFLINE[shape] = _Offline(tuple(rings), tuple(requests))
     return got
 
 

@@ -145,14 +145,18 @@ def test_the_shared_offline_structure_cannot_be_written():
             del keys[11]
 
 
-def test_the_shape_memo_keeps_the_last_shape_built():
+def test_the_shape_memo_keeps_the_last_two_shapes_built():
     first = build_plan(7, 1, 128, seed=0).shape
     assert build_plan(7, 1, 256, seed=5).shape is first
-    build_plan(8, 1, 128, seed=0)
-    # replaced: the next plan gets a new shape, equal to the first
-    again = build_plan(7, 1, 128, seed=0)
-    assert again.shape is not first and again.shape == first
-    assert again == reference_plan(7, 1, 128, 0)
+    second = build_plan(8, 1, 128, seed=0).shape
+    assert build_plan(7, 1, 128, seed=1).shape is first
+    build_plan(9, 1, 128, seed=0)
+    assert build_plan(7, 1, 128, seed=2).shape is first  # used last but one
+    # evicted: the next plan gets a new shape, equal to the old one
+    again = build_plan(8, 1, 128, seed=0)
+    assert again.shape is not second and again.shape == second
+    assert hash(again.shape) == hash(second)
+    assert again == reference_plan(8, 1, 128, 0)
 
 
 def test_a_plan_pickles_and_deep_copies():
