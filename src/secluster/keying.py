@@ -9,16 +9,17 @@ vault keeps every key in the network.  The plan's vault has the keys
 assigned offline; each formed network keeps a vault of its own, which
 records the keys its promotions and rekeys add.
 
-The groups and keys depend on (n, eta) alone, the plan's shape
-(`PlanShape`): the seed feeds only the keys' secrets, and a plan's n,
-eta and groups are read from its shape.  `build_plan` therefore keeps
-the last two shapes it built, and for either builds only a plan's vault:
-the seeds of one sweep size come in a row, and a churn experiment may
-form networks of two sizes in turn.  Every plan of one shape shares its
-`PlanShape` and `GroupRecord`s, which are immutable and whose key maps
-are read-only; each plan's vault dicts are its own, copied from the
-shape, so no plan can write another.  Plans, shapes and group records
-pickle and deep-copy.
+Everything the offline phase decides depends on (n, eta) alone, the
+plan's shape (`PlanShape`): the groups, each node's key ring (`rings`)
+and formation's sealed join requests (`join_requests`).  The seed feeds
+only the keys' secrets, and a plan's n, eta and groups are read from its
+shape.  `build_plan` therefore keeps the last two shapes it built, and
+for either builds only a plan's vault: the seeds of one sweep size come
+in a row, and a churn experiment may form networks of two sizes in turn.
+Every plan of one shape shares its `PlanShape` and `GroupRecord`s, which
+are immutable and whose key maps are read-only; each plan's vault dicts
+are its own, copied from the shape, so no plan can write another.  Plans
+and group records pickle and deep-copy; a shape pickles as its (n, eta).
 
 A key is its id alone, the label it was planned under (`group:3`,
 `individual:17`, `rekey:3:1`).  Its secret is seeded SHA-256 of that
@@ -40,6 +41,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
+
+from .trace import Envelope, Kind
 
 SUPPORTED_KEY_BITS = (64, 128, 256)
 
@@ -81,27 +84,23 @@ def _group_record(group_id: int, dominator: int, members: tuple[int, ...],
 
 @dataclass(frozen=True)
 class PlanShape:
-    """The offline structure of n sensors in groups of eta + 1: the
-    groups and every member's individual key, by node, in a read-only
-    map.  `build_plan` makes it from (n, eta) alone.  Shapes compare by
-    value and hash by (n, eta)."""
+    """The offline structure of n sensors in groups of eta + 1: the groups,
+    every member's individual key, by node, in a read-only map, each
+    node's planned key ids (`rings`, by node id, group key first, as
+    `plan.csv` lists them) and formation round 1's sealed JOIN_REQs, one
+    `(sender, its group, that group's dominator, envelope)` per planned
+    member, by sender id.  `build_plan` makes it from (n, eta) alone.
+    Shapes compare by value, and a shape pickles as its (n, eta)."""
 
     n: int
     eta: int
     groups: tuple[GroupRecord, ...]
     individual_keys: Mapping[int, Key]
-
-    def __hash__(self) -> int:
-        # equal shapes have one (n, eta); a read-only map does not hash
-        return hash((self.n, self.eta))
+    rings: tuple[tuple[str, ...], ...]
+    join_requests: tuple[tuple[int, int, int, Envelope], ...]
 
     def __reduce__(self):
-        return _plan_shape, (self.n, self.eta, self.groups, dict(self.individual_keys))
-
-
-def _plan_shape(n: int, eta: int, groups: tuple[GroupRecord, ...],
-                individual_keys: dict[int, Key]) -> PlanShape:
-    return PlanShape(n, eta, groups, MappingProxyType(individual_keys))
+        return _shape, (self.n, self.eta)
 
 
 @dataclass
@@ -191,12 +190,25 @@ def _shape(n: int, eta: int) -> PlanShape:
     group_size = eta + 1
     groups = []
     individual: dict[int, Key] = {}
+    rings: list[tuple[str, ...]] = []
+    requests = []
     for gid, start in enumerate(range(0, n, group_size)):
         members = tuple(range(start + 1, min(start + group_size, n)))
         keys = {m: Key(f"individual:{m}") for m in members}
         individual.update(keys)
-        groups.append(_group_record(gid, start, members, Key(f"group:{gid}"), keys))
-    return _plan_shape(n, eta, tuple(groups), individual)
+        group_key = Key(f"group:{gid}")
+        groups.append(_group_record(gid, start, members, group_key, keys))
+        rings.append((group_key.key_id, *(k.key_id for k in keys.values())))
+        for m, key in keys.items():
+            rings.append((group_key.key_id, key.key_id))
+            requests.append((m, gid, start, join_request(m, key)))
+    return PlanShape(n, eta, tuple(groups), MappingProxyType(individual),
+                     tuple(rings), tuple(requests))
+
+
+def join_request(node: int, key: Key) -> Envelope:
+    """The JOIN_REQ node sends, sealed under its individual key."""
+    return Envelope(node, Kind.JOIN_REQ, key, f"JOIN_REQ|{node}".encode())
 
 
 def storage_gd_bits(eta: int, key_bits: int) -> int:
@@ -219,11 +231,7 @@ def storage_network_bits(alpha: int, beta: int, eta: int, key_bits: int) -> int:
     """Network-wide key storage for alpha dominators and beta ordinary sensors."""
     if alpha < 0 or beta < 0:
         raise ValueError("counts must be >= 0")
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    if key_bits <= 0:
-        raise ValueError("key_bits must be > 0")
-    return key_bits * (alpha * (eta + 1) + 2 * beta)
+    return alpha * storage_gd_bits(eta, key_bits) + beta * storage_os_bits(key_bits)
 
 
 def write_plan_csv(plan: DeploymentPlan, path: Path | str) -> None:
@@ -231,13 +239,7 @@ def write_plan_csv(plan: DeploymentPlan, path: Path | str) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["node_id", "rank", "group_id", "key_ids"])
-        for node in range(plan.n):
+        for node, ring in enumerate(plan.shape.rings):
             group = plan.group_of(node)
-            if group.dominator == node:
-                kids = [group.group_key.key_id]
-                kids += [group.individual_keys[m].key_id for m in group.members]
-                rank = "GD"
-            else:
-                kids = [group.group_key.key_id, group.individual_keys[node].key_id]
-                rank = "Os"
-            w.writerow([node, rank, group.group_id, ";".join(kids)])
+            rank = "GD" if group.dominator == node else "Os"
+            w.writerow([node, rank, group.group_id, ";".join(ring)])

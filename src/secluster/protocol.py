@@ -29,9 +29,9 @@ its receivers, who then hold it), `_vouch` (the base station hands a
 dominator a node's individual key) and `_adjudicate` (orphan verdicts).
 Formation's rounds 1 and 2 write their JOIN_REQ and JOIN_APRV records and
 the memberships they approve in `_form` itself, and `_predistribute` its
-rings, each in one pass with no call per node; what the plan's shape
-alone decides, the planned rings and the JOIN_REQ envelopes, is built
-once per shape (`_offline`).  The ranks, the dominator set and the
+rings, each in one pass with no call per node; the planned rings and the
+sealed JOIN_REQs are the plan's shape's (`keying.PlanShape`), which
+`_predistribute` and round 1 read.  The ranks, the dominator set and the
 mediators are read from the dominator record, so they describe the live
 network; `ClusterMap.ranks` builds a dict on each read, so a caller
 reads it once.  An adversary can be injected to measure what the key
@@ -47,13 +47,12 @@ from __future__ import annotations
 import csv
 import math
 import random
-import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Collection, Iterable, NamedTuple, Optional
 
-from .keying import BaseStationVault, DeploymentPlan, Key, PlanShape
+from .keying import BaseStationVault, DeploymentPlan, Key, join_request
 # write_trace_csv is exported from here, beside write_clustermap_csv
 from .trace import (  # noqa: F401
     Envelope,
@@ -221,36 +220,6 @@ class AttackReport:
         return sum(1 for a in self.attempts if a.admitted)
 
 
-class _Offline(NamedTuple):
-    """What formation takes from a plan's shape alone: each node's planned
-    key ids, by node id, and round 1's JOIN_REQs, one `(sender, its group,
-    that group's dominator, envelope)` per planned member, by sender id."""
-
-    rings: tuple[frozenset[str], ...]
-    join_requests: tuple[tuple[int, int, int, Envelope], ...]
-
-
-# each shape's _Offline, built on its first formation and kept while the
-# shape lives
-_OFFLINE: weakref.WeakKeyDictionary[PlanShape, _Offline] = weakref.WeakKeyDictionary()
-
-
-def _offline(shape: PlanShape) -> _Offline:
-    got = _OFFLINE.get(shape)
-    if got is None:
-        rings: list[frozenset[str]] = []
-        requests = []
-        for g in shape.groups:
-            group_key, keys = g.group_key.key_id, g.individual_keys
-            rings.append(frozenset([group_key, *(k.key_id for k in keys.values())]))
-            for m in g.members:
-                rings.append(frozenset([keys[m].key_id, group_key]))
-                env = Envelope(m, Kind.JOIN_REQ, keys[m], f"JOIN_REQ|{m}".encode())
-                requests.append((m, g.group_id, g.dominator, env))
-        got = _OFFLINE[shape] = _Offline(tuple(rings), tuple(requests))
-    return got
-
-
 def _carried_key_id(plaintext: bytes) -> Optional[str]:
     if not plaintext.startswith(b"KEY|"):
         return None
@@ -297,20 +266,19 @@ class NetworkState:
         self.cluster_map = ClusterMap(
             graph=graph, dominator_of={}, orphan_events=[], rekey_log=[])
 
-        offline = _offline(plan.shape)
-        self._predistribute(offline)
-        self._form(offline)
+        self._predistribute()
+        self._form()
 
     # -- key plumbing ------------------------------------------------------
 
     def _grant(self, node: int, key: Key) -> None:
         self.rings[node].add(key.key_id)  # every planned node has a ring
 
-    def _predistribute(self, offline: _Offline) -> None:
+    def _predistribute(self) -> None:
         """Offline phase: every node in the plan holds its planned ring,
         deployed or not, written in one pass, and every planned group opens."""
         # the shape's rings are in node id order, as the chunking is
-        self.rings.update(enumerate(map(set, offline.rings)))
+        self.rings.update(enumerate(map(set, self.plan.shape.rings)))
         for g in self.plan.groups:
             self._open_group(g.group_id, g.dominator, g.group_key)
 
@@ -403,7 +371,7 @@ class NetworkState:
 
     # -- formation ---------------------------------------------------------
 
-    def _form(self, offline: _Offline) -> None:
+    def _form(self) -> None:
         """Rounds 1-4 over the deployed nodes; the constructor's last step.
         Rounds 1 and 2 write their records and memberships in one pass
         each, with no call per node."""
@@ -422,7 +390,7 @@ class NetworkState:
         # in range, approves it
         self._round = 1
         approvals: dict[int, list[int]] = {}  # approving groups only
-        for s, gid, gd, env in offline.join_requests:
+        for s, gid, gd, env in self.plan.shape.join_requests:
             if s in deployed:
                 heard = nbrs[s]
                 append(from_fields(TraceEvent, (1, env, heard, gid, s)))
@@ -540,9 +508,9 @@ class NetworkState:
             self.audit_log.append(f"join denied: node {new_node} out of range of GD {gd}")
             return False
 
-        self._send(Kind.JOIN_REQ, new_node, ind, f"JOIN_REQ|{new_node}".encode(),
-                   tuple(sorted(self.graph.adjacency[new_node] & self.deployed)),
-                   target_group)
+        heard = tuple(sorted(self.graph.adjacency[new_node] & self.deployed))
+        self.trace.records.append(from_fields(TraceEvent, (
+            self._round, join_request(new_node, ind), heard, target_group, new_node)))
 
         if not self._on_access_list(new_node, target_group):
             # GD escalates the unknown id; BS confirms legitimacy and supplies

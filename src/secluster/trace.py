@@ -26,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
-from .keying import Key
 from .udg import walk
+
+if TYPE_CHECKING:  # keying builds envelopes, so it imports this module
+    from .keying import Key
 
 
 # `from_fields(cls, fields)` builds named tuple `cls` from the tuple of its

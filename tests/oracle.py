@@ -35,6 +35,7 @@ import itertools
 
 from secluster.domsets import classify
 from secluster.keying import BaseStationVault, DeploymentPlan, GroupRecord, Key, PlanShape
+from secluster.trace import Envelope, Kind
 
 # Subset enumeration is exponential; refuse graphs where 2^n is unreasonable.
 EXHAUSTIVE_NODE_LIMIT = 20
@@ -105,15 +106,23 @@ def reference_plan(n, eta, key_bits, seed):
     """The plan of n sensors in groups of eta + 1, built from the chunking
     rule alone: group g is ids g*(eta+1) onwards, its first id the
     dominator; each member has key `individual:{id}` and each group key
-    `group:{g}`.  Every object in it is new, its key maps plain dicts."""
-    groups, individual, history = [], {}, {}
+    `group:{g}`.  A dominator's ring is its group key, then its members'
+    keys; a member's is its group key, then its own; each member's
+    JOIN_REQ carries `JOIN_REQ|{id}` under its own key.  Every object in
+    it is new, its key maps plain dicts."""
+    groups, individual, history, rings, requests = [], {}, {}, [], []
     for gid, start in enumerate(range(0, n, eta + 1)):
         members = tuple(range(start + 1, min(start + eta + 1, n)))
         keys = {m: Key(f"individual:{m}") for m in members}
         individual.update(keys)
         history[gid] = [Key(f"group:{gid}")]
         groups.append(GroupRecord(gid, start, members, Key(f"group:{gid}"), keys))
-    shape = PlanShape(n, eta, tuple(groups), individual)
+        rings.append((f"group:{gid}", *(f"individual:{m}" for m in members)))
+        for m in members:
+            rings.append((f"group:{gid}", f"individual:{m}"))
+            env = Envelope(m, Kind.JOIN_REQ, Key(f"individual:{m}"), b"JOIN_REQ|%d" % m)
+            requests.append((m, gid, start, env))
+    shape = PlanShape(n, eta, tuple(groups), individual, tuple(rings), tuple(requests))
     return DeploymentPlan(shape, key_bits, BaseStationVault(dict(individual), history), seed)
 
 

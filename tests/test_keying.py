@@ -155,7 +155,6 @@ def test_the_shape_memo_keeps_the_last_two_shapes_built():
     # evicted: the next plan gets a new shape, equal to the old one
     again = build_plan(8, 1, 128, seed=0)
     assert again.shape is not second and again.shape == second
-    assert hash(again.shape) == hash(second)
     assert again == reference_plan(8, 1, 128, 0)
 
 

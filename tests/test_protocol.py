@@ -422,6 +422,13 @@ def test_join_on_access_list_rotates_group_key():
     state = join_leave_network()
     old = state.group_key[1]
     assert state.join_node(5, 1)
+    # the newcomer airs the JOIN_REQ formation would have aired for it,
+    # sealed afresh: the reference cipher numbers envelopes by object
+    request = next(rec for rec in reversed(state.trace.records)
+                   if rec.envelope.kind is Kind.JOIN_REQ)
+    planned = next(r for r in state.plan.shape.join_requests if r[0] == 5)
+    assert (request.transmitter, request.group_id) == planned[:2]
+    assert request.envelope == planned[3] and request.envelope is not planned[3]
     new = state.group_key[1]
     assert new.key_id != old.key_id
     assert state.cluster_map.rekey_log[-1].cause == "join"

@@ -3,13 +3,18 @@ serve the tests and the benchmark only.  The package's public names are
 listed here, so that the surface changes only on purpose."""
 
 import ast
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import secluster
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "secluster"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 
 
 def test_the_runtime_imports_only_the_standard_library():
@@ -27,6 +32,17 @@ def test_the_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # keying builds trace's envelopes and trace names keying's keys, so an
+    # import cycle between modules would break whichever is imported first
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent) + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", f"import secluster.{module}"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_the_package_exports_exactly_these_names():
