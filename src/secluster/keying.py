@@ -17,9 +17,9 @@ shape.  `build_plan` therefore keeps the last two shapes it built, and
 for either builds only a plan's vault: the seeds of one sweep size come
 in a row, and a churn experiment may form networks of two sizes in turn.
 Every plan of one shape shares its `PlanShape` and `GroupRecord`s, which
-are immutable and whose key maps are read-only; each plan's vault dicts
-are its own, copied from the shape, so no plan can write another.  Plans
-and group records pickle and deep-copy; a shape pickles as its (n, eta).
+are immutable tuples all the way down; each plan's vault dicts are its
+own, built from the shape, so no plan can write another.  Plans, shapes
+and group records pickle and deep-copy as plain data.
 
 A key is its id alone, the label it was planned under (`group:3`,
 `individual:17`, `rekey:3:1`).  Its secret is seeded SHA-256 of that
@@ -39,8 +39,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .trace import Envelope, Kind
 
@@ -62,45 +61,36 @@ class GroupRecord(NamedTuple):
     """One pre-assigned group: a dominator, its members, and their keys.
 
     Every plan of one shape shares its group records, so they are
-    immutable named tuples and `individual_keys` is a read-only map.
+    immutable named tuples; `individual_keys` is derived from the members.
     """
 
     group_id: int
     dominator: int
     members: tuple[int, ...]
     group_key: Key
-    individual_keys: Mapping[int, Key]
 
-    def __reduce__(self):
-        # a read-only map does not pickle; its dict does
-        return _group_record, (*self[:4], dict(self.individual_keys))
-
-
-def _group_record(group_id: int, dominator: int, members: tuple[int, ...],
-                  group_key: Key, individual_keys: dict[int, Key]) -> GroupRecord:
-    return GroupRecord(group_id, dominator, members, group_key,
-                       MappingProxyType(individual_keys))
+    @property
+    def individual_keys(self) -> dict[int, Key]:
+        """Each member's individual key, by member, in a new dict per read."""
+        return {m: Key(f"individual:{m}") for m in self.members}
 
 
 @dataclass(frozen=True)
 class PlanShape:
     """The offline structure of n sensors in groups of eta + 1: the groups,
-    every member's individual key, by node, in a read-only map, each
-    node's planned key ids (`rings`, by node id, group key first, as
+    every member's individual key as `(node, key)` pairs in node id order,
+    each node's planned key ids (`rings`, by node id, group key first, as
     `plan.csv` lists them) and formation round 1's sealed JOIN_REQs, one
     `(sender, its group, that group's dominator, envelope)` per planned
     member, by sender id.  `build_plan` makes it from (n, eta) alone.
-    Shapes compare by value, and a shape pickles as its (n, eta)."""
+    Shapes are tuples all the way down and compare by value."""
 
     n: int
     eta: int
     groups: tuple[GroupRecord, ...]
-    individual_keys: Mapping[int, Key]
+    individual_keys: tuple[tuple[int, Key], ...]
     rings: tuple[tuple[str, ...], ...]
     join_requests: tuple[tuple[int, int, int, Envelope], ...]
-
-    def __reduce__(self):
-        return _shape, (self.n, self.eta)
 
 
 @dataclass
@@ -166,8 +156,8 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
     members.  The seed is recorded for the keys' secrets only.
 
     The shape is one of the last two built if n and eta match (see the
-    module docstring): a plan shares its immutable group records with
-    every plan of its shape, and its vault holds fresh dicts of its own.
+    module docstring): a plan shares its immutable shape with every plan
+    of that shape, and its vault holds fresh dicts of its own.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -178,7 +168,7 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
             f"key_bits must be one of {SUPPORTED_KEY_BITS}, got {key_bits}")
     shape = _shape(n, eta)
     vault = BaseStationVault(
-        shape.individual_keys.copy(),
+        dict(shape.individual_keys),
         {g.group_id: [g.group_key] for g in shape.groups})
     return DeploymentPlan(shape=shape, key_bits=key_bits, vault=vault, seed=seed)
 
@@ -189,20 +179,21 @@ def build_plan(n: int, eta: int, key_bits: int, seed: int) -> DeploymentPlan:
 def _shape(n: int, eta: int) -> PlanShape:
     group_size = eta + 1
     groups = []
-    individual: dict[int, Key] = {}
+    individual: list[tuple[int, Key]] = []
     rings: list[tuple[str, ...]] = []
     requests = []
     for gid, start in enumerate(range(0, n, group_size)):
         members = tuple(range(start + 1, min(start + group_size, n)))
-        keys = {m: Key(f"individual:{m}") for m in members}
-        individual.update(keys)
         group_key = Key(f"group:{gid}")
-        groups.append(_group_record(gid, start, members, group_key, keys))
-        rings.append((group_key.key_id, *(k.key_id for k in keys.values())))
-        for m, key in keys.items():
+        group = GroupRecord(gid, start, members, group_key)
+        groups.append(group)
+        keys = group.individual_keys.items()
+        individual.extend(keys)
+        rings.append((group_key.key_id, *(k.key_id for _, k in keys)))
+        for m, key in keys:
             rings.append((group_key.key_id, key.key_id))
             requests.append((m, gid, start, join_request(m, key)))
-    return PlanShape(n, eta, tuple(groups), MappingProxyType(individual),
+    return PlanShape(n, eta, tuple(groups), tuple(individual),
                      tuple(rings), tuple(requests))
 
 

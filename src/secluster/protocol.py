@@ -23,10 +23,10 @@ nothing).  Formation and every membership change go through steps, each
 the only writer of its facts: `_predistribute` (every planned ring),
 `_open_group` (a group, its lead and its first key), `_enroll`/`_withdraw`
 (deployment, membership, dominator), `_rekey` (the next key and the rekey
-log), `_grant` (a key held without a message that carries it: a group's
-first key, a minted rekey or a vouched key), `_deliver` (a key sealed to
-its receivers, who then hold it), `_vouch` (the base station hands a
-dominator a node's individual key) and `_adjudicate` (orphan verdicts).
+log), `_grant` (a key held without a message that carries it: a minted
+rekey or a vouched key), `_deliver` (a key sealed to its receivers, who
+then hold it), `_vouch` (the base station hands a dominator a node's
+individual key) and `_adjudicate` (orphan verdicts).
 Formation's rounds 1 and 2 write their JOIN_REQ and JOIN_APRV records and
 the memberships they approve in `_form` itself, and `_predistribute` its
 rings, each in one pass with no call per node; the planned rings and the
@@ -249,7 +249,7 @@ class NetworkState:
 
         # key rings: node -> ids of the keys it holds; _predistribute writes
         # the planned rings, _grant adds the keys held without a message,
-        # _deliver the keys a message carries
+        # _deliver the keys a message carries (a promoted lead's group key)
         self.rings: dict[int, set[str]] = {}
 
         # current (post-formation) group structure; access lists stay in plan
@@ -290,7 +290,6 @@ class NetworkState:
         self.group_members[gid] = set()
         if dominator in self.deployed:
             self.cluster_map.dominator_of[dominator] = dominator
-        self._grant(dominator, key)
 
     def _enroll(self, node: int, gid: int) -> None:
         """Make node a deployed ordinary member of group gid."""

@@ -29,13 +29,12 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         if raw <= m * mag:
             step = m * mag
             break
-    first = step * (int(lo / step) if lo >= 0 else int(lo / step) - 1)
-    if first < lo - 1e-9:
-        first += step
     ticks = []
-    t = first
+    t = step * (int(lo / step) if lo >= 0 else int(lo / step) - 1)
     while t <= hi + 1e-9:
-        ticks.append(round(t, 10))
+        tick = round(t, 10)  # which moves t by up to 5e-11, so tick is bounded
+        if lo - 1e-9 <= tick <= hi + 1e-9:
+            ticks.append(tick)
         t += step
     return ticks
 
@@ -88,15 +87,11 @@ def _render_panel(panel: Panel, ox: float) -> list[str]:
                f'text-anchor="middle" font-size="13" font-weight="bold">{panel.title}</text>')
 
     for t in _nice_ticks(x_lo, x_hi):
-        if t < x_lo - 1e-9 or t > x_hi + 1e-9:
-            continue
         out.append(f'<line x1="{_fmt(sx(t))}" y1="{_fmt(py + ph)}" '
                    f'x2="{_fmt(sx(t))}" y2="{_fmt(py + ph + 4)}" stroke="#444"/>')
         out.append(f'<text x="{_fmt(sx(t))}" y="{_fmt(py + ph + 16)}" '
                    f'text-anchor="middle" font-size="10">{_fmt_tick(t)}</text>')
     for t in _nice_ticks(y_lo, y_hi):
-        if t < y_lo - 1e-9 or t > y_hi + 1e-9:
-            continue
         out.append(f'<line x1="{_fmt(px - 4)}" y1="{_fmt(sy(t))}" '
                    f'x2="{_fmt(px)}" y2="{_fmt(sy(t))}" stroke="#444"/>')
         out.append(f'<text x="{_fmt(px - 7)}" y="{_fmt(sy(t) + 3)}" '

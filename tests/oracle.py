@@ -109,20 +109,21 @@ def reference_plan(n, eta, key_bits, seed):
     `group:{g}`.  A dominator's ring is its group key, then its members'
     keys; a member's is its group key, then its own; each member's
     JOIN_REQ carries `JOIN_REQ|{id}` under its own key.  Every object in
-    it is new, its key maps plain dicts."""
+    it is new."""
     groups, individual, history, rings, requests = [], {}, {}, [], []
     for gid, start in enumerate(range(0, n, eta + 1)):
         members = tuple(range(start + 1, min(start + eta + 1, n)))
         keys = {m: Key(f"individual:{m}") for m in members}
         individual.update(keys)
         history[gid] = [Key(f"group:{gid}")]
-        groups.append(GroupRecord(gid, start, members, Key(f"group:{gid}"), keys))
+        groups.append(GroupRecord(gid, start, members, Key(f"group:{gid}")))
         rings.append((f"group:{gid}", *(f"individual:{m}" for m in members)))
         for m in members:
             rings.append((f"group:{gid}", f"individual:{m}"))
             env = Envelope(m, Kind.JOIN_REQ, Key(f"individual:{m}"), b"JOIN_REQ|%d" % m)
             requests.append((m, gid, start, env))
-    shape = PlanShape(n, eta, tuple(groups), individual, tuple(rings), tuple(requests))
+    shape = PlanShape(n, eta, tuple(groups), tuple(individual.items()), tuple(rings),
+                      tuple(requests))
     return DeploymentPlan(shape, key_bits, BaseStationVault(dict(individual), history), seed)
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from secluster import svgplot
 from secluster.cli import main
@@ -129,6 +131,17 @@ def test_a_chart_of_no_points_or_only_zeros_is_valid_svg(tmp_path, series):
     root = ElementTree.parse(tmp_path / "c.svg").getroot()
     assert root.tag == "{http://www.w3.org/2000/svg}svg"
     assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == len(series)
+
+
+_bound = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(lo=_bound, hi=_bound)
+def test_the_ticks_ascend_within_the_axis_range(lo, hi):
+    assume(hi - lo >= 1e-6)
+    ticks = svgplot._nice_ticks(lo, hi)
+    assert ticks and all(a < b for a, b in zip(ticks, ticks[1:]))
+    assert lo - 1e-9 <= ticks[0] and ticks[-1] <= hi + 1e-9
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

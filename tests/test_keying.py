@@ -110,7 +110,7 @@ def test_a_plan_is_the_chunking_rule_applied(n, eta, key_bits, seed):
         if f.compare:
             assert getattr(plan, f.name) == getattr(ref, f.name), f.name
     assert (plan.n, plan.eta, plan.groups) == (n, eta, plan.shape.groups)
-    assert plan.shape.individual_keys == plan.vault.all_individual_keys
+    assert dict(plan.shape.individual_keys) == plan.vault.all_individual_keys
 
 
 def test_plans_of_one_shape_share_their_groups_but_no_vault():
@@ -138,11 +138,18 @@ def test_the_shared_offline_structure_cannot_be_written():
         group.individual_keys = {}
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.shape.groups = ()
-    for keys in (group.individual_keys, plan.shape.individual_keys):
-        with pytest.raises(TypeError):
-            keys[11] = Key("individual:0")
-        with pytest.raises(TypeError):
-            del keys[11]
+    with pytest.raises(TypeError):
+        plan.shape.individual_keys[0] = (11, Key("individual:0"))
+    with pytest.raises(TypeError):
+        del plan.shape.individual_keys[0]
+    # a group's key map is derived on each read, so writing one leaves the
+    # group, the next read and the plan as built
+    keys = group.individual_keys
+    keys[11] = Key("individual:0")
+    del keys[12]
+    assert group.individual_keys == {m: Key(f"individual:{m}") for m in group.members}
+    assert group == reference_plan(30, 9, 128, 0).groups[1]
+    assert plan == reference_plan(30, 9, 128, 0)
 
 
 def test_the_shape_memo_keeps_the_last_two_shapes_built():
@@ -164,11 +171,21 @@ def test_a_plan_pickles_and_deep_copies():
         assert copied == plan == reference_plan(23, 4, 64, 3)
         assert copied.vault.all_individual_keys is not plan.vault.all_individual_keys
         assert copied.secret("group:2") == plan.secret("group:2")
-        # the copy's shared structure is as read-only as the original's
+        # the copy's shared structure is as immutable as the original's
         with pytest.raises(TypeError):
-            copied.groups[1].individual_keys[6] = Key("individual:0")
-        with pytest.raises(TypeError):
-            copied.shape.individual_keys[6] = Key("individual:0")
+            copied.shape.individual_keys[0] = (6, Key("individual:0"))
+        copied.groups[1].individual_keys[6] = Key("individual:0")
+        assert copied.groups[1].individual_keys == plan.groups[1].individual_keys
+        assert copied == reference_plan(23, 4, 64, 3)
+
+
+def test_the_offline_records_pickle_and_deep_copy_as_plain_data():
+    assert keying.GroupRecord._fields == ("group_id", "dominator", "members", "group_key")
+    shape = build_plan(23, 4, 64, seed=3).shape
+    for record in (shape.groups[1], shape):
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert copied == record
+    assert pickle.loads(pickle.dumps(shape)) == reference_plan(23, 4, 64, 3).shape
 
 
 def test_unsupported_key_length_rejected():
